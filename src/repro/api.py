@@ -52,7 +52,7 @@ from repro.lang.codegen import (
     compile_program,
     compile_to_assembly,
 )
-from repro.uarch.config import MachineConfig, table2_config
+from repro.uarch.config import MachineConfig, SVFConfig, table2_config
 from repro.uarch.pipeline import (
     SimStats,
     simulate as _simulate,
@@ -163,16 +163,13 @@ class MachineSpec:
     no_squash: bool = False
 
     def config(self) -> MachineConfig:
-        """Materialize the equivalent :class:`MachineConfig`."""
-        base = table2_config(
-            self.width,
-            dl1_ports=self.dl1_ports,
-            branch_predictor=self.branch_predictor,
-            agu_depth=self.agu_depth,
-        )
-        if self.svf_mode == "none":
-            return base
-        return base.with_svf(
+        """Materialize the equivalent :class:`MachineConfig`.
+
+        Raises ``ValueError`` naming the first out-of-range field,
+        including stack-unit fields that ``svf_mode="none"`` leaves
+        unused.
+        """
+        svf = SVFConfig(
             mode=self.svf_mode,
             ports=self.svf_ports,
             capacity_bytes=self.svf_capacity,
@@ -181,6 +178,15 @@ class MachineSpec:
             adaptive=self.svf_adaptive,
             no_squash=self.no_squash,
         )
+        base = table2_config(
+            self.width,
+            dl1_ports=self.dl1_ports,
+            branch_predictor=self.branch_predictor,
+            agu_depth=self.agu_depth,
+        )
+        if self.svf_mode == "none":
+            return base
+        return base.with_(svf=svf)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,14 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _machine_config(spec: api.MachineSpec) -> api.MachineConfig:
+    """``spec.config()``, with an out-of-range field as a usage error."""
+    try:
+        return spec.config()
+    except ValueError as exc:
+        raise UsageError(f"invalid machine: {exc}")
+
+
 def _compile_options(args) -> api.CompileOptions:
     return api.CompileOptions(opt_level=getattr(args, "opt_level", 0))
 
@@ -478,21 +486,6 @@ def cmd_simulate(args) -> int:
         work = workload(args.workload, args.input)
     except KeyError as exc:
         return _fail(exc.args[0])
-    options = _compile_options(args)
-    trace = work.trace(
-        max_instructions=args.max_instructions, options=options.codegen()
-    )
-    base_spec = api.MachineSpec(
-        width=args.width,
-        dl1_ports=args.dl1_ports,
-        branch_predictor=args.predictor,
-    )
-    baseline = api.simulate(trace, base_spec)
-    print(f"{work.full_name} on {base_spec.config().name} "
-          f"({len(trace):,}-instruction window)")
-    print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
-    if args.svf == "none":
-        return 0
     spec = api.MachineSpec(
         width=args.width,
         dl1_ports=args.dl1_ports,
@@ -502,7 +495,23 @@ def cmd_simulate(args) -> int:
         svf_capacity=args.capacity,
         no_squash=args.no_squash,
     )
-    run = api.simulate(trace, spec)
+    config = _machine_config(spec)
+    base_config = api.MachineSpec(
+        width=args.width,
+        dl1_ports=args.dl1_ports,
+        branch_predictor=args.predictor,
+    ).config()
+    options = _compile_options(args)
+    trace = work.trace(
+        max_instructions=args.max_instructions, options=options.codegen()
+    )
+    baseline = api.simulate(trace, base_config)
+    print(f"{work.full_name} on {base_config.name} "
+          f"({len(trace):,}-instruction window)")
+    print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
+    if args.svf == "none":
+        return 0
+    run = api.simulate(trace, config)
     speedup = run.speedup_over(baseline)
     print(f"{args.svf:8s}: {run.cycles:,} cycles, IPC {run.ipc:.2f}, "
           f"speedup {(speedup - 1) * 100:+.1f}%")
@@ -855,6 +864,9 @@ def cmd_trace(args) -> int:
 def cmd_replay(args) -> int:
     from repro.trace import load_trace
 
+    config = _machine_config(api.MachineSpec(
+        width=args.width, svf_mode=args.svf, svf_ports=args.ports
+    ))
     try:
         trace = load_trace(args.trace_file)
     except FileNotFoundError:
@@ -864,12 +876,7 @@ def cmd_replay(args) -> int:
     print(f"{args.trace_file}: {len(trace):,} instructions")
     print(f"baseline: {baseline.cycles:,} cycles, IPC {baseline.ipc:.2f}")
     if args.svf != "none":
-        run = api.simulate(
-            trace,
-            api.MachineSpec(
-                width=args.width, svf_mode=args.svf, svf_ports=args.ports
-            ),
-        )
+        run = api.simulate(trace, config)
         speedup = run.speedup_over(baseline)
         print(f"{args.svf}: {run.cycles:,} cycles, "
               f"speedup {(speedup - 1) * 100:+.1f}%")

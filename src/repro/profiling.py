@@ -28,18 +28,21 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple, TypedDict
 
 #: Canonical rendering order; unknown phases sort after these.
 PHASE_ORDER = (
     "compile", "emulate", "timing", "traffic", "analysis", "render"
 )
 
-#: Picklable form of a profiler.  The current shape is
-#: ``{"phases": {phase: (calls, seconds, items)}, "counters": {...}}``;
-#: :meth:`PhaseProfiler.merge` also still folds the legacy flat
-#: ``{phase: (calls, seconds, items)}`` shape (pre-counter snapshots).
-Snapshot = Dict[str, Tuple[int, float, int]]
+
+class Snapshot(TypedDict):
+    """Picklable form of a profiler (see :meth:`PhaseProfiler.snapshot`)."""
+
+    #: phase -> (calls, seconds, items)
+    phases: Dict[str, Tuple[int, float, int]]
+    #: counter name -> count
+    counters: Dict[str, int]
 
 
 @dataclass
@@ -80,23 +83,12 @@ class PhaseProfiler:
             self.counters[name] = self.counters.get(name, 0) + n
 
     def merge(self, snapshot: Optional[Snapshot]) -> None:
-        """Fold a picklable snapshot (e.g. from a worker) into this one.
-
-        Accepts both the current ``{"phases": ..., "counters": ...}``
-        shape and the legacy flat ``{phase: (calls, seconds, items)}``
-        shape shipped by pre-counter caches.
-        """
+        """Fold a picklable snapshot (e.g. from a worker) into this one."""
         if not snapshot:
             return
-        if set(snapshot) <= {"phases", "counters"} and all(
-            isinstance(value, dict) for value in snapshot.values()
-        ):
-            phases = snapshot.get("phases", {})
-            for name, n in snapshot.get("counters", {}).items():
-                self.count(name, n)
-        else:
-            phases = snapshot
-        for phase, (calls, seconds, items) in phases.items():
+        for name, n in snapshot["counters"].items():
+            self.count(name, n)
+        for phase, (calls, seconds, items) in snapshot["phases"].items():
             stat = self.phases.get(phase)
             if stat is None:
                 stat = self.phases[phase] = PhaseStat()

@@ -75,9 +75,11 @@ def numpy_enabled() -> bool:
 def set_numpy_enabled(enabled: bool) -> bool:
     """Toggle the numpy backend at runtime; returns the previous state.
 
-    The pure-python column walk is the reference implementation, so
-    benchmarks and the differential gate use this to time/compare both
-    paths in one process.  Enabling has no effect when numpy is not
+    The backend serves the batched analyses, the traffic model and
+    superblock replay; the pure-python column walk is their reference
+    implementation, so benchmarks and the differential gates use this
+    to time/compare both paths in one process.  The timing model is
+    pure python either way.  Enabling has no effect when numpy is not
     importable.
     """
     global _NUMPY_ENABLED

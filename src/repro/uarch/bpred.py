@@ -69,8 +69,12 @@ class GSharePredictor:
         return self.mispredictions / self.lookups
 
 
+#: Predictor names :func:`make_predictor` accepts.
+PREDICTORS = ("perfect", "gshare")
+
+
 def make_predictor(kind: str):
-    """Factory used by the pipeline ('perfect' or 'gshare')."""
+    """Factory used by the pipeline (one of :data:`PREDICTORS`)."""
     if kind == "perfect":
         return PerfectPredictor()
     if kind == "gshare":

@@ -11,6 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.uarch.bpred import PREDICTORS
+
+
+def _require_at_least(config, minimum: int, *names: str) -> None:
+    """Raise ``ValueError`` if any named field is below ``minimum``.
+
+    Out-of-range widths, sizes and latencies would make the timing
+    walk index outside its windows or silently mis-time the trace.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,23 @@ class SVFConfig:
     def __post_init__(self):
         if self.mode not in ("none", "svf", "ideal", "stack_cache"):
             raise ValueError(f"unknown SVF mode {self.mode!r}")
+        _require_at_least(self, 1, "ports", "adaptive_window")
+        _require_at_least(
+            self, 0, "banks", "fast_latency", "reroute_latency",
+            "squash_penalty", "adaptive_threshold", "adaptive_off_period",
+        )
+        if self.granularity <= 0 or self.granularity % 8:
+            raise ValueError(
+                "granularity must be a positive multiple of 8, "
+                f"not {self.granularity!r}"
+            )
+        # The stack cache allocates whole 32-byte lines.
+        unit = 32 if self.mode == "stack_cache" else self.granularity
+        if self.capacity_bytes <= 0 or self.capacity_bytes % unit:
+            raise ValueError(
+                f"capacity_bytes must be a positive multiple of {unit}, "
+                f"not {self.capacity_bytes!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,6 +147,23 @@ class MachineConfig:
     #: without an SVF (the no_addr_cal_op bar of Figure 6)
     no_addr_calc: bool = False
     svf: SVFConfig = field(default_factory=SVFConfig)
+
+    def __post_init__(self):
+        _require_at_least(
+            self, 1, "decode_width", "issue_width", "commit_width",
+            "ifq_size", "ruu_size", "lsq_size", "int_alus", "int_mults",
+            "dl1_ports",
+        )
+        _require_at_least(
+            self, 0, "memory_latency", "store_forward_latency",
+            "frontend_depth", "agu_depth", "mispredict_redirect",
+            "context_switch_period", "context_switch_overhead",
+        )
+        if self.branch_predictor not in PREDICTORS:
+            raise ValueError(
+                f"unknown branch predictor {self.branch_predictor!r} "
+                f"(choose from {', '.join(PREDICTORS)})"
+            )
 
     def with_(self, **changes) -> "MachineConfig":
         """Return a modified copy (convenience for experiments)."""

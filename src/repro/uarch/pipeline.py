@@ -34,30 +34,23 @@ The stack unit is pluggable (``config.svf.mode``):
     the decoupled stack cache: stack references use stack-cache ports
     and refill from the L2; every miss moves whole lines.
 
-The loop reads the trace column-wise (:class:`ColumnarTrace`; other
-iterables are packed on entry).  Two implementations share the exact
-cycle-for-cycle semantics and are differentially gated against each
-other:
-
-* :func:`_simulate_reference` — the pure-python reference walk.  It
-  probes the per-cycle resource pools as raw ``{cycle: used}`` dicts
-  (the structural semantics of
-  :class:`repro.uarch.resources.CyclePool`, inlined because pool
-  probes dominate the profile).
-* :func:`_simulate_fast` — the vectorized-window walk, used when the
-  numpy backend is enabled.  Columns become flat lists once, derived
-  per-instruction values (quad-word address, stack-region test, FU
-  latency class) are precomputed as whole-column numpy expressions,
-  and the occupancy pools live in dense
-  :class:`~repro.uarch.resources.CycleWindow` windows so each
-  probe/take is two list indexings instead of dict hashing.
+One dense-window walk (:func:`_stepper`) implements the model.  It
+reads the trace column-wise (:class:`ColumnarTrace`; other iterables
+are packed on entry): :class:`_Columns` turns the columns into flat
+python lists and derives the per-instruction values every config
+needs (quad-word address, stack-region test, FU latency) once per
+trace.  Issue, FU and port occupancy live in dense
+:class:`~repro.uarch.resources.CycleWindow` lists indexed by cycle;
+the fetch, dispatch and commit pools collapse to scalar (cycle, units
+used) pairs because their floors never decrease; the IFQ/RUU/LSQ ring
+heads are read from the dispatch/commit history lists; and memory
+completion is written out route by route.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from collections import deque
 from time import perf_counter
 from typing import Iterable, List, Optional
 
@@ -67,7 +60,6 @@ from repro.core.svf import StackValueFile
 from repro.isa.encoding import OPCODE_NUMBERS
 from repro.isa.instructions import OPCODES, OpClass
 from repro.isa.registers import NUM_REGISTERS, SP
-from repro.trace import columnar as _columnar
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.regions import STACK_REGION_FLOOR
 from repro.uarch.bpred import make_predictor
@@ -104,8 +96,8 @@ def batch_enabled() -> bool:
     """Is the batched multi-config engine enabled?
 
     Defaults to on; export ``REPRO_BATCH=0`` (worker processes inherit
-    it) or call :func:`set_batch_enabled` to force the sequential
-    per-config reference path.
+    it) or call :func:`set_batch_enabled` to force sequential
+    per-config walks.
     """
     return _BATCH_ENABLED
 
@@ -119,17 +111,20 @@ def set_batch_enabled(enabled: bool) -> bool:
 
 
 def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
-    """Run the timing model over a trace; returns :class:`SimStats`.
-
-    Dispatches to the vectorized-window walk when the numpy backend is
-    enabled (:func:`repro.trace.columnar.set_numpy_enabled`), else to
-    the pure-python reference walk; the two are cycle-identical.
-    """
+    """Run the timing model over a trace; returns :class:`SimStats`."""
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
-    if _columnar._np is not None and _columnar._NUMPY_ENABLED:
-        return _simulate_fast(trace, config)
-    return _simulate_reference(trace, config)
+    profiler = profiling.active()
+    profile_started = perf_counter() if profiler is not None else 0.0
+    stepper = _stepper(config, _Columns(trace))
+    next(stepper)
+    stepper.send((0, len(trace.pc)))
+    stats = _finish_stepper(stepper)
+    if profiler is not None:
+        profiler.note(
+            "timing", perf_counter() - profile_started, len(trace.pc)
+        )
+    return stats
 
 
 def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
@@ -141,11 +136,10 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     differential gate).  The win is structural: every config's walk is
     a chunk-resumable generator, and a round-robin driver interleaves
     them through the columns one :data:`_BATCH_CHUNK` at a time, so
-    the trace is walked once per batch instead of once per config; on
-    the numpy leg all steppers additionally share one
-    :class:`_FastColumns` precompute.  Duplicate configs (a common
-    case: ablation grids share one baseline) are simulated once and
-    returned as independent copies.
+    the trace is walked once per batch instead of once per config, and
+    all steppers share one :class:`_Columns` precompute.  Duplicate
+    configs (a common case: ablation grids share one baseline) are
+    simulated once and returned as independent copies.
 
     With batching disabled (:func:`set_batch_enabled` /
     ``REPRO_BATCH=0``) or a single config this degrades to sequential
@@ -170,13 +164,8 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     profiler = profiling.active()
     profile_started = perf_counter() if profiler is not None else 0.0
     n = len(trace.pc)
-    if _columnar._np is not None and _columnar._NUMPY_ENABLED:
-        columns = _FastColumns(trace)
-        steppers = [_fast_stepper(config, columns) for config in unique]
-    else:
-        steppers = [
-            _reference_stepper(trace, config) for config in unique
-        ]
+    columns = _Columns(trace)
+    steppers = [_stepper(config, columns) for config in unique]
     for stepper in steppers:
         next(stepper)
     lo = 0
@@ -217,32 +206,62 @@ def _finish_stepper(stepper) -> SimStats:
     raise RuntimeError("timing stepper yielded after finalization")
 
 
-def _simulate_reference(trace: ColumnarTrace, config: MachineConfig) -> SimStats:
-    """Pure-python reference walk (dict pools; see module docstring)."""
-    profiler = profiling.active()
-    profile_started = perf_counter() if profiler is not None else 0.0
-    stepper = _reference_stepper(trace, config)
-    next(stepper)
-    stepper.send((0, len(trace.pc)))
-    stats = _finish_stepper(stepper)
-    if profiler is not None:
-        profiler.note(
-            "timing", perf_counter() - profile_started, len(trace.pc)
-        )
-    return stats
+class _Columns:
+    """Config-invariant per-trace precompute for the timing walk.
+
+    Everything the walk derives from the trace alone — the flat python
+    lists, the quad-word/stack-region/FU-latency columns, the branch
+    count — is computed once here.  :func:`simulate` builds one per
+    call; :func:`simulate_batch` builds one and shares it across every
+    config in the batch.  ``pc_list`` is lazy because only non-perfect
+    predictors read the PC column.
+    """
+
+    __slots__ = (
+        "n", "flags_l", "opcode_l", "size_l", "nsrc_l", "src0_l",
+        "src1_l", "base_l", "dst_l", "sp_l", "spimm_l", "addr_l",
+        "qw_l", "on_stack_l", "fu_latency_l", "total_branches",
+        "_trace", "_pc_l",
+    )
+
+    def __init__(self, trace: ColumnarTrace):
+        self._trace = trace
+        self._pc_l = None
+        self.n = len(trace.pc)
+        self.flags_l = list(trace.flags)
+        self.opcode_l = list(trace.opcode)
+        self.size_l = list(trace.size)
+        self.nsrc_l = list(trace.nsrc)
+        self.src0_l = list(trace.src0)
+        self.src1_l = list(trace.src1)
+        self.base_l = trace.base.tolist()
+        self.dst_l = trace.dst.tolist()
+        self.sp_l = trace.sp.tolist()
+        self.spimm_l = trace.spimm.tolist()
+        self.addr_l = addr_l = trace.addr.tolist()
+        self.qw_l = [addr & ~7 for addr in addr_l]
+        self.on_stack_l = [addr >= STACK_REGION_FLOOR for addr in addr_l]
+        self.fu_latency_l = [_MULT_LATENCY[op] for op in self.opcode_l]
+        self.total_branches = sum(1 for flags in self.flags_l if flags & 4)
+
+    def pc_list(self) -> list:
+        if self._pc_l is None:
+            self._pc_l = self._trace.pc.tolist()
+        return self._pc_l
 
 
-def _reference_stepper(trace: ColumnarTrace, config: MachineConfig):
-    """Resumable reference walk: a generator driven in index chunks.
+def _stepper(config: MachineConfig, columns: _Columns):
+    """Resumable timing walk: a generator driven in index chunks.
 
     Runs setup up to its first ``yield``, then walks every half-open
     ``(lo, hi)`` index range sent into it, carrying all
     microarchitectural state across chunks; sending ``None`` finalizes
     and raises ``StopIteration`` whose ``value`` is the
     :class:`~repro.uarch.stats.SimStats`.  Driven with one ``(0, n)``
-    chunk by :func:`_simulate_reference` (so the solo path pays no
-    per-instruction overhead over the pre-batch loop) and round-robin
-    in :data:`_BATCH_CHUNK`-sized chunks by :func:`simulate_batch`.
+    chunk by :func:`simulate` and round-robin in
+    :data:`_BATCH_CHUNK`-sized chunks by :func:`simulate_batch`; all
+    trace-derived state comes from ``columns`` so a batch of steppers
+    shares one :class:`_Columns`.
     """
     stats = SimStats(config_name=config.name)
     predictor = make_predictor(config.branch_predictor)
@@ -263,501 +282,6 @@ def _reference_stepper(trace: ColumnarTrace, config: MachineConfig):
         )
         # Writebacks land in the DL1 (write-back path), so data the SVF
         # spills can be re-read at L1 latency.
-        svf.writeback_sink = lambda addr: dl1.access(addr, is_write=True)
-    elif mode == "stack_cache":
-        stack_cache = StackCache(capacity_bytes=svf_conf.capacity_bytes)
-
-    # Resource pools as raw {cycle: units-used} dicts (CyclePool,
-    # inlined): the earliest cycle >= floor with a free unit wins.
-    fetch_used: dict = {}
-    fetch_width = config.decode_width
-    dispatch_used: dict = {}
-    dispatch_width = config.decode_width
-    issue_used: dict = {}
-    issue_width = config.issue_width
-    commit_used: dict = {}
-    commit_width = config.commit_width
-    alu_used: dict = {}
-    alu_width = config.int_alus
-    mult_used: dict = {}
-    mult_width = config.int_mults
-    dl1_used: dict = {}
-    dl1_width = config.dl1_ports
-    stack_used: Optional[dict] = None
-    stack_width = svf_conf.ports
-    if mode in ("svf", "stack_cache"):
-        stack_used = {}
-    # Banked SVF: one single-ported pool per bank, selected by the
-    # low-order word-address bits (conclusion of the paper: banking is
-    # the cheap alternative to true multiporting).
-    bank_used = None
-    num_banks = svf_conf.banks
-    if mode == "svf" and num_banks > 0:
-        bank_used = [dict() for _ in range(num_banks)]
-
-    reg_ready = [0] * NUM_REGISTERS
-    entry_ready = {}  # SVF quad-word -> cycle its renamed value is ready
-    last_store = {}  # quad-word -> (index, complete) for LSQ forwarding
-    pending_gpr_store = {}  # quad-word -> (index, complete) for squashes
-
-    ifq_size = config.ifq_size
-    ruu_size = config.ruu_size
-    lsq_size = config.lsq_size
-    ifq_ring = deque(maxlen=ifq_size)
-    ruu_ring = deque(maxlen=ruu_size)
-    lsq_ring = deque(maxlen=lsq_size)
-
-    redirect_at = 0
-    decode_block = 0
-    prev_dispatch = 0
-    last_commit = 0
-    sp_seen = False
-    # Adaptive disable (Section 3.3): watch the squash rate and shut
-    # the SVF off for a cooling period when it misbehaves locally.
-    adaptive = svf_conf.adaptive and mode == "svf"
-    svf_disabled_until = -1
-    window_end = svf_conf.adaptive_window
-    window_squashes = 0
-    disables = 0
-    forward_latency = config.store_forward_latency
-    frontend_depth = config.frontend_depth
-    dl1_latency = config.dl1.latency
-    agu_depth = config.agu_depth
-    no_addr_calc = config.no_addr_calc
-    spec_sp = svf_conf.spec_sp
-    mispredict_redirect = config.mispredict_redirect
-    sp_block_mode = mode in ("svf", "ideal")
-    mode_ideal = mode == "ideal"
-    mode_svf = mode == "svf"
-    mode_sc = mode == "stack_cache"
-    stack_floor = STACK_REGION_FLOOR
-
-    switch_period = config.context_switch_period
-    switch_overhead = config.context_switch_overhead
-    switch_bytes = 0
-    switches = 0
-
-    branches = 0
-    mispredictions = 0
-
-    col_pc = trace.pc
-    col_opcode = trace.opcode
-    col_flags = trace.flags
-    col_size = trace.size
-    col_base = trace.base
-    col_dst = trace.dst
-    col_nsrc = trace.nsrc
-    col_src0 = trace.src0
-    col_src1 = trace.src1
-    col_spimm = trace.spimm
-    col_addr = trace.addr
-    col_sp = trace.sp
-    n = len(col_pc)
-
-    bounds = yield
-    while bounds is not None:
-        lo, hi = bounds
-        for index in range(lo, hi):
-            flags = col_flags[index]
-            is_mem = flags & 3
-
-            # ------------------------------------------- context switches
-            if switch_period and index and index % switch_period == 0:
-                switches += 1
-                redirect_at = max(redirect_at, last_commit + switch_overhead)
-                if svf is not None:
-                    switch_bytes += svf.context_switch()
-                    entry_ready.clear()
-                    pending_gpr_store.clear()
-                if stack_cache is not None:
-                    switch_bytes += stack_cache.context_switch()
-                last_store.clear()
-
-            # ------------------------------------------------------ fetch
-            fetch_floor = redirect_at
-            if len(ifq_ring) == ifq_size:
-                head = ifq_ring[0]
-                if head > fetch_floor:
-                    fetch_floor = head
-            cycle = fetch_floor
-            used = fetch_used.get(cycle, 0)
-            while used >= fetch_width:
-                cycle += 1
-                used = fetch_used.get(cycle, 0)
-            fetch_used[cycle] = used + 1
-            fetch_cycle = cycle
-
-            # ---------------------------------------------------- dispatch
-            dispatch_floor = fetch_cycle + frontend_depth
-            if prev_dispatch > dispatch_floor:
-                dispatch_floor = prev_dispatch
-            if decode_block > dispatch_floor:
-                dispatch_floor = decode_block
-            if len(ruu_ring) == ruu_size:
-                head = ruu_ring[0]
-                if head > dispatch_floor:
-                    dispatch_floor = head
-            if is_mem and len(lsq_ring) == lsq_size:
-                head = lsq_ring[0]
-                if head > dispatch_floor:
-                    dispatch_floor = head
-            cycle = dispatch_floor
-            used = dispatch_used.get(cycle, 0)
-            while used >= dispatch_width:
-                cycle += 1
-                used = dispatch_used.get(cycle, 0)
-            dispatch_used[cycle] = used + 1
-            dispatch_cycle = cycle
-            prev_dispatch = dispatch_cycle
-            ifq_ring.append(dispatch_cycle)
-
-            # SVF front-end bookkeeping: the speculative $sp copy follows
-            # immediate adjustments for free; any other $sp write stalls
-            # decode until it resolves (Section 3.1).
-            if svf is not None and not sp_seen:
-                svf.update_sp(col_sp[index])
-                sp_seen = True
-
-            # ----------------------------------------------- routing
-            if adaptive and index >= window_end:
-                if window_squashes >= svf_conf.adaptive_threshold:
-                    svf_disabled_until = index + svf_conf.adaptive_off_period
-                    disables += 1
-                    svf.context_switch()  # flush dirty state, go cold
-                    pending_gpr_store.clear()
-                window_squashes = 0
-                window_end = index + svf_conf.adaptive_window
-
-            route = _R_DL1
-            qw = 0
-            addr = 0
-            drop_base = False
-            if is_mem:
-                addr = col_addr[index]
-                qw = addr & ~7
-                on_stack = addr >= stack_floor
-                if on_stack:
-                    if mode_ideal:
-                        route = _R_FAST
-                    elif mode_svf and (
-                        not adaptive or index >= svf_disabled_until
-                    ):
-                        if svf.covers(addr):
-                            route = (
-                                _R_FAST
-                                if col_base[index] == SP
-                                else _R_REROUTE
-                            )
-                        else:
-                            stats.svf_out_of_range += 1
-                    elif mode_sc:
-                        route = _R_SC
-                drop_base = (route == _R_FAST and spec_sp) or (
-                    no_addr_calc and on_stack
-                )
-
-            # ------------------------------------------------ readiness
-            ready = dispatch_cycle + 1
-            if is_mem and agu_depth and not drop_base:
-                # Deep pipelines place address generation several stages
-                # past dispatch; morphed references resolved in decode
-                # skip those stages entirely (Section 3.1).
-                ready += agu_depth
-            nsrc = col_nsrc[index]
-            if nsrc:
-                if drop_base:
-                    base = col_base[index]
-                    src = col_src0[index]
-                    if src != base and reg_ready[src] > ready:
-                        ready = reg_ready[src]
-                    if nsrc > 1:
-                        src = col_src1[index]
-                        if src != base and reg_ready[src] > ready:
-                            ready = reg_ready[src]
-                else:
-                    when = reg_ready[col_src0[index]]
-                    if when > ready:
-                        ready = when
-                    if nsrc > 1:
-                        when = reg_ready[col_src1[index]]
-                        if when > ready:
-                            ready = when
-
-            # ------------------------------------------- issue + latency
-            if is_mem:
-                if route == _R_DL1:
-                    port_used = dl1_used
-                    port_width = dl1_width
-                elif route == _R_SC:
-                    port_used = stack_used
-                    port_width = stack_width
-                elif bank_used is not None:
-                    port_used = bank_used[(qw >> 3) % num_banks]
-                    port_width = 1
-                else:  # svf ports, or None in ideal mode (no port limit)
-                    port_used = stack_used
-                    port_width = stack_width
-                cycle = ready
-                if port_used is None:
-                    used = issue_used.get(cycle, 0)
-                    while used >= issue_width:
-                        cycle += 1
-                        used = issue_used.get(cycle, 0)
-                    issue_used[cycle] = used + 1
-                else:
-                    while True:
-                        used = issue_used.get(cycle, 0)
-                        if used < issue_width:
-                            port_use = port_used.get(cycle, 0)
-                            if port_use < port_width:
-                                issue_used[cycle] = used + 1
-                                port_used[cycle] = port_use + 1
-                                break
-                        cycle += 1
-                issue_cycle = cycle
-                is_store = flags & 2
-                complete = _memory_complete(
-                    is_store,
-                    addr,
-                    col_size[index],
-                    index,
-                    qw,
-                    route,
-                    issue_cycle,
-                    stats,
-                    config,
-                    dl1,
-                    l2,
-                    svf,
-                    stack_cache,
-                    entry_ready,
-                    last_store,
-                    pending_gpr_store,
-                    dl1_latency,
-                    forward_latency,
-                )
-                if route == _R_FAST and not is_store:
-                    # Squash check: a pending gpr-store to the same word
-                    # that has not completed by our issue time means this
-                    # morphed load read a stale value (Section 3.2).
-                    pending = pending_gpr_store.get(qw)
-                    if (
-                        pending is not None
-                        and pending[0] < index
-                        and pending[1] > issue_cycle
-                    ):
-                        if svf_conf.no_squash:
-                            complete = max(complete, pending[1] + 1)
-                        else:
-                            stats.svf_squashes += 1
-                            window_squashes += 1
-                            redirect_at = max(
-                                redirect_at,
-                                pending[1] + svf_conf.squash_penalty,
-                            )
-                            complete = max(
-                                complete, pending[1] + svf_conf.fast_latency
-                            )
-                lsq_placeholder = True
-            else:
-                latency = _MULT_LATENCY[col_opcode[index]]
-                if latency:
-                    fu_used = mult_used
-                    fu_width = mult_width
-                else:
-                    fu_used = alu_used
-                    fu_width = alu_width
-                    latency = 1
-                cycle = ready
-                while True:
-                    used = issue_used.get(cycle, 0)
-                    if used < issue_width:
-                        fu_use = fu_used.get(cycle, 0)
-                        if fu_use < fu_width:
-                            issue_used[cycle] = used + 1
-                            fu_used[cycle] = fu_use + 1
-                            break
-                    cycle += 1
-                issue_cycle = cycle
-                complete = issue_cycle + latency
-                lsq_placeholder = False
-
-            # --------------------------------------------------- branches
-            if flags & 4:
-                branches += 1
-                if predict_bits is not None and not predict_bits(
-                    col_pc[index], flags & 8, flags & 16
-                ):
-                    mispredictions += 1
-                    redirect_at = max(
-                        redirect_at, complete + mispredict_redirect
-                    )
-
-            # $sp interlock: unexpected (non-immediate) updates stall
-            # decode of everything younger until the new $sp resolves.
-            if flags & 32:
-                if svf is not None:
-                    svf.update_sp(col_sp[index])
-                if sp_block_mode and not (
-                    col_opcode[index] == _LDA and col_spimm[index] != 0
-                ):
-                    # A speculative $sp copy tracks immediate adjustments
-                    # for free; anything else blocks decode.
-                    if complete > decode_block:
-                        decode_block = complete
-            # ----------------------------------------------------- commit
-            cycle = complete + 1
-            if last_commit > cycle:
-                cycle = last_commit
-            used = commit_used.get(cycle, 0)
-            while used >= commit_width:
-                cycle += 1
-                used = commit_used.get(cycle, 0)
-            commit_used[cycle] = used + 1
-            commit_cycle = cycle
-            last_commit = commit_cycle
-            ruu_ring.append(commit_cycle)
-            if lsq_placeholder:
-                lsq_ring.append(commit_cycle)
-
-            # ---------------------------------------------------- results
-            dst = col_dst[index]
-            if dst >= 0:
-                reg_ready[dst] = complete
-        bounds = yield
-
-    stats.instructions = n
-    stats.branches = branches
-    stats.mispredictions = mispredictions
-    stats.cycles = last_commit
-    stats.dl1_accesses = dl1.hits + dl1.misses
-    stats.dl1_hits = dl1.hits
-    stats.dl1_misses = dl1.misses
-    stats.l2_misses = l2.misses
-    if stack_cache is not None:
-        stats.stack_cache_hits = stack_cache.hits
-        stats.stack_cache_misses = stack_cache.misses
-    if svf is not None:
-        stats.svf_fills = svf.fills
-    if adaptive:
-        stats.extras["svf_disables"] = disables
-    if switch_period:
-        stats.extras["context_switches"] = switches
-        stats.extras["switch_writeback_bytes"] = switch_bytes
-    return stats
-
-
-class _FastColumns:
-    """Config-invariant per-trace precompute for the vectorized walk.
-
-    Everything the fast walk derives from the trace alone — the flat
-    python lists, the quad-word/stack-region/FU-latency columns, the
-    branch count — is computed once here.  The solo path builds one
-    per call (the same cost the pre-batch code paid inline);
-    :func:`simulate_batch` builds one and shares it across every
-    config in the batch, which is where the batched fast path gets
-    its second win on top of the single trace walk.  ``pc_list`` is
-    lazy because only non-perfect predictors read the PC column.
-    """
-
-    __slots__ = (
-        "n", "flags_l", "opcode_l", "size_l", "nsrc_l", "src0_l",
-        "src1_l", "base_l", "dst_l", "sp_l", "spimm_l", "addr_l",
-        "qw_l", "on_stack_l", "fu_latency_l", "total_branches",
-        "_trace", "_pc_l",
-    )
-
-    def __init__(self, trace: ColumnarTrace):
-        np = _columnar._np
-        self._trace = trace
-        self._pc_l = None
-        self.n = n = len(trace.pc)
-        self.flags_l = list(trace.flags)
-        self.opcode_l = list(trace.opcode)
-        self.size_l = list(trace.size)
-        self.nsrc_l = list(trace.nsrc)
-        self.src0_l = list(trace.src0)
-        self.src1_l = list(trace.src1)
-        self.base_l = trace.base.tolist()
-        self.dst_l = trace.dst.tolist()
-        self.sp_l = trace.sp.tolist()
-        self.spimm_l = trace.spimm.tolist()
-        self.addr_l = trace.addr.tolist()
-        if n:
-            flags_np = np.frombuffer(trace.flags, dtype=np.uint8)
-            addr_np = np.frombuffer(trace.addr, dtype="<u8")
-            opcode_np = np.frombuffer(trace.opcode, dtype=np.uint8)
-            self.qw_l = (
-                addr_np & np.uint64(0xFFFF_FFFF_FFFF_FFF8)
-            ).tolist()
-            self.on_stack_l = (
-                addr_np >= np.uint64(STACK_REGION_FLOOR)
-            ).tolist()
-            self.fu_latency_l = np.asarray(
-                _MULT_LATENCY, dtype=np.int64
-            )[opcode_np].tolist()
-            self.total_branches = int(np.count_nonzero(flags_np & 4))
-        else:
-            self.qw_l = []
-            self.on_stack_l = []
-            self.fu_latency_l = []
-            self.total_branches = 0
-
-    def pc_list(self) -> list:
-        if self._pc_l is None:
-            self._pc_l = self._trace.pc.tolist()
-        return self._pc_l
-
-
-def _simulate_fast(trace: ColumnarTrace, config: MachineConfig) -> SimStats:
-    """Vectorized-window walk (numpy-gated; see module docstring).
-
-    Cycle-for-cycle identical to :func:`_simulate_reference` — the
-    differential gate in ``tests/test_pipeline_vectorized.py`` holds
-    the two walks equal on every workload and config family.  The
-    speedups are structural, not semantic: columns become flat python
-    lists once, derived per-instruction values are precomputed as
-    whole-column numpy expressions, resource pools are dense
-    :class:`~repro.uarch.resources.CycleWindow` occupancy windows, the
-    IFQ/RUU/LSQ rings read the dispatch/commit history lists directly,
-    and the memory-completion helper is inlined route by route.
-    """
-    profiler = profiling.active()
-    profile_started = perf_counter() if profiler is not None else 0.0
-    stepper = _fast_stepper(config, _FastColumns(trace))
-    next(stepper)
-    stepper.send((0, len(trace.pc)))
-    stats = _finish_stepper(stepper)
-    if profiler is not None:
-        profiler.note(
-            "timing", perf_counter() - profile_started, len(trace.pc)
-        )
-    return stats
-
-
-def _fast_stepper(config: MachineConfig, columns: _FastColumns):
-    """Resumable vectorized walk over pre-shared columns.
-
-    Same chunked-generator protocol as :func:`_reference_stepper`;
-    all trace-derived state comes from ``columns`` so a batch of
-    steppers shares one :class:`_FastColumns`.
-    """
-    stats = SimStats(config_name=config.name)
-    predictor = make_predictor(config.branch_predictor)
-    predict_bits = getattr(predictor, "predict_bits", None)
-    if config.branch_predictor == "perfect":
-        predict_bits = None
-    dl1, l2 = build_hierarchy(config.dl1, config.l2, config.memory_latency)
-
-    svf_conf = config.svf
-    mode = svf_conf.mode
-    svf: Optional[StackValueFile] = None
-    stack_cache: Optional[StackCache] = None
-    if mode == "svf":
-        svf = StackValueFile(
-            capacity_bytes=svf_conf.capacity_bytes,
-            granularity=svf_conf.granularity,
-        )
         svf.writeback_sink = lambda addr: dl1.access(addr, is_write=True)
     elif mode == "stack_cache":
         stack_cache = StackCache(capacity_bytes=svf_conf.capacity_bytes)
@@ -824,6 +348,9 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
         stack_window = CycleWindow("stack_ports", stack_width, capacity)
         windows.append(stack_window)
         stack_slots = stack_window.slots
+    # Banked SVF: one single-ported window per bank, selected by the
+    # low-order word-address bits (conclusion of the paper: banking is
+    # the cheap alternative to true multiporting).
     bank_slots = None
     num_banks = svf_conf.banks
     if mode == "svf" and num_banks > 0:
@@ -874,6 +401,8 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
     commit_cur = 0
     commit_cnt = 0
     sp_seen = svf is None
+    # Adaptive disable (Section 3.3): watch the squash rate and shut
+    # the SVF off for a cooling period when it misbehaves locally.
     adaptive = svf_conf.adaptive and mode == "svf"
     svf_disabled_until = -1
     window_end = svf_conf.adaptive_window
@@ -982,6 +511,9 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
             dispatch_cycle = disp_cur
             disp_append(dispatch_cycle)
 
+            # SVF front-end bookkeeping: the speculative $sp copy follows
+            # immediate adjustments for free; any other $sp write stalls
+            # decode until it resolves (Section 3.1).
             if not sp_seen:
                 svf.update_sp(sp_l[index])
                 sp_seen = True
@@ -1023,6 +555,9 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
                 )
                 ready = dispatch_cycle + 1
                 if agu_depth and not drop_base:
+                    # Deep pipelines place address generation several
+                    # stages past dispatch; morphed references resolved
+                    # in decode skip those stages entirely (Section 3.1).
                     ready += agu_depth
                 nsrc = nsrc_l[index]
                 if nsrc:
@@ -1078,7 +613,6 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
                     stores += 1
                 else:
                     loads += 1
-                # Inlined _memory_complete, route by route.
                 if route == _R_DL1:
                     if is_store:
                         dl1_access(addr, True)
@@ -1099,6 +633,9 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
                     if svf is not None:
                         outcome = svf_access(addr, size_l[index], is_store != 0)
                         if outcome.filled:
+                            # A demand fill reads the word from the L1:
+                            # L1 (or below) latency plus one cycle of
+                            # SVF insertion.
                             fast_latency = dl1_access(addr) + 1
                     if is_store:
                         fast_stores += 1
@@ -1136,6 +673,10 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
                     if outcome.filled:
                         access_latency = dl1_access(addr) + 1
                     if is_store:
+                        # Stores complete into the LSQ as on the DL1
+                        # path; the reroute penalty applies to loads,
+                        # which must poll the SVF once their address
+                        # resolves.
                         complete = issue_cycle + 1
                         entry_ready[qw] = complete
                         pending_gpr_store[qw] = (index, complete)
@@ -1265,131 +806,3 @@ def _fast_stepper(config: MachineConfig, columns: _FastColumns):
         stats.extras["context_switches"] = switches
         stats.extras["switch_writeback_bytes"] = switch_bytes
     return stats
-
-
-def _memory_complete(
-    is_store,
-    addr,
-    size,
-    index,
-    qw,
-    route,
-    issue_cycle,
-    stats,
-    config,
-    dl1,
-    l2,
-    svf,
-    stack_cache,
-    entry_ready,
-    last_store,
-    pending_gpr_store,
-    dl1_latency,
-    forward_latency,
-):
-    """Latency/state handling for one memory reference."""
-    svf_conf = config.svf
-    if is_store:
-        stats.stores += 1
-    else:
-        stats.loads += 1
-
-    if route == _R_FAST:
-        fast_latency = svf_conf.fast_latency
-        if svf is not None:
-            outcome = svf.access(addr, size, bool(is_store))
-            if outcome.filled:
-                # A demand fill reads the word from the L1: the data
-                # arrives at L1 (or below) latency plus one cycle of
-                # SVF insertion.
-                fast_latency = dl1.access(addr) + 1
-        if is_store:
-            stats.svf_fast_stores += 1
-            complete = issue_cycle + svf_conf.fast_latency
-            entry_ready[qw] = complete
-        else:
-            stats.svf_fast_loads += 1
-            complete = max(
-                issue_cycle + fast_latency,
-                entry_ready.get(qw, 0) + 1,
-            )
-        return complete
-
-    if route == _R_REROUTE:
-        stats.svf_rerouted += 1
-        outcome = svf.access(addr, size, bool(is_store))
-        access_latency = svf_conf.reroute_latency
-        if outcome.filled:
-            access_latency = dl1.access(addr) + 1
-        if is_store:
-            # Stores complete into the LSQ as on the DL1 path; the
-            # reroute penalty applies to loads, which must poll the
-            # SVF after their address resolves.
-            complete = issue_cycle + 1
-            entry_ready[qw] = complete
-            pending_gpr_store[qw] = (index, complete)
-        else:
-            complete = (
-                max(issue_cycle, entry_ready.get(qw, 0)) + access_latency
-            )
-        return complete
-
-    if route == _R_SC:
-        outcome = stack_cache.access(addr, size, bool(is_store))
-        if outcome.hit:
-            access_latency = dl1_latency
-        else:
-            access_latency = l2.access(addr, is_write=bool(is_store))
-        return _lsq_complete(
-            is_store,
-            index,
-            qw,
-            issue_cycle,
-            access_latency,
-            stats,
-            last_store,
-            forward_latency,
-        )
-
-    # Default DL1 path.
-    if is_store:
-        access_latency = 1
-        dl1.access(addr, is_write=True)
-    else:
-        forwarded = last_store.get(qw)
-        if forwarded is not None and forwarded[1] > issue_cycle:
-            stats.store_forwards += 1
-            return max(issue_cycle, forwarded[1]) + forward_latency
-        access_latency = dl1.access(addr)
-    return _lsq_complete(
-        is_store,
-        index,
-        qw,
-        issue_cycle,
-        access_latency,
-        stats,
-        last_store,
-        forward_latency,
-    )
-
-
-def _lsq_complete(
-    is_store,
-    index,
-    qw,
-    issue_cycle,
-    access_latency,
-    stats,
-    last_store,
-    forward_latency,
-):
-    """Store-forwarding-aware completion for LSQ-mediated references."""
-    if is_store:
-        complete = issue_cycle + 1
-        last_store[qw] = (index, complete)
-        return complete
-    forwarded = last_store.get(qw)
-    if forwarded is not None and forwarded[1] > issue_cycle:
-        stats.store_forwards += 1
-        return max(issue_cycle, forwarded[1]) + forward_latency
-    return issue_cycle + access_latency

@@ -4,6 +4,12 @@ Each pool models one resource kind with a fixed number of units per
 cycle (decode slots, issue slots, ALUs, cache ports...).  The timing
 model asks for the earliest cycle at or after a lower bound where one
 unit (or one unit of *each* of several pools) is free.
+
+:class:`CyclePool` states those semantics over a ``{cycle: used}``
+dict.  The timing walk (:mod:`repro.uarch.pipeline`) keeps its issue,
+FU and port pools in :class:`CycleWindow` dense lists instead and
+probes ``slots`` directly; its fetch, dispatch and commit pools need no
+window at all, because their floors never decrease.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ class CyclePool:
 class CycleWindow:
     """Dense occupancy window: ``slots[cycle]`` = units used.
 
-    The vectorized timing walk keeps each resource pool as a flat list
-    indexed by absolute cycle instead of a ``{cycle: used}`` dict —
-    probe/take become two C-speed list indexings.  The caller sizes
+    The timing walk keeps each resource pool as a flat list indexed by
+    absolute cycle instead of a ``{cycle: used}`` dict — probe/take
+    become two C-speed list indexings on ``slots``.  The caller sizes
     the window past the highest cycle it can touch (tracking a cycle
     horizon plus a per-instruction latency margin) and calls
     :meth:`grow` when the horizon approaches the end.  Semantics are
@@ -73,23 +79,6 @@ class CycleWindow:
         if need > 0:
             slots += [0] * need
         return len(slots)
-
-    def available(self, cycle: int) -> bool:
-        return self.slots[cycle] < self.per_cycle
-
-    def take(self, cycle: int) -> None:
-        self.slots[cycle] += 1
-
-    def acquire(self, cycle: int) -> int:
-        slots = self.slots
-        per_cycle = self.per_cycle
-        while slots[cycle] >= per_cycle:
-            cycle += 1
-        slots[cycle] += 1
-        return cycle
-
-    def usage(self, cycle: int) -> int:
-        return self.slots[cycle]
 
 
 def grow_windows(windows: Iterable[CycleWindow], minimum: int) -> int:

@@ -57,9 +57,21 @@ class TestUsageErrors:
         assert main(["run", "gzip", "--input", "reference"]) == 2
         self._assert_one_line_error(capsys, "unknown input")
 
-    def test_simulate_unknown_workload(self, capsys):
-        assert main(["simulate", "doom"]) == 2
-        self._assert_one_line_error(capsys, "unknown benchmark")
+    @pytest.mark.parametrize("argv,fragment", [
+        (["simulate", "doom"], "unknown benchmark"),
+        (["simulate", "gzip", "--dl1-ports", "0"],
+         "dl1_ports must be >= 1"),
+        (["simulate", "gzip", "--svf", "svf", "--ports", "0"],
+         "ports must be >= 1"),
+        (["simulate", "gzip", "--svf", "svf", "--capacity", "0"],
+         "capacity_bytes must be a positive multiple"),
+        (["replay", "/no/such/trace.svft", "--svf", "svf",
+          "--ports", "0"], "ports must be >= 1"),
+    ], ids=["unknown-workload", "dl1-ports-0", "ports-0", "capacity-0",
+            "replay-ports-0"])
+    def test_timing_usage_errors(self, argv, fragment, capsys):
+        assert main(argv) == 2
+        self._assert_one_line_error(capsys, fragment)
 
     def test_characterize_unknown_workload(self, capsys):
         assert main(["characterize", "doom"]) == 2

@@ -10,6 +10,7 @@ members), and failures degrade exactly the offending member's row.
 
 import pytest
 
+from repro.core.svf import StackValueFile
 from repro.harness import sweep as sweep_mod
 from repro.harness.sweep import SweepOptions, run_sweep
 from repro.sweepspec import parse_suite
@@ -101,14 +102,21 @@ def test_partially_warm_group_recomputes_only_cold_members(tmp_path):
     assert third.run_table_json() == cold.run_table_json()
 
 
-def test_member_failure_degrades_exactly_one_row(tmp_path):
-    # svf_granularity=12 passes spec validation but the simulator
-    # rejects it (granularity must be a multiple of 8): the batched
-    # pass fails as a whole, falls back to sequential per-member
-    # execution, and only the bad member's row degrades — with the
-    # same bytes the unbatched run produces.
+def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
+    # A stack unit that refuses 16-byte granules passes spec validation
+    # but fails inside the simulator: the batched pass fails as a
+    # whole, falls back to sequential per-member execution, and only
+    # the bad member's row degrades — with the same bytes the
+    # unbatched run produces.
+    class CoarseGranuleFault(StackValueFile):
+        def __init__(self, *args, granularity=8, **kwargs):
+            if granularity == 16:
+                raise ValueError("injected fault: granularity 16")
+            super().__init__(*args, granularity=granularity, **kwargs)
+
+    monkeypatch.setattr(pipeline, "StackValueFile", CoarseGranuleFault)
     spec = timing_suite(
-        workloads=["gzip"], grid={"svf_granularity": [8, 12]}
+        workloads=["gzip"], grid={"svf_granularity": [8, 16]}
     )
     batched = _run(spec, tmp_path, "deg-b", batch=True)
     plain = _run(spec, tmp_path, "deg-p", batch=False)
@@ -116,7 +124,7 @@ def test_member_failure_degrades_exactly_one_row(tmp_path):
         assert not result.ok
         bad = [row for row in result.rows if not row.ok]
         assert len(bad) == 1
-        assert bad[0].level("svf_granularity") == 12
+        assert bad[0].level("svf_granularity") == 16
         assert "granularity" in bad[0].error
         good = [row for row in result.rows if row.ok]
         assert len(good) == 1 and good[0].metrics["speedup"] > 0

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.traffic import simulate_traffic
 from repro.emulator.superblock import set_superblock_enabled
-from repro.trace.columnar import _np as _numpy
 from repro.emulator.memory import STACK_BASE
 from repro.profiling import profiled
 from repro.trace.analysis import (
@@ -128,26 +127,6 @@ def test_step_decode_reference_budget():
     assert profiler.phases["emulate"].seconds < EMULATE_BUDGET, (
         profiler.render()
     )
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(_numpy is None, reason="numpy unavailable")
-def test_vectorized_timing_budget():
-    # The numpy-assisted walk must beat the generous reference budget
-    # with lots of headroom; this fires if simulate() stops
-    # dispatching to the vectorized walk when numpy is enabled.
-    trace = workload("gzip").trace(max_instructions=WINDOW)
-    base = table2_config(16)
-    previous = set_numpy_enabled(True)
-    try:
-        with profiled() as profiler:
-            simulate(trace, base)
-            simulate(trace, base.with_svf(mode="svf", ports=2))
-    finally:
-        set_numpy_enabled(previous)
-    stat = profiler.phases["timing"]
-    assert stat.items == 2 * WINDOW
-    assert stat.seconds < TIMING_BUDGET / 2, profiler.render()
 
 
 @pytest.mark.perf

@@ -5,8 +5,8 @@ through a single pass over the columns; sequential per-config
 ``simulate`` calls are the reference.  The two must agree bit-for-bit
 on every statistic, across every workload, every ablation axis the
 committed suites sweep, fuzzed programs, odd batch sizes, and chunk
-boundaries that stop mid-trace — on both the numpy and pure-python
-legs.
+boundaries that stop mid-trace — under both settings of the numpy
+switch (``set_numpy_enabled``), which the timing walk must not read.
 """
 
 import dataclasses
@@ -35,7 +35,7 @@ _BASE = table2_config(16)
 
 #: The config axes the committed suites ablate (SVF size, banking,
 #: granularity, squash handling) plus every routing mode and the
-#: predictor/context-switch paths the fast walk special-cases.
+#: predictor/context-switch paths the walk special-cases.
 GRID = [
     _BASE,
     _BASE.with_svf(mode="svf", ports=16, capacity_bytes=64,
@@ -56,6 +56,9 @@ GRID = [
     ),
 ]
 
+#: The numpy switch selects the analysis, traffic and superblock
+#: backends; running each check under both settings keeps the timing
+#: walk independent of it.
 LEGS = [
     pytest.param(False, id="reference"),
     pytest.param(

@@ -1,31 +1,51 @@
-"""Differential gate for the vectorized timing walk.
+"""Recorded statistics for the out-of-order timing model.
 
-``simulate`` dispatches to ``_simulate_fast`` when numpy is enabled
-and to the pure-python reference walk otherwise; the two must agree
-bit-for-bit on every statistic, across every configuration axis the
-fast path specializes (routing modes, banking, squashes, adaptive
-windows, context switches, real branch prediction).
+``simulate`` has one scheduling walk, so these tests hold it to
+statistics recorded from an independent implementation:
+``pipeline_golden.json`` was recorded at commit 69d8cca with numpy
+disabled, i.e. from the dict-pool reference walk that then ran beside
+the dense-window walk.  The dense-window walk reproduced every field
+of every row before the reference walk was deleted.
+
+The fixture stores the :class:`SimStats` field names once and one row
+of values per (trace, config) pair:
+
+* ``shapes`` -- gzip and eon under every config in :data:`CONFIGS`,
+  plus crafty, mcf and perlbmk under base/svf/ideal/gshare, at an
+  8,000-instruction window;
+* ``grid`` -- every registry workload under the 12-config ``GRID`` of
+  ``tests/test_pipeline_batch.py`` at a 2,000-instruction window.
+
+The test names date from when the dense-window ("fast") walk ran
+beside the reference walk; "reference" now means its recording.
+
+After a deliberate change to the timing model, re-record from the
+repository root with ``PYTHONPATH=src python -m
+tests.test_pipeline_vectorized`` and commit the new fixture together
+with the change that explains it.
 """
 
 import dataclasses
+import json
+import os
 
 import pytest
 
-from repro.trace.columnar import ColumnarTrace, set_numpy_enabled
-from repro.trace.columnar import _np as _numpy
+from repro.trace.columnar import ColumnarTrace
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate
-from repro.workloads import workload
+from repro.uarch.stats import SimStats
+from repro.workloads import ALL_BENCHMARKS, workload
+from tests.test_pipeline_batch import GRID
 
-WINDOW = 8_000
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "pipeline_golden.json")
 
-pytestmark = pytest.mark.skipif(
-    _numpy is None, reason="numpy unavailable: only one walk to run"
-)
+SHAPES_WINDOW = 8_000
+GRID_WINDOW = 2_000
 
 _BASE = table2_config(16)
 
-#: every configuration axis the fast walk special-cases.
+#: every configuration axis the walk special-cases.
 CONFIGS = {
     "base": _BASE,
     "svf": _BASE.with_svf(mode="svf", ports=2),
@@ -42,63 +62,126 @@ CONFIGS = {
     ),
 }
 
+#: Three very different reference structures beside gzip: deep
+#: recursion (crafty), pointer chasing (mcf), and an interpreter loop
+#: (perlbmk) -- between them they exercise rerouting, out-of-range
+#: offsets, and dense stack reuse.  eon is the one window that
+#: squashes, so it pins the squash and no_squash paths.
+SHAPES = {
+    "gzip": sorted(CONFIGS),
+    "eon": sorted(CONFIGS),
+    "crafty": ["base", "svf", "ideal", "gshare"],
+    "mcf": ["base", "svf", "ideal", "gshare"],
+    "perlbmk": ["base", "svf", "ideal", "gshare"],
+}
 
-def _both_walks(trace, config):
-    previous = set_numpy_enabled(False)
-    try:
-        reference = simulate(trace, config)
-    finally:
-        set_numpy_enabled(previous)
-    previous = set_numpy_enabled(True)
-    try:
-        fast = simulate(trace, config)
-    finally:
-        set_numpy_enabled(previous)
-    return reference, fast
+FIELDS = [field.name for field in dataclasses.fields(SimStats)]
 
 
-def _assert_stats_equal(reference, fast, label):
-    for field in dataclasses.fields(reference):
-        ref_value = getattr(reference, field.name)
-        fast_value = getattr(fast, field.name)
-        assert fast_value == ref_value, (
-            f"{label}: {field.name} diverged "
-            f"(reference {ref_value!r}, fast {fast_value!r})"
+def _row(stats: SimStats) -> list:
+    return [getattr(stats, name) for name in FIELDS]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        document = json.load(handle)
+    assert document["fields"] == FIELDS, "SimStats fields changed"
+    return document
+
+
+def _assert_matches(stats, recorded, label):
+    for name, value, expected in zip(FIELDS, _row(stats), recorded):
+        assert value == expected, (
+            f"{label}: {name} diverged "
+            f"(recorded {expected!r}, walk {value!r})"
         )
 
 
 @pytest.fixture(scope="module")
 def gzip_trace():
-    return workload("gzip").trace(max_instructions=WINDOW)
+    return workload("gzip").trace(max_instructions=SHAPES_WINDOW)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_fast_walk_matches_reference(gzip_trace, name):
-    reference, fast = _both_walks(gzip_trace, CONFIGS[name])
-    _assert_stats_equal(reference, fast, name)
+def test_fast_walk_matches_reference(golden, gzip_trace, name):
+    stats = simulate(gzip_trace, CONFIGS[name])
+    _assert_matches(stats, golden["shapes"]["gzip"][name], f"gzip:{name}")
 
 
-@pytest.mark.parametrize("bench", ["crafty", "mcf", "perlbmk"])
-def test_fast_walk_across_workload_shapes(bench):
-    # Three very different reference structures: deep recursion
-    # (crafty), pointer chasing (mcf), and an interpreter loop
-    # (perlbmk) — between them they exercise rerouting, out-of-range
-    # offsets, and dense stack reuse.
-    trace = workload(bench).trace(max_instructions=WINDOW)
-    for name in ("base", "svf", "ideal", "gshare"):
-        reference, fast = _both_walks(trace, CONFIGS[name])
-        _assert_stats_equal(reference, fast, f"{bench}:{name}")
+@pytest.mark.parametrize("bench", sorted(set(SHAPES) - {"gzip"}))
+def test_fast_walk_across_workload_shapes(golden, bench):
+    recorded = golden["shapes"][bench]
+    trace = workload(bench).trace(max_instructions=SHAPES_WINDOW)
+    for name in SHAPES[bench]:
+        stats = simulate(trace, CONFIGS[name])
+        _assert_matches(stats, recorded[name], f"{bench}:{name}")
+
+
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS)
+def test_grid_matches_recording(golden, bench):
+    recorded = golden["grid"][bench]
+    assert len(recorded) == len(GRID)
+    trace = workload(bench).trace(max_instructions=GRID_WINDOW)
+    for i, config in enumerate(GRID):
+        _assert_matches(simulate(trace, config), recorded[i],
+                        f"{bench}[{i}]")
+
+
+def test_recording_covers_every_workload(golden):
+    assert sorted(golden["grid"]) == sorted(ALL_BENCHMARKS)
+    assert {
+        bench: sorted(rows) for bench, rows in golden["shapes"].items()
+    } == {bench: sorted(names) for bench, names in SHAPES.items()}
 
 
 def test_empty_trace_is_identical():
-    reference, fast = _both_walks(ColumnarTrace(), CONFIGS["svf"])
-    _assert_stats_equal(reference, fast, "empty")
-    assert fast.instructions == 0
+    config = CONFIGS["svf"]
+    assert simulate(ColumnarTrace(), config) == SimStats(
+        config_name=config.name
+    )
 
 
-def test_record_list_routes_through_reference(gzip_trace):
-    # Non-columnar input (a plain record list) is packed and accepted
-    # by both walks with identical results.
-    records = list(gzip_trace.records())[:1_000]
-    reference, fast = _both_walks(records, CONFIGS["svf"])
-    _assert_stats_equal(reference, fast, "records")
+def test_record_list_routes_through_reference():
+    # Non-columnar input (a plain record list) is packed on entry and
+    # times exactly like the emulator's own columns.
+    trace = workload("gzip").trace(max_instructions=1_000)
+    records = list(trace.records())
+    config = CONFIGS["svf"]
+    assert simulate(records, config) == simulate(trace, config)
+
+
+def _format(value, depth=0) -> str:
+    """JSON with one stats row per line, so a re-recording diffs by row."""
+    pad = " " * (depth + 1)
+    if isinstance(value, dict):
+        items = [
+            f"{pad}{json.dumps(key)}: {_format(item, depth + 1)}"
+            for key, item in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + " " * depth + "}"
+    if value and isinstance(value[0], list):
+        rows = [pad + json.dumps(row) for row in value]
+        return "[\n" + ",\n".join(rows) + "\n" + " " * depth + "]"
+    return json.dumps(value)
+
+
+def record(path: str = GOLDEN_PATH) -> None:
+    """Re-run every recorded pair and rewrite the fixture."""
+    shapes = {}
+    for bench, names in SHAPES.items():
+        trace = workload(bench).trace(max_instructions=SHAPES_WINDOW)
+        shapes[bench] = {
+            name: _row(simulate(trace, CONFIGS[name])) for name in names
+        }
+    grid = {}
+    for bench in ALL_BENCHMARKS:
+        trace = workload(bench).trace(max_instructions=GRID_WINDOW)
+        grid[bench] = [_row(simulate(trace, config)) for config in GRID]
+    document = {"fields": FIELDS, "shapes": shapes, "grid": grid}
+    with open(path, "w") as handle:
+        handle.write(_format(document) + "\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -90,10 +90,21 @@ def test_traffic_sweeps_reject_machine_level_axes():
 
 
 def test_invalid_machine_point_caught_eagerly():
-    # width 12 is not a Table-2 column; must fail at parse time with
-    # the offending combo named, not mid-sweep inside a worker.
-    with pytest.raises(UsageError, match="width=12"):
-        parse_suite(suite_data(grid={"width": [8, 12]}))
+    # width 12 is not a Table-2 column and the other values are out of
+    # range; each must fail at parse time with the offending combo
+    # named, not hang or degrade mid-sweep inside a worker.
+    for axis, good, bad in (
+        ("width", 8, 12),
+        ("dl1_ports", 1, 0),
+        ("svf_ports", 1, 0),
+        ("svf_capacity", 8192, 0),
+        ("agu_depth", 0, -3),
+        ("svf_banks", 0, -2),
+        ("svf_granularity", 8, 12),
+        ("branch_predictor", "gshare", "oracle"),
+    ):
+        with pytest.raises(UsageError, match=f"{axis}={bad}"):
+            parse_suite(suite_data(grid={axis: [good, bad]}))
 
 
 def test_bad_opt_levels_rejected():
