@@ -397,13 +397,13 @@ def simulate_batch(
     max_instructions: int = 60_000,
     options: Optional[Union[CompileOptions, CodegenOptions]] = None,
 ) -> List[SimStats]:
-    """Time one trace on many machines in a single batched pass.
+    """Time one trace on many machines, sharing one trace precompute.
 
     Accepts the same trace/machine forms as :func:`simulate` and
     returns one :class:`SimStats` per machine, in order — bit-for-bit
-    identical to sequential :func:`simulate` calls, but the trace is
-    walked once for all distinct configurations (duplicates are
-    deduplicated).  ``REPRO_BATCH=0`` falls back to sequential runs.
+    identical to sequential :func:`simulate` calls.  The column
+    precompute is built once for the whole batch, and each distinct
+    configuration is walked once (duplicates get independent copies).
     """
     if isinstance(trace, str):
         trace = _workload(trace, input_name).trace(

@@ -44,11 +44,11 @@ Commands:
     parallel engine and write a run-table artifact plus a rendered
     summary.  The run table is byte-identical across ``--jobs``
     values and warm re-runs; cached cells are skipped, so sweeps are
-    resumable.  Timing rows sharing a workload run as one batched
-    trace pass (``--no-batch`` or ``REPRO_BATCH=0`` reverts to one
-    simulation per row — same bytes, slower).  ``--dry-run`` validates
-    and prints the expansion plan without running anything; exit 1
-    when any cell degraded to a gap row.
+    resumable.  Timing rows sharing a workload run as one fused cell
+    that fetches the trace once and times the whole grid through one
+    ``simulate_batch`` call.  ``--dry-run`` validates and prints the
+    expansion plan without running anything; exit 1 when any cell
+    degraded to a gap row.
 ``chaos [--suite FILE] [--kill N] [--hang N] [--corrupt N] [--seed S]``
     drive a real report (or sweep) under a seeded fault plan — worker
     SIGKILLs, hangs, injected failures, cache corruption, concurrent
@@ -69,8 +69,10 @@ Commands:
 
 Exit codes are uniform across commands: 0 success, 1 the command ran
 but found failures (lint errors), 2 usage errors — unknown workload or
-input names, missing files — reported as a one-line message on stderr,
-never a traceback.  All subsystem access goes through the stable
+input names, missing files, a count option (``--max-instructions``,
+``--window``, ``--timing-window``, ``--functional-window``,
+``--jobs``) below 1 — reported as a one-line message on stderr, never
+a traceback.  All subsystem access goes through the stable
 :mod:`repro.api` facade; JSON outputs carry its ``schema_version``.
 """
 
@@ -250,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=600.0,
         help="per-attempt cell deadline in seconds, from submission",
     )
-    sweep_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="simulate each run-table row separately instead of one "
-             "batched trace pass per workload (same bytes, for "
-             "debugging; REPRO_BATCH=0 disables batching globally)",
-    )
 
     chaos_parser = commands.add_parser(
         "chaos",
@@ -364,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--max-instructions", type=int, default=40_000
     )
-    profile_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="time the baseline and SVF runs as two separate walks "
-             "instead of one batched pass",
-    )
     opt_flag(profile_parser)
 
     predict_parser = commands.add_parser(
@@ -415,6 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument("--ports", type=int, default=2)
     return parser
+
+
+#: Count options every command that has them requires to be >= 1.
+_COUNT_OPTIONS = (
+    "max_instructions", "window", "timing_window", "functional_window",
+    "jobs",
+)
 
 
 def _fail(message: str) -> int:
@@ -551,8 +549,6 @@ def cmd_lint(args) -> int:
     chosen = sum((args.all, args.workload is not None, args.asm is not None))
     if chosen > 1:
         return _fail("lint: --all, --asm and naming a workload conflict")
-    if args.jobs is not None and args.jobs < 1:
-        return _fail(f"lint: --jobs must be >= 1, not {args.jobs}")
     options = _compile_options(args)
     try:
         if args.all:
@@ -677,7 +673,6 @@ def cmd_sweep(args) -> int:
         use_cache=not args.no_cache,
         task_timeout=args.task_timeout,
         out_dir=out_dir,
-        batch=not args.no_batch,
     )
     result = api.sweep(
         spec,
@@ -738,8 +733,6 @@ def cmd_report(args) -> int:
     from repro.profiling import PhaseProfiler
 
     benchmarks = tuple(args.benchmarks) if args.benchmarks else None
-    if args.jobs is not None and args.jobs < 1:
-        return _fail(f"report: --jobs must be >= 1, not {args.jobs}")
     options = api.ReportOptions(
         timing_window=args.timing_window,
         functional_window=args.functional_window,
@@ -776,7 +769,6 @@ def cmd_profile(args) -> int:
     )
     from repro.trace.first_touch import FirstTouchProfile
     from repro.uarch.config import table2_config
-    from repro.uarch.pipeline import simulate as run_timing
     from repro.uarch.pipeline import simulate_batch
 
     try:
@@ -791,13 +783,9 @@ def cmd_profile(args) -> int:
         )
         base = table2_config(16)
         svf_config = base.with_svf(mode="svf", ports=2)
-        if args.no_batch:
-            baseline = run_timing(trace, base)
-            svf = run_timing(trace, svf_config)
-        else:
-            # One batched pass: the profile shows the batch counters
-            # (batch_configs, batch_walks_saved) alongside the phases.
-            baseline, svf = simulate_batch(trace, [base, svf_config])
+        # One batch: the profile shows the batch counters
+        # (batch_configs, batch_walks_saved) alongside the phases.
+        baseline, svf = simulate_batch(trace, [base, svf_config])
         simulate_traffic(trace)
         # The Figure 1-3 characterization pass, so "analysis" shows up
         # as its own phase instead of folding into "traffic".
@@ -820,8 +808,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        return _fail(f"predict: --jobs must be >= 1, not {args.jobs}")
     report = api.predict(
         benchmarks=args.benchmarks or None,
         max_instructions=args.max_instructions,
@@ -885,6 +871,11 @@ def cmd_replay(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            return _fail(f"{args.command}: {flag} must be >= 1, not {value}")
     handlers = {
         "list": cmd_list,
         "run": cmd_run,

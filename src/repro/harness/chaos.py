@@ -723,10 +723,12 @@ class _SweepTarget:
         self._spec = load_suite(options.suite)
 
     def planned_keys(self) -> List[str]:
-        from repro.harness.sweep import plan_cells
+        """Keys of the cells the sweep submits: fused groups included."""
+        from repro.harness.sweep import _fuse_cells, plan_cells
 
         _points, cells = plan_cells(self._spec)
-        return [cell_key(cell) for cell in cells]
+        submit, _batch_of = _fuse_cells(self._spec, cells)
+        return [cell_key(cell) for cell in submit]
 
     def run(self, cache_dir: str, plan: Optional[FaultPlan] = None,
             profiler=None) -> str:

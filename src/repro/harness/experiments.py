@@ -27,7 +27,7 @@ from repro.trace.first_touch import FirstTouchProfile
 from repro.trace.regions import AccessMethod
 from repro.core.traffic import simulate_traffic
 from repro.uarch.config import table2_config
-from repro.uarch.pipeline import simulate, simulate_batch
+from repro.uarch.pipeline import simulate_batch
 from repro.uarch.stats import SimStats
 from repro.workloads import (
     BENCHMARK_ORDER,
@@ -40,29 +40,6 @@ from repro.workloads import (
 
 DEFAULT_TIMING_WINDOW = 80_000
 DEFAULT_FUNCTIONAL_WINDOW = 150_000
-
-# Per-process memo of finished timing runs, keyed by (benchmark,
-# window, machine config).  The per-config cell split (one parallel
-# cell per machine configuration) re-derives each figure's shared
-# baseline in several cells; the memo collapses those repeats within
-# one worker process.  Simulation is a pure function of
-# (trace, config), so memoized and fresh results are identical.
-_SIM_MEMO: Dict[Tuple, SimStats] = {}
-
-
-def _memo_simulate(name, window, trace, config) -> SimStats:
-    key = (name, window, config)
-    stats = _SIM_MEMO.get(key)
-    if stats is None:
-        stats = simulate(trace, config)
-        _SIM_MEMO[key] = stats
-    return stats
-
-
-def clear_sim_memo() -> None:
-    """Drop all memoized timing runs (used by tests)."""
-    _SIM_MEMO.clear()
-
 
 def _suite(benchmarks: Optional[Sequence[str]]) -> List[str]:
     """Resolve a benchmark subset to canonical full names, validated.
@@ -78,6 +55,14 @@ def _suite(benchmarks: Optional[Sequence[str]]) -> List[str]:
 
 def _trace_for(benchmark: str, max_instructions: int) -> list:
     return cached_trace(workload(benchmark), max_instructions)
+
+
+def _config_error(
+    figure: str, config: str, known: Sequence[str]
+) -> ValueError:
+    return ValueError(
+        f"unknown {figure} config {config!r} (have {', '.join(known)})"
+    )
 
 
 def _no_benchmarks_table(headers: Sequence[str], title: str) -> str:
@@ -234,6 +219,20 @@ def characterize(
 # ---------------------------------------------------------------------------
 
 
+FIG5_CONFIGS = ("4-wide", "8-wide", "16-wide", "16-wide gshare")
+
+
+def fig5_machine_pair(config: str):
+    """(baseline, variant) machine configs of one Figure 5 column."""
+    if config == "16-wide gshare":
+        base = table2_config(16, branch_predictor="gshare")
+    elif config in ("4-wide", "8-wide", "16-wide"):
+        base = table2_config(int(config.split("-", 1)[0]))
+    else:
+        raise _config_error("Figure 5", config, FIG5_CONFIGS)
+    return base, base.with_svf(mode="ideal")
+
+
 @dataclass
 class Fig5Result:
     """Speedups of an infinite, fully-ported SVF (paper Figure 5)."""
@@ -276,24 +275,19 @@ def fig5_ideal_morphing(
     """Figure 5: infinite SVF on 4/8/16-wide, plus 16-wide gshare.
 
     All of one benchmark's (baseline, ideal) pairs go through a single
-    :func:`simulate_batch` pass — one trace walk per benchmark instead
-    of one per column leg.
+    :func:`simulate_batch` call, which shares one column precompute.
     """
     result = Fig5Result()
-    pairs = []
-    for width in widths:
-        base = table2_config(width)
-        pairs.append((f"{width}-wide", base, base.with_svf(mode="ideal")))
+    labels = [f"{width}-wide" for width in widths]
     if include_gshare:
-        base = table2_config(16, branch_predictor="gshare")
-        pairs.append(("16-wide gshare", base, base.with_svf(mode="ideal")))
-    configs = [c for _, b, v in pairs for c in (b, v)]
+        labels.append("16-wide gshare")
+    configs = [c for label in labels for c in fig5_machine_pair(label)]
     for name in _suite(benchmarks):
         trace = _trace_for(name, max_instructions)
         stats = simulate_batch(trace, configs)
         result.speedups[name] = {
             label: stats[2 * slot + 1].speedup_over(stats[2 * slot])
-            for slot, (label, _, _) in enumerate(pairs)
+            for slot, label in enumerate(labels)
         }
     return result
 
@@ -315,6 +309,20 @@ def _dl1_doubled(base):
             latency=base.dl1.latency,
         )
     )
+
+
+def fig6_machine_pair(config: str):
+    """(baseline, variant) machine configs of one Figure 6 column."""
+    base = table2_config(16)
+    if config == "L1_2x":
+        variant = _dl1_doubled(base)
+    elif config == "no_addr_cal_op":
+        variant = base.with_(no_addr_calc=True)
+    elif config in ("svf_1p", "svf_2p", "svf_16p"):
+        variant = base.with_svf(mode="svf", ports=int(config[4:-1]))
+    else:
+        raise _config_error("Figure 6", config, FIG6_STEPS)
+    return base, variant
 
 
 @dataclass
@@ -350,25 +358,18 @@ def fig6_progressive(
     """Figure 6: 2x DL1, removed address calc, then SVF with 1/2/16 ports.
 
     The shared baseline and all five relaxations run as one batched
-    pass per benchmark.
+    call per benchmark.
     """
     result = Fig6Result()
-    base = table2_config(16)
-    variants = [
-        ("L1_2x", _dl1_doubled(base)),
-        ("no_addr_cal_op", base.with_(no_addr_calc=True)),
-    ] + [
-        (f"svf_{ports}p", base.with_svf(mode="svf", ports=ports))
-        for ports in (1, 2, 16)
-    ]
-    configs = [base] + [variant for _, variant in variants]
+    pairs = [fig6_machine_pair(step) for step in FIG6_STEPS]
+    configs = [pairs[0][0]] + [variant for _, variant in pairs]
     for name in _suite(benchmarks):
         trace = _trace_for(name, max_instructions)
         stats = simulate_batch(trace, configs)
         baseline = stats[0]
         result.speedups[name] = {
-            label: run.speedup_over(baseline)
-            for (label, _), run in zip(variants, stats[1:])
+            step: run.speedup_over(baseline)
+            for step, run in zip(FIG6_STEPS, stats[1:])
         }
     return result
 
@@ -391,6 +392,29 @@ def _fig7_four_port():
             latency=four_port.dl1.latency + 1,
         )
     )
+
+
+def fig7_machine_pair(config: str, capacity_bytes: int = 8192):
+    """(baseline, variant) machine configs of one Figure 7 column."""
+    base = table2_config(16, dl1_ports=2)
+    if config == "(4+0)":
+        variant = _fig7_four_port()
+    elif config == "(2+2)$":
+        variant = base.with_svf(
+            mode="stack_cache", ports=2, capacity_bytes=capacity_bytes
+        )
+    elif config == "(2+2)svf":
+        variant = base.with_svf(
+            mode="svf", ports=2, capacity_bytes=capacity_bytes
+        )
+    elif config == "(2+2)svf_nosq":
+        variant = base.with_svf(
+            mode="svf", ports=2, capacity_bytes=capacity_bytes,
+            no_squash=True,
+        )
+    else:
+        raise _config_error("Figure 7", config, FIG7_CONFIGS)
+    return base, variant
 
 
 @dataclass
@@ -470,30 +494,20 @@ def fig7_svf_vs_stack_cache(
     extra ports, as in the paper.
     """
     result = Fig7Result()
-    base = table2_config(16, dl1_ports=2)
-    configs = [
-        base,
-        _fig7_four_port(),
-        base.with_svf(
-            mode="stack_cache", ports=2, capacity_bytes=capacity_bytes
-        ),
-        base.with_svf(mode="svf", ports=2, capacity_bytes=capacity_bytes),
-        base.with_svf(
-            mode="svf", ports=2, capacity_bytes=capacity_bytes,
-            no_squash=True,
-        ),
+    pairs = [
+        fig7_machine_pair(config, capacity_bytes) for config in FIG7_CONFIGS
     ]
+    configs = [pairs[0][0]] + [variant for _, variant in pairs]
+    svf_slot = 1 + FIG7_CONFIGS.index("(2+2)svf")
     for name in _suite(benchmarks):
         trace = _trace_for(name, max_instructions)
         stats = simulate_batch(trace, configs)
-        baseline, svf_stats = stats[0], stats[3]
+        baseline = stats[0]
         result.speedups[name] = {
-            "(4+0)": stats[1].speedup_over(baseline),
-            "(2+2)$": stats[2].speedup_over(baseline),
-            "(2+2)svf": svf_stats.speedup_over(baseline),
-            "(2+2)svf_nosq": stats[4].speedup_over(baseline),
+            config: run.speedup_over(baseline)
+            for config, run in zip(FIG7_CONFIGS, stats[1:])
         }
-        result.svf_stats[name] = svf_stats
+        result.svf_stats[name] = stats[svf_slot]
     return result
 
 
@@ -615,6 +629,18 @@ def table4_context_switch(
 FIG9_CONFIGS = ("(1+1)", "(1+2)", "(2+1)", "(2+2)")
 
 
+def fig9_machine_pair(config: str, capacity_bytes: int = 8192):
+    """(baseline, variant) machine configs of one Figure 9 column."""
+    if config not in FIG9_CONFIGS:
+        raise _config_error("Figure 9", config, FIG9_CONFIGS)
+    regular_ports, svf_ports = int(config[1]), int(config[3])
+    base = table2_config(16, dl1_ports=regular_ports)
+    variant = base.with_svf(
+        mode="svf", ports=svf_ports, capacity_bytes=capacity_bytes
+    )
+    return base, variant
+
+
 @dataclass
 class Fig9Result:
     """Speedups of adding an SVF to 1-/2-ported baselines (Figure 9)."""
@@ -654,174 +680,20 @@ def fig9_svf_speedup(
 ) -> Fig9Result:
     """Figure 9: (R+S) SVF speedup relative to the (R+0) baseline.
 
-    Each (R+0) baseline appears in two pairs; the batched pass dedups
-    it, so one benchmark costs 6 walks' worth of work in one pass
-    instead of 8 separate simulations.
+    Each (R+0) baseline appears in two pairs; the batched call dedups
+    it, so one benchmark costs 6 walks instead of 8 separate
+    simulations.
     """
     result = Fig9Result()
-    pairs = []
-    for regular_ports in (1, 2):
-        base = table2_config(16, dl1_ports=regular_ports)
-        for svf_ports in (1, 2):
-            pairs.append((
-                f"({regular_ports}+{svf_ports})",
-                base,
-                base.with_svf(
-                    mode="svf",
-                    ports=svf_ports,
-                    capacity_bytes=capacity_bytes,
-                ),
-            ))
-    configs = [c for _, b, v in pairs for c in (b, v)]
+    configs = [
+        c for config in FIG9_CONFIGS
+        for c in fig9_machine_pair(config, capacity_bytes)
+    ]
     for name in _suite(benchmarks):
         trace = _trace_for(name, max_instructions)
         stats = simulate_batch(trace, configs)
         result.speedups[name] = {
             label: stats[2 * slot + 1].speedup_over(stats[2 * slot])
-            for slot, (label, _, _) in enumerate(pairs)
+            for slot, label in enumerate(FIG9_CONFIGS)
         }
     return result
-
-
-# ---------------------------------------------------------------------------
-# Per-config cells — one (benchmark, machine config) computation each.
-#
-# The report engine now plans whole-row cells (one batched trace pass
-# per benchmark and figure, see repro.harness.runall._plan_cells), but
-# the per-config split stays supported: chaos/fault tooling and tests
-# still target individual (benchmark, config) cells, and the machine-
-# pair helpers below also feed the section content keys.  Each function
-# reproduces exactly one column of the corresponding full driver above
-# — same trace, same configs, same arithmetic — so a report assembled
-# from per-config cells is bit-identical to one assembled from batched
-# whole-row cells.  The shared baselines these cells re-derive are
-# collapsed by the per-process _SIM_MEMO.
-# ---------------------------------------------------------------------------
-
-FIG5_CONFIGS = ("4-wide", "8-wide", "16-wide", "16-wide gshare")
-
-
-def _config_error(figure: str, config: str, known: Sequence[str]) -> ValueError:
-    return ValueError(
-        f"unknown {figure} config {config!r} (have {', '.join(known)})"
-    )
-
-
-def fig5_machine_pair(config: str):
-    """(baseline, variant) machine configs of one Figure 5 column."""
-    if config == "16-wide gshare":
-        base = table2_config(16, branch_predictor="gshare")
-    elif config in ("4-wide", "8-wide", "16-wide"):
-        base = table2_config(int(config.split("-", 1)[0]))
-    else:
-        raise _config_error("Figure 5", config, FIG5_CONFIGS)
-    return base, base.with_svf(mode="ideal")
-
-
-def fig6_machine_pair(config: str):
-    """(baseline, variant) machine configs of one Figure 6 column."""
-    base = table2_config(16)
-    if config == "L1_2x":
-        variant = _dl1_doubled(base)
-    elif config == "no_addr_cal_op":
-        variant = base.with_(no_addr_calc=True)
-    elif config in ("svf_1p", "svf_2p", "svf_16p"):
-        variant = base.with_svf(mode="svf", ports=int(config[4:-1]))
-    else:
-        raise _config_error("Figure 6", config, FIG6_STEPS)
-    return base, variant
-
-
-def fig7_machine_pair(config: str, capacity_bytes: int = 8192):
-    """(baseline, variant) machine configs of one Figure 7 column."""
-    base = table2_config(16, dl1_ports=2)
-    if config == "(4+0)":
-        variant = _fig7_four_port()
-    elif config == "(2+2)$":
-        variant = base.with_svf(
-            mode="stack_cache", ports=2, capacity_bytes=capacity_bytes
-        )
-    elif config == "(2+2)svf":
-        variant = base.with_svf(
-            mode="svf", ports=2, capacity_bytes=capacity_bytes
-        )
-    elif config == "(2+2)svf_nosq":
-        variant = base.with_svf(
-            mode="svf", ports=2, capacity_bytes=capacity_bytes,
-            no_squash=True,
-        )
-    else:
-        raise _config_error("Figure 7", config, FIG7_CONFIGS)
-    return base, variant
-
-
-def fig9_machine_pair(config: str, capacity_bytes: int = 8192):
-    """(baseline, variant) machine configs of one Figure 9 column."""
-    if config not in FIG9_CONFIGS:
-        raise _config_error("Figure 9", config, FIG9_CONFIGS)
-    regular_ports, svf_ports = int(config[1]), int(config[3])
-    base = table2_config(16, dl1_ports=regular_ports)
-    variant = base.with_svf(
-        mode="svf", ports=svf_ports, capacity_bytes=capacity_bytes
-    )
-    return base, variant
-
-
-def fig5_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-) -> float:
-    """One column of Figure 5 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, ideal_config = fig5_machine_pair(config)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    ideal = _memo_simulate(name, max_instructions, trace, ideal_config)
-    return ideal.speedup_over(baseline)
-
-
-def fig6_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-) -> float:
-    """One column of Figure 6 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, variant = fig6_machine_pair(config)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    return run.speedup_over(baseline)
-
-
-def fig7_config_result(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-    capacity_bytes: int = 8192,
-) -> Tuple[float, Optional[SimStats]]:
-    """One column of Figure 7; the "(2+2)svf" column also returns the
-    run's :class:`SimStats` (the Figure 8 reference breakdown)."""
-    name = _suite([benchmark])[0]
-    base, variant = fig7_machine_pair(config, capacity_bytes)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    stats = run if config == "(2+2)svf" else None
-    return run.speedup_over(baseline), stats
-
-
-def fig9_config_speedup(
-    benchmark: str,
-    config: str,
-    max_instructions: int = DEFAULT_TIMING_WINDOW,
-    capacity_bytes: int = 8192,
-) -> float:
-    """One column of Figure 9 for one benchmark."""
-    name = _suite([benchmark])[0]
-    base, variant = fig9_machine_pair(config, capacity_bytes)
-    trace = _trace_for(name, max_instructions)
-    baseline = _memo_simulate(name, max_instructions, trace, base)
-    run = _memo_simulate(name, max_instructions, trace, variant)
-    return run.speedup_over(baseline)

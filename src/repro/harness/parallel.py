@@ -467,10 +467,7 @@ class TaskCell:
 
     @property
     def label(self) -> str:
-        config = dict(self.params).get("config")
-        if config is None:
-            return f"{self.section}×{self.benchmark}"
-        return f"{self.section}×{self.benchmark}[{config}]"
+        return f"{self.section}×{self.benchmark}"
 
     def param(self, name: str, default: Any = None) -> Any:
         return dict(self.params).get(name, default)
@@ -489,81 +486,44 @@ def _cell_characterize(cell: TaskCell) -> Dict[str, Any]:
     }
 
 
-def _cell_fig5(cell: TaskCell) -> Any:
-    """Fig 5: one column per cell (``config`` param), or the whole
-    benchmark row for legacy cells that carry no ``config``."""
-    from repro.harness.experiments import (
-        fig5_config_speedup,
-        fig5_ideal_morphing,
-    )
+def _cell_fig5(cell: TaskCell) -> Dict[str, float]:
+    """Fig 5: one benchmark's whole row, all columns in one batch."""
+    from repro.harness.experiments import fig5_ideal_morphing
 
-    config = cell.param("config")
-    if config is None:
-        result = fig5_ideal_morphing(
-            [cell.benchmark], max_instructions=cell.window
-        )
-        return result.speedups[cell.benchmark]
-    return fig5_config_speedup(
-        cell.benchmark, config, max_instructions=cell.window
+    result = fig5_ideal_morphing(
+        [cell.benchmark], max_instructions=cell.window
     )
+    return result.speedups[cell.benchmark]
 
 
-def _cell_fig6(cell: TaskCell) -> Any:
-    from repro.harness.experiments import (
-        fig6_config_speedup,
-        fig6_progressive,
-    )
+def _cell_fig6(cell: TaskCell) -> Dict[str, float]:
+    from repro.harness.experiments import fig6_progressive
 
-    config = cell.param("config")
-    if config is None:
-        result = fig6_progressive(
-            [cell.benchmark], max_instructions=cell.window
-        )
-        return result.speedups[cell.benchmark]
-    return fig6_config_speedup(
-        cell.benchmark, config, max_instructions=cell.window
+    result = fig6_progressive(
+        [cell.benchmark], max_instructions=cell.window
     )
+    return result.speedups[cell.benchmark]
 
 
 def _cell_fig7(cell: TaskCell) -> Dict[str, Any]:
-    from repro.harness.experiments import (
-        fig7_config_result,
-        fig7_svf_vs_stack_cache,
-    )
+    from repro.harness.experiments import fig7_svf_vs_stack_cache
 
-    config = cell.param("config")
-    if config is None:
-        result = fig7_svf_vs_stack_cache(
-            [cell.benchmark], max_instructions=cell.window
-        )
-        return {
-            "speedups": result.speedups[cell.benchmark],
-            "svf_stats": result.svf_stats[cell.benchmark],
-        }
-    speedup, svf_stats = fig7_config_result(
-        cell.benchmark, config, max_instructions=cell.window
+    result = fig7_svf_vs_stack_cache(
+        [cell.benchmark], max_instructions=cell.window
     )
-    payload: Dict[str, Any] = {"speedup": speedup}
-    if svf_stats is not None:
-        payload["svf_stats"] = svf_stats
-    return payload
+    return {
+        "speedups": result.speedups[cell.benchmark],
+        "svf_stats": result.svf_stats[cell.benchmark],
+    }
 
 
-def _cell_fig9(cell: TaskCell) -> Any:
-    from repro.harness.experiments import (
-        fig9_config_speedup,
-        fig9_svf_speedup,
-    )
+def _cell_fig9(cell: TaskCell) -> Dict[str, float]:
+    from repro.harness.experiments import fig9_svf_speedup
 
-    config = cell.param("config")
-    if config is None:
-        result = fig9_svf_speedup(
-            [cell.benchmark], max_instructions=cell.window
-        )
-        return result.speedups[cell.benchmark]
-    return fig9_config_speedup(
-        cell.benchmark, config, max_instructions=cell.window
+    result = fig9_svf_speedup(
+        [cell.benchmark], max_instructions=cell.window
     )
+    return result.speedups[cell.benchmark]
 
 
 def _cell_table3(cell: TaskCell) -> Dict[str, Dict[int, Any]]:

@@ -63,10 +63,8 @@ _SECTION_PLAN: Tuple[Tuple[str, str], ...] = (
     ("fig9", "timing"),
 )
 
-#: Timing figures split one cell per machine configuration, so a slow
-#: column (e.g. the gshare run) never serializes behind the rest of
-#: its benchmark's figure.  Tuples give the column order of each
-#: figure's table, which the merge preserves.
+#: Column labels of each timing figure, in table order; the section
+#: content key hashes every column's (baseline, variant) machine pair.
 _SECTION_CONFIGS: Dict[str, Tuple[str, ...]] = {
     "fig5": FIG5_CONFIGS,
     "fig6": FIG6_STEPS,
@@ -135,7 +133,7 @@ def section_content_key(
     Covers the schema version, the section's analysis version, the
     instruction window, the compile options, every workload source the
     section consumes (all inputs for Table 3, the default input
-    elsewhere), the machine-config pairs of per-config sections, and
+    elsewhere), the machine-config pairs of the timing figures, and
     the functional knobs (Table 3 sizes, Table 4 period/capacity).
     Any change to any input changes the key, so cached section
     payloads never need in-place invalidation.
@@ -188,9 +186,10 @@ def _plan_cells(
     """Section-major cell order: workers hit distinct benchmarks first,
     so cold-cache runs compute each trace once instead of racing on it.
     Timing figures plan one whole-row cell per benchmark — the drivers
-    push every column of the row through a single batched trace pass
-    (:func:`repro.uarch.pipeline.simulate_batch`), so splitting per
-    config would multiply walks, not parallelism.  ``sections``
+    push every column of the row through one
+    :func:`repro.uarch.pipeline.simulate_batch` call, which shares the
+    column precompute and walks a shared baseline once, so splitting
+    per config would repeat that work.  ``sections``
     restricts planning to a subset (the incremental mode plans only
     sections whose content keys changed)."""
     windows = {"timing": timing_window, "functional": functional_window}
@@ -215,33 +214,18 @@ def _merge(
     """Fold per-cell payloads into result objects, in suite order.
 
     Timing figures arrive as whole-row payloads (one batched cell per
-    benchmark); legacy per-config cells — e.g. warm outcomes replayed
-    by older tooling — still merge column by column in the figure's
-    canonical config order.  A benchmark with a missing/failed cell
-    drops out of that figure entirely, with the specific cell named in
-    the degraded annotation.
+    benchmark).  A benchmark with a missing/failed cell drops out of
+    that figure entirely, with the specific cell named in the
+    degraded annotation.
     """
     by_cell = {
-        (
-            outcome.cell.section,
-            outcome.cell.benchmark,
-            outcome.cell.param("config"),
-        ): outcome
+        (outcome.cell.section, outcome.cell.benchmark): outcome
         for outcome in outcomes
     }
 
-    def payload(section: str, benchmark: str, config: str = None):
-        outcome = by_cell.get((section, benchmark, config))
+    def payload(section: str, benchmark: str):
+        outcome = by_cell.get((section, benchmark))
         return outcome.payload if outcome is not None and outcome.ok else None
-
-    def config_row(section: str, benchmark: str):
-        row = {}
-        for config in _SECTION_CONFIGS[section]:
-            value = payload(section, benchmark, config)
-            if value is None:
-                return None
-            row[config] = value
-        return row
 
     characterization = CharacterizationResult()
     fig5 = Fig5Result()
@@ -260,22 +244,12 @@ def _merge(
         for result, section in ((fig5, "fig5"), (fig6, "fig6"),
                                 (fig9, "fig9")):
             row = payload(section, benchmark)
-            if row is None:
-                row = config_row(section, benchmark)
             if row is not None:
                 result.speedups[benchmark] = row
         seven = payload("fig7", benchmark)
         if seven is not None:
             fig7.speedups[benchmark] = seven["speedups"]
             fig7.svf_stats[benchmark] = seven["svf_stats"]
-        else:
-            seven = config_row("fig7", benchmark)
-            if seven is not None and "svf_stats" in seven["(2+2)svf"]:
-                fig7.speedups[benchmark] = {
-                    config: cell["speedup"]
-                    for config, cell in seven.items()
-                }
-                fig7.svf_stats[benchmark] = seven["(2+2)svf"]["svf_stats"]
         traffic = payload("table3", benchmark)
         if traffic is not None:
             table3.traffic.update(traffic)

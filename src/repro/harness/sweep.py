@@ -178,13 +178,13 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
     from the per-member cell cache (counting ``cell_cache_hits`` /
     ``cell_cache_misses`` exactly as the engine would), simulates all
     cold members' (baseline, variant) config pairs through one
-    :func:`repro.uarch.pipeline.simulate_batch` pass, and stores each
+    :func:`repro.uarch.pipeline.simulate_batch` call, and stores each
     cold member's metrics back under its own cell key — so a fused
     group and its unfused members are interchangeable in the cache.
 
     Failures stay per-member: a member whose spec or simulation fails
     degrades to an error entry (same ``Type: message`` format the
-    engine uses) without touching its group-mates; if the batched pass
+    engine uses) without touching its group-mates; if the batched call
     itself fails, cold members fall back to sequential per-member
     execution through the registered ``"sweep"`` runner.  That same
     registry lookup is the interposition seam: when the ``"sweep"``
@@ -222,10 +222,6 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
     for member in member_cells:
         if member.params in entries:
             continue
-        # Mirror the engine's per-cell ordering: chaos hook first,
-        # then the cache lookup, so a fused member behaves like the
-        # plain cell it replaces.
-        chaos.on_cell_start(member)
         payload = (
             cache.load_cell(member) if cache is not None
             else parallel._MISS
@@ -313,7 +309,7 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
         try:
             results = simulate_batch(trace, configs)
         except Exception:
-            # The batched pass failed as a whole (it cannot tell which
+            # The batched call failed as a whole (it cannot tell which
             # config is at fault) — recompute members one by one so
             # only the offender degrades.
             _run_members_sequentially([member for member, _, _ in paired])
@@ -379,16 +375,20 @@ def _fuse_cells(
     spec: SweepSpec, cells: Sequence[TaskCell]
 ) -> Tuple[List[TaskCell], Dict[TaskCell, TaskCell]]:
     """Group timing cells that share (workload, opt, rep) into fused
-    ``"sweep-batch"`` cells — one trace attach + one batched pass per
-    group instead of one walk per row.
+    ``"sweep-batch"`` cells — one trace attach and one
+    :func:`~repro.uarch.pipeline.simulate_batch` call per group instead
+    of two simulations per row.
 
     Fusion is submission-shape only: the per-member cell-cache keys,
     row identities and row bytes are untouched (the batch runner fans
-    results back out per member).  Groups of one stay plain cells.
-    Returns the submission list (group order follows the first member,
-    preserving :func:`plan_cells`'s cache-friendly ordering) and the
-    member-cell → batch-cell map the fan-in uses.
+    results back out per member).  Traffic sweeps and groups of one
+    stay plain cells.  Returns the submission list (group order
+    follows the first member, preserving :func:`plan_cells`'s
+    cache-friendly ordering) and the member-cell → batch-cell map the
+    fan-in uses.  Chaos runs plan their faults over this submission.
     """
+    if spec.kind != "timing":
+        return list(cells), {}
     groups: Dict[Tuple, List[TaskCell]] = {}
     for cell in cells:
         params = dict(cell.params)
@@ -527,10 +527,6 @@ class SweepOptions:
     out_dir: Optional[str] = None
     #: deterministic fault plan forwarded to the engine (chaos runs).
     fault_plan: Optional[chaos.FaultPlan] = None
-    #: fuse timing cells sharing (workload, opt, rep) into one batched
-    #: trace pass (``--no-batch`` turns this off); the run table is
-    #: byte-identical either way.
-    batch: bool = True
 
     def __post_init__(self):
         if self.jobs is not None and self.jobs < 1:
@@ -741,20 +737,8 @@ def run_sweep(
     points, cells = plan_cells(spec)
     # Fuse timing groups into batched cells: a submission-shape
     # optimization only (row identities, cache keys and run-table
-    # bytes are invariant).  Chaos runs stay unfused — fault plans
-    # target the per-cell keys :func:`plan_cells` enumerates.
-    from repro.uarch.pipeline import batch_enabled
-
-    fuse = (
-        spec.kind == "timing"
-        and options.batch
-        and batch_enabled()
-        and options.fault_plan is None
-    )
-    batch_of: Dict[TaskCell, TaskCell] = {}
-    submit = list(cells)
-    if fuse:
-        submit, batch_of = _fuse_cells(spec, cells)
+    # bytes are invariant).
+    submit, batch_of = _fuse_cells(spec, cells)
     engine = EngineOptions(
         jobs=options.jobs,
         cache_dir=options.resolved_cache_dir(),

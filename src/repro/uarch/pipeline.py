@@ -34,7 +34,7 @@ The stack unit is pluggable (``config.svf.mode``):
     the decoupled stack cache: stack references use stack-cache ports
     and refill from the L2; every miss moves whole lines.
 
-One dense-window walk (:func:`_stepper`) implements the model.  It
+One dense-window walk (:func:`_walk`) implements the model.  It
 reads the trace column-wise (:class:`ColumnarTrace`; other iterables
 are packed on entry): :class:`_Columns` turns the columns into flat
 python lists and derives the per-instruction values every config
@@ -50,7 +50,6 @@ completion is written out route by route.
 from __future__ import annotations
 
 import copy
-import os
 from time import perf_counter
 from typing import Iterable, List, Optional
 
@@ -84,42 +83,13 @@ _R_FAST = 1
 _R_REROUTE = 2
 _R_SC = 3
 
-#: Chunk size for the batched round-robin drive: large enough that the
-#: per-chunk generator hand-off cost vanishes, small enough that every
-#: config's walk revisits the same stretch of columns while it is warm.
-_BATCH_CHUNK = 16384
-
-_BATCH_ENABLED = os.environ.get("REPRO_BATCH", "1") != "0"
-
-
-def batch_enabled() -> bool:
-    """Is the batched multi-config engine enabled?
-
-    Defaults to on; export ``REPRO_BATCH=0`` (worker processes inherit
-    it) or call :func:`set_batch_enabled` to force sequential
-    per-config walks.
-    """
-    return _BATCH_ENABLED
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Enable/disable batched simulation; returns the previous setting."""
-    global _BATCH_ENABLED
-    previous = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(enabled)
-    return previous
-
-
 def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
     """Run the timing model over a trace; returns :class:`SimStats`."""
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
     profiler = profiling.active()
     profile_started = perf_counter() if profiler is not None else 0.0
-    stepper = _stepper(config, _Columns(trace))
-    next(stepper)
-    stepper.send((0, len(trace.pc)))
-    stats = _finish_stepper(stepper)
+    stats = _walk(config, _Columns(trace))
     if profiler is not None:
         profiler.note(
             "timing", perf_counter() - profile_started, len(trace.pc)
@@ -128,30 +98,25 @@ def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
 
 
 def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
-    """Evaluate many configs in one pass over the trace.
+    """Evaluate many configs over one trace.
 
     Returns one :class:`SimStats` per config, in input order, each
-    stat-identical to what sequential per-config :func:`simulate`
-    calls would produce (``tests/test_pipeline_batch.py`` is the
-    differential gate).  The win is structural: every config's walk is
-    a chunk-resumable generator, and a round-robin driver interleaves
-    them through the columns one :data:`_BATCH_CHUNK` at a time, so
-    the trace is walked once per batch instead of once per config, and
-    all steppers share one :class:`_Columns` precompute.  Duplicate
-    configs (a common case: ablation grids share one baseline) are
-    simulated once and returned as independent copies.
-
-    With batching disabled (:func:`set_batch_enabled` /
-    ``REPRO_BATCH=0``) or a single config this degrades to sequential
-    :func:`simulate` calls and emits no batch counters.
+    stat-identical to a :func:`simulate` call for that config
+    (``tests/test_pipeline_batch.py`` is the differential gate).  The
+    configs share one :class:`_Columns` precompute, built once instead
+    of once per config, and each distinct config is then walked to the
+    end in turn.  Duplicate configs (a common case: ablation grids
+    share one baseline) are walked once and returned as independent
+    copies.  A single config is a plain :func:`simulate` call and
+    emits no batch counters.
     """
     configs = list(configs)
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
     if not configs:
         return []
-    if len(configs) == 1 or not _BATCH_ENABLED:
-        return [simulate(trace, config) for config in configs]
+    if len(configs) == 1:
+        return [simulate(trace, configs[0])]
 
     # MachineConfig is frozen/hashable: dedup to one walk per distinct
     # config, insertion-ordered so walk order is deterministic.
@@ -159,28 +124,17 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     for config in configs:
         if config not in slots:
             slots[config] = len(slots)
-    unique = list(slots)
 
     profiler = profiling.active()
     profile_started = perf_counter() if profiler is not None else 0.0
-    n = len(trace.pc)
     columns = _Columns(trace)
-    steppers = [_stepper(config, columns) for config in unique]
-    for stepper in steppers:
-        next(stepper)
-    lo = 0
-    while lo < n:
-        hi = lo + _BATCH_CHUNK
-        if hi > n:
-            hi = n
-        for stepper in steppers:
-            stepper.send((lo, hi))
-        lo = hi
-    results = [_finish_stepper(stepper) for stepper in steppers]
+    results = [_walk(config, columns) for config in slots]
     if profiler is not None:
         profiler.note(
-            "timing", perf_counter() - profile_started, n * len(unique)
+            "timing", perf_counter() - profile_started,
+            columns.n * len(results),
         )
+        # Every config past the first reuses the shared precompute.
         profiler.count("batch_configs", len(configs))
         profiler.count("batch_walks_saved", len(configs) - 1)
 
@@ -195,15 +149,6 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
             claimed.add(slot)
         out.append(stats)
     return out
-
-
-def _finish_stepper(stepper) -> SimStats:
-    """Finalize a timing stepper; returns its :class:`SimStats`."""
-    try:
-        stepper.send(None)
-    except StopIteration as stop:
-        return stop.value
-    raise RuntimeError("timing stepper yielded after finalization")
 
 
 class _Columns:
@@ -250,18 +195,11 @@ class _Columns:
         return self._pc_l
 
 
-def _stepper(config: MachineConfig, columns: _Columns):
-    """Resumable timing walk: a generator driven in index chunks.
+def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
+    """Walk the whole trace on one machine; returns its :class:`SimStats`.
 
-    Runs setup up to its first ``yield``, then walks every half-open
-    ``(lo, hi)`` index range sent into it, carrying all
-    microarchitectural state across chunks; sending ``None`` finalizes
-    and raises ``StopIteration`` whose ``value`` is the
-    :class:`~repro.uarch.stats.SimStats`.  Driven with one ``(0, n)``
-    chunk by :func:`simulate` and round-robin in
-    :data:`_BATCH_CHUNK`-sized chunks by :func:`simulate_batch`; all
-    trace-derived state comes from ``columns`` so a batch of steppers
-    shares one :class:`_Columns`.
+    All trace-derived state comes from ``columns``, so the walks of a
+    :func:`simulate_batch` call share one :class:`_Columns`.
     """
     stats = SimStats(config_name=config.name)
     predictor = make_predictor(config.branch_predictor)
@@ -447,269 +385,127 @@ def _stepper(config: MachineConfig, columns: _Columns):
     out_of_range = 0
     squashes = 0
 
-    bounds = yield
-    while bounds is not None:
-        lo, hi = bounds
-        for index in range(lo, hi):
-            if horizon + margin >= pool_len:
-                pool_len = grow_windows(windows, horizon + 2 * margin + 1024)
-            flags = flags_l[index]
-            is_mem = flags & 3
+    for index in range(n):
+        if horizon + margin >= pool_len:
+            pool_len = grow_windows(windows, horizon + 2 * margin + 1024)
+        flags = flags_l[index]
+        is_mem = flags & 3
 
-            # ------------------------------------------- context switches
-            if switch_period and index and index % switch_period == 0:
-                switches += 1
-                when = commit_cur + switch_overhead
-                if when > redirect_at:
-                    redirect_at = when
-                if svf is not None:
-                    switch_bytes += svf.context_switch()
-                    entry_ready.clear()
-                    pending_gpr_store.clear()
-                if stack_cache is not None:
-                    switch_bytes += stack_cache.context_switch()
-                last_store.clear()
+        # ------------------------------------------- context switches
+        if switch_period and index and index % switch_period == 0:
+            switches += 1
+            when = commit_cur + switch_overhead
+            if when > redirect_at:
+                redirect_at = when
+            if svf is not None:
+                switch_bytes += svf.context_switch()
+                entry_ready.clear()
+                pending_gpr_store.clear()
+            if stack_cache is not None:
+                switch_bytes += stack_cache.context_switch()
+            last_store.clear()
 
-            # ------------------------------------------------------ fetch
-            cycle = redirect_at
-            if index >= ifq_size:
-                head = disp_hist[index - ifq_size]
-                if head > cycle:
-                    cycle = head
-            if cycle > fetch_cur:
-                fetch_cur = cycle
-                fetch_cnt = 1
-            elif fetch_cnt < fetch_width:
-                fetch_cnt += 1
-            else:
-                fetch_cur += 1
-                fetch_cnt = 1
-            fetch_cycle = fetch_cur
+        # ------------------------------------------------------ fetch
+        cycle = redirect_at
+        if index >= ifq_size:
+            head = disp_hist[index - ifq_size]
+            if head > cycle:
+                cycle = head
+        if cycle > fetch_cur:
+            fetch_cur = cycle
+            fetch_cnt = 1
+        elif fetch_cnt < fetch_width:
+            fetch_cnt += 1
+        else:
+            fetch_cur += 1
+            fetch_cnt = 1
+        fetch_cycle = fetch_cur
 
-            # ---------------------------------------------------- dispatch
-            cycle = fetch_cycle + frontend_depth
-            if disp_cur > cycle:
-                cycle = disp_cur
-            if decode_block > cycle:
-                cycle = decode_block
-            if index >= ruu_size:
-                head = commit_hist[index - ruu_size]
-                if head > cycle:
-                    cycle = head
-            if is_mem and mem_count >= lsq_size:
-                head = lsq_hist[mem_count - lsq_size]
-                if head > cycle:
-                    cycle = head
-            if cycle > disp_cur:
-                disp_cur = cycle
-                disp_cnt = 1
-            elif disp_cnt < dispatch_width:
-                disp_cnt += 1
-            else:
-                disp_cur += 1
-                disp_cnt = 1
-            dispatch_cycle = disp_cur
-            disp_append(dispatch_cycle)
+        # ---------------------------------------------------- dispatch
+        cycle = fetch_cycle + frontend_depth
+        if disp_cur > cycle:
+            cycle = disp_cur
+        if decode_block > cycle:
+            cycle = decode_block
+        if index >= ruu_size:
+            head = commit_hist[index - ruu_size]
+            if head > cycle:
+                cycle = head
+        if is_mem and mem_count >= lsq_size:
+            head = lsq_hist[mem_count - lsq_size]
+            if head > cycle:
+                cycle = head
+        if cycle > disp_cur:
+            disp_cur = cycle
+            disp_cnt = 1
+        elif disp_cnt < dispatch_width:
+            disp_cnt += 1
+        else:
+            disp_cur += 1
+            disp_cnt = 1
+        dispatch_cycle = disp_cur
+        disp_append(dispatch_cycle)
 
-            # SVF front-end bookkeeping: the speculative $sp copy follows
-            # immediate adjustments for free; any other $sp write stalls
-            # decode until it resolves (Section 3.1).
-            if not sp_seen:
-                svf.update_sp(sp_l[index])
-                sp_seen = True
+        # SVF front-end bookkeeping: the speculative $sp copy follows
+        # immediate adjustments for free; any other $sp write stalls
+        # decode until it resolves (Section 3.1).
+        if not sp_seen:
+            svf.update_sp(sp_l[index])
+            sp_seen = True
 
-            # ----------------------------------------------- routing
-            if adaptive and index >= window_end:
-                if window_squashes >= adaptive_threshold:
-                    svf_disabled_until = index + adaptive_off_period
-                    disables += 1
-                    svf.context_switch()
-                    pending_gpr_store.clear()
-                window_squashes = 0
-                window_end = index + adaptive_window
+        # ----------------------------------------------- routing
+        if adaptive and index >= window_end:
+            if window_squashes >= adaptive_threshold:
+                svf_disabled_until = index + adaptive_off_period
+                disables += 1
+                svf.context_switch()
+                pending_gpr_store.clear()
+            window_squashes = 0
+            window_end = index + adaptive_window
 
-            # -------------------------- routing, readiness, issue, latency
-            if is_mem:
-                addr = addr_l[index]
-                qw = qw_l[index]
-                on_stack = on_stack_l[index]
-                route = _R_DL1
-                if on_stack:
-                    if mode_ideal:
-                        route = _R_FAST
-                    elif mode_svf and (
-                        not adaptive or index >= svf_disabled_until
-                    ):
-                        if svf_covers(addr):
-                            route = (
-                                _R_FAST
-                                if base_l[index] == sp_reg
-                                else _R_REROUTE
-                            )
-                        else:
-                            out_of_range += 1
-                    elif mode_sc:
-                        route = _R_SC
-                drop_base = (route == _R_FAST and spec_sp) or (
-                    no_addr_calc and on_stack
-                )
-                ready = dispatch_cycle + 1
-                if agu_depth and not drop_base:
-                    # Deep pipelines place address generation several
-                    # stages past dispatch; morphed references resolved
-                    # in decode skip those stages entirely (Section 3.1).
-                    ready += agu_depth
-                nsrc = nsrc_l[index]
-                if nsrc:
-                    if drop_base:
-                        base = base_l[index]
-                        src = src0_l[index]
+        # -------------------------- routing, readiness, issue, latency
+        if is_mem:
+            addr = addr_l[index]
+            qw = qw_l[index]
+            on_stack = on_stack_l[index]
+            route = _R_DL1
+            if on_stack:
+                if mode_ideal:
+                    route = _R_FAST
+                elif mode_svf and (
+                    not adaptive or index >= svf_disabled_until
+                ):
+                    if svf_covers(addr):
+                        route = (
+                            _R_FAST
+                            if base_l[index] == sp_reg
+                            else _R_REROUTE
+                        )
+                    else:
+                        out_of_range += 1
+                elif mode_sc:
+                    route = _R_SC
+            drop_base = (route == _R_FAST and spec_sp) or (
+                no_addr_calc and on_stack
+            )
+            ready = dispatch_cycle + 1
+            if agu_depth and not drop_base:
+                # Deep pipelines place address generation several
+                # stages past dispatch; morphed references resolved
+                # in decode skip those stages entirely (Section 3.1).
+                ready += agu_depth
+            nsrc = nsrc_l[index]
+            if nsrc:
+                if drop_base:
+                    base = base_l[index]
+                    src = src0_l[index]
+                    if src != base and reg_ready[src] > ready:
+                        ready = reg_ready[src]
+                    if nsrc > 1:
+                        src = src1_l[index]
                         if src != base and reg_ready[src] > ready:
                             ready = reg_ready[src]
-                        if nsrc > 1:
-                            src = src1_l[index]
-                            if src != base and reg_ready[src] > ready:
-                                ready = reg_ready[src]
-                    else:
-                        when = reg_ready[src0_l[index]]
-                        if when > ready:
-                            ready = when
-                        if nsrc > 1:
-                            when = reg_ready[src1_l[index]]
-                            if when > ready:
-                                ready = when
-                if route == _R_DL1:
-                    port_slots = dl1_slots
-                    port_width = dl1_width
-                elif route == _R_SC:
-                    port_slots = stack_slots
-                    port_width = stack_width
-                elif bank_slots is not None:
-                    port_slots = bank_slots[(qw >> 3) % num_banks]
-                    port_width = 1
-                else:  # svf ports, or None in ideal mode (no port limit)
-                    port_slots = stack_slots
-                    port_width = stack_width
-                cycle = ready
-                if port_slots is None:
-                    used = issue_slots[cycle]
-                    while used >= issue_width:
-                        cycle += 1
-                        used = issue_slots[cycle]
-                    issue_slots[cycle] = used + 1
                 else:
-                    while True:
-                        used = issue_slots[cycle]
-                        if used < issue_width:
-                            port_use = port_slots[cycle]
-                            if port_use < port_width:
-                                issue_slots[cycle] = used + 1
-                                port_slots[cycle] = port_use + 1
-                                break
-                        cycle += 1
-                issue_cycle = cycle
-                is_store = flags & 2
-                if is_store:
-                    stores += 1
-                else:
-                    loads += 1
-                if route == _R_DL1:
-                    if is_store:
-                        dl1_access(addr, True)
-                        complete = issue_cycle + 1
-                        last_store[qw] = (index, complete)
-                    else:
-                        forwarded = ls_get(qw)
-                        if forwarded is not None and forwarded[1] > issue_cycle:
-                            store_forwards += 1
-                            when = forwarded[1]
-                            complete = (
-                                issue_cycle if issue_cycle > when else when
-                            ) + forward_latency
-                        else:
-                            complete = issue_cycle + dl1_access(addr)
-                elif route == _R_FAST:
-                    fast_latency = svf_fast_latency
-                    if svf is not None:
-                        outcome = svf_access(addr, size_l[index], is_store != 0)
-                        if outcome.filled:
-                            # A demand fill reads the word from the L1:
-                            # L1 (or below) latency plus one cycle of
-                            # SVF insertion.
-                            fast_latency = dl1_access(addr) + 1
-                    if is_store:
-                        fast_stores += 1
-                        complete = issue_cycle + svf_fast_latency
-                        entry_ready[qw] = complete
-                    else:
-                        fast_loads += 1
-                        complete = issue_cycle + fast_latency
-                        when = er_get(qw, 0) + 1
-                        if when > complete:
-                            complete = when
-                        # Squash check (Section 3.2): a pending gpr-store
-                        # to the same word not complete by our issue time.
-                        pending = pg_get(qw)
-                        if (
-                            pending is not None
-                            and pending[0] < index
-                            and pending[1] > issue_cycle
-                        ):
-                            when = pending[1]
-                            if no_squash:
-                                if when + 1 > complete:
-                                    complete = when + 1
-                            else:
-                                squashes += 1
-                                window_squashes += 1
-                                if when + squash_penalty > redirect_at:
-                                    redirect_at = when + squash_penalty
-                                if when + svf_fast_latency > complete:
-                                    complete = when + svf_fast_latency
-                elif route == _R_REROUTE:
-                    rerouted += 1
-                    outcome = svf_access(addr, size_l[index], is_store != 0)
-                    access_latency = reroute_latency
-                    if outcome.filled:
-                        access_latency = dl1_access(addr) + 1
-                    if is_store:
-                        # Stores complete into the LSQ as on the DL1
-                        # path; the reroute penalty applies to loads,
-                        # which must poll the SVF once their address
-                        # resolves.
-                        complete = issue_cycle + 1
-                        entry_ready[qw] = complete
-                        pending_gpr_store[qw] = (index, complete)
-                    else:
-                        when = er_get(qw, 0)
-                        complete = (
-                            issue_cycle if issue_cycle > when else when
-                        ) + access_latency
-                else:  # _R_SC
-                    outcome = stack_cache.access(
-                        addr, size_l[index], is_store != 0
-                    )
-                    if outcome.hit:
-                        access_latency = dl1_latency
-                    else:
-                        access_latency = l2.access(addr, is_store != 0)
-                    if is_store:
-                        complete = issue_cycle + 1
-                        last_store[qw] = (index, complete)
-                    else:
-                        forwarded = ls_get(qw)
-                        if forwarded is not None and forwarded[1] > issue_cycle:
-                            store_forwards += 1
-                            when = forwarded[1]
-                            complete = (
-                                issue_cycle if issue_cycle > when else when
-                            ) + forward_latency
-                        else:
-                            complete = issue_cycle + access_latency
-            else:
-                ready = dispatch_cycle + 1
-                nsrc = nsrc_l[index]
-                if nsrc:
                     when = reg_ready[src0_l[index]]
                     if when > ready:
                         ready = when
@@ -717,67 +513,205 @@ def _stepper(config: MachineConfig, columns: _Columns):
                         when = reg_ready[src1_l[index]]
                         if when > ready:
                             ready = when
-                latency = fu_latency_l[index]
-                if latency:
-                    fu_slots = mult_slots
-                    fu_width = mult_width
-                else:
-                    fu_slots = alu_slots
-                    fu_width = alu_width
-                    latency = 1
-                cycle = ready
+            if route == _R_DL1:
+                port_slots = dl1_slots
+                port_width = dl1_width
+            elif route == _R_SC:
+                port_slots = stack_slots
+                port_width = stack_width
+            elif bank_slots is not None:
+                port_slots = bank_slots[(qw >> 3) % num_banks]
+                port_width = 1
+            else:  # svf ports, or None in ideal mode (no port limit)
+                port_slots = stack_slots
+                port_width = stack_width
+            cycle = ready
+            if port_slots is None:
+                used = issue_slots[cycle]
+                while used >= issue_width:
+                    cycle += 1
+                    used = issue_slots[cycle]
+                issue_slots[cycle] = used + 1
+            else:
                 while True:
                     used = issue_slots[cycle]
                     if used < issue_width:
-                        fu_use = fu_slots[cycle]
-                        if fu_use < fu_width:
+                        port_use = port_slots[cycle]
+                        if port_use < port_width:
                             issue_slots[cycle] = used + 1
-                            fu_slots[cycle] = fu_use + 1
+                            port_slots[cycle] = port_use + 1
                             break
                     cycle += 1
-                complete = cycle + latency
-
-            # --------------------------------------------------- branches
-            if predict_bits is not None and flags & 4:
-                branches += 1
-                if not predict_bits(pc_l[index], flags & 8, flags & 16):
-                    mispredictions += 1
-                    when = complete + mispredict_redirect
-                    if when > redirect_at:
-                        redirect_at = when
-
-            # $sp interlock: unexpected (non-immediate) updates stall
-            # decode of everything younger until the new $sp resolves.
-            if flags & 32:
-                if svf is not None:
-                    svf.update_sp(sp_l[index])
-                if sp_block_mode and not (
-                    opcode_l[index] == lda_op and spimm_l[index] != 0
-                ):
-                    if complete > decode_block:
-                        decode_block = complete
-            # ----------------------------------------------------- commit
-            cycle = complete + 1
-            if cycle > commit_cur:
-                commit_cur = cycle
-                commit_cnt = 1
-            elif commit_cnt < commit_width:
-                commit_cnt += 1
+            issue_cycle = cycle
+            is_store = flags & 2
+            if is_store:
+                stores += 1
             else:
-                commit_cur += 1
-                commit_cnt = 1
-            cycle = commit_cur
-            commit_append(cycle)
-            if is_mem:
-                lsq_append(cycle)
-                mem_count += 1
-            horizon = cycle
+                loads += 1
+            if route == _R_DL1:
+                if is_store:
+                    dl1_access(addr, True)
+                    complete = issue_cycle + 1
+                    last_store[qw] = (index, complete)
+                else:
+                    forwarded = ls_get(qw)
+                    if forwarded is not None and forwarded[1] > issue_cycle:
+                        store_forwards += 1
+                        when = forwarded[1]
+                        complete = (
+                            issue_cycle if issue_cycle > when else when
+                        ) + forward_latency
+                    else:
+                        complete = issue_cycle + dl1_access(addr)
+            elif route == _R_FAST:
+                fast_latency = svf_fast_latency
+                if svf is not None:
+                    outcome = svf_access(addr, size_l[index], is_store != 0)
+                    if outcome.filled:
+                        # A demand fill reads the word from the L1:
+                        # L1 (or below) latency plus one cycle of
+                        # SVF insertion.
+                        fast_latency = dl1_access(addr) + 1
+                if is_store:
+                    fast_stores += 1
+                    complete = issue_cycle + svf_fast_latency
+                    entry_ready[qw] = complete
+                else:
+                    fast_loads += 1
+                    complete = issue_cycle + fast_latency
+                    when = er_get(qw, 0) + 1
+                    if when > complete:
+                        complete = when
+                    # Squash check (Section 3.2): a pending gpr-store
+                    # to the same word not complete by our issue time.
+                    pending = pg_get(qw)
+                    if (
+                        pending is not None
+                        and pending[0] < index
+                        and pending[1] > issue_cycle
+                    ):
+                        when = pending[1]
+                        if no_squash:
+                            if when + 1 > complete:
+                                complete = when + 1
+                        else:
+                            squashes += 1
+                            window_squashes += 1
+                            if when + squash_penalty > redirect_at:
+                                redirect_at = when + squash_penalty
+                            if when + svf_fast_latency > complete:
+                                complete = when + svf_fast_latency
+            elif route == _R_REROUTE:
+                rerouted += 1
+                outcome = svf_access(addr, size_l[index], is_store != 0)
+                access_latency = reroute_latency
+                if outcome.filled:
+                    access_latency = dl1_access(addr) + 1
+                if is_store:
+                    # Stores complete into the LSQ as on the DL1
+                    # path; the reroute penalty applies to loads,
+                    # which must poll the SVF once their address
+                    # resolves.
+                    complete = issue_cycle + 1
+                    entry_ready[qw] = complete
+                    pending_gpr_store[qw] = (index, complete)
+                else:
+                    when = er_get(qw, 0)
+                    complete = (
+                        issue_cycle if issue_cycle > when else when
+                    ) + access_latency
+            else:  # _R_SC
+                outcome = stack_cache.access(
+                    addr, size_l[index], is_store != 0
+                )
+                if outcome.hit:
+                    access_latency = dl1_latency
+                else:
+                    access_latency = l2.access(addr, is_store != 0)
+                if is_store:
+                    complete = issue_cycle + 1
+                    last_store[qw] = (index, complete)
+                else:
+                    forwarded = ls_get(qw)
+                    if forwarded is not None and forwarded[1] > issue_cycle:
+                        store_forwards += 1
+                        when = forwarded[1]
+                        complete = (
+                            issue_cycle if issue_cycle > when else when
+                        ) + forward_latency
+                    else:
+                        complete = issue_cycle + access_latency
+        else:
+            ready = dispatch_cycle + 1
+            nsrc = nsrc_l[index]
+            if nsrc:
+                when = reg_ready[src0_l[index]]
+                if when > ready:
+                    ready = when
+                if nsrc > 1:
+                    when = reg_ready[src1_l[index]]
+                    if when > ready:
+                        ready = when
+            latency = fu_latency_l[index]
+            if latency:
+                fu_slots = mult_slots
+                fu_width = mult_width
+            else:
+                fu_slots = alu_slots
+                fu_width = alu_width
+                latency = 1
+            cycle = ready
+            while True:
+                used = issue_slots[cycle]
+                if used < issue_width:
+                    fu_use = fu_slots[cycle]
+                    if fu_use < fu_width:
+                        issue_slots[cycle] = used + 1
+                        fu_slots[cycle] = fu_use + 1
+                        break
+                cycle += 1
+            complete = cycle + latency
 
-            # ---------------------------------------------------- results
-            dst = dst_l[index]
-            if dst >= 0:
-                reg_ready[dst] = complete
-        bounds = yield
+        # --------------------------------------------------- branches
+        if predict_bits is not None and flags & 4:
+            branches += 1
+            if not predict_bits(pc_l[index], flags & 8, flags & 16):
+                mispredictions += 1
+                when = complete + mispredict_redirect
+                if when > redirect_at:
+                    redirect_at = when
+
+        # $sp interlock: unexpected (non-immediate) updates stall
+        # decode of everything younger until the new $sp resolves.
+        if flags & 32:
+            if svf is not None:
+                svf.update_sp(sp_l[index])
+            if sp_block_mode and not (
+                opcode_l[index] == lda_op and spimm_l[index] != 0
+            ):
+                if complete > decode_block:
+                    decode_block = complete
+        # ----------------------------------------------------- commit
+        cycle = complete + 1
+        if cycle > commit_cur:
+            commit_cur = cycle
+            commit_cnt = 1
+        elif commit_cnt < commit_width:
+            commit_cnt += 1
+        else:
+            commit_cur += 1
+            commit_cnt = 1
+        cycle = commit_cur
+        commit_append(cycle)
+        if is_mem:
+            lsq_append(cycle)
+            mem_count += 1
+        horizon = cycle
+
+        # ---------------------------------------------------- results
+        dst = dst_l[index]
+        if dst >= 0:
+            reg_ready[dst] = complete
 
     stats.instructions = n
     stats.branches = total_branches if predict_bits is None else branches

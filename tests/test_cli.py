@@ -67,8 +67,19 @@ class TestUsageErrors:
          "capacity_bytes must be a positive multiple"),
         (["replay", "/no/such/trace.svft", "--svf", "svf",
           "--ports", "0"], "ports must be >= 1"),
+        (["simulate", "gzip", "--max-instructions", "-1"],
+         "simulate: --max-instructions must be >= 1, not -1"),
+        (["profile", "gzip", "--max-instructions", "-5"],
+         "profile: --max-instructions must be >= 1, not -5"),
+        (["experiment", "fig5", "--window", "-1"],
+         "experiment: --window must be >= 1, not -1"),
+        (["run", "gzip", "--max-instructions", "0"],
+         "run: --max-instructions must be >= 1, not 0"),
+        (["chaos", "--jobs", "0"], "chaos: --jobs must be >= 1, not 0"),
     ], ids=["unknown-workload", "dl1-ports-0", "ports-0", "capacity-0",
-            "replay-ports-0"])
+            "replay-ports-0", "simulate-max-instructions-negative",
+            "profile-max-instructions-negative", "experiment-window-negative",
+            "run-max-instructions-0", "chaos-jobs-0"])
     def test_timing_usage_errors(self, argv, fragment, capsys):
         assert main(argv) == 2
         self._assert_one_line_error(capsys, fragment)
@@ -280,20 +291,12 @@ class TestProfile:
             assert counter in out, counter
 
     def test_renders_batch_counters(self, capsys):
-        # The baseline and SVF runs share one batched trace pass, so
+        # The baseline and SVF runs share one simulate_batch call, so
         # the batch counters show up in the "cache counters:" block.
         assert main(["profile", "gzip", "--max-instructions", "3000"]) == 0
         out = capsys.readouterr().out
         assert "batch_configs" in out
         assert "batch_walks_saved" in out
-
-    def test_no_batch_runs_two_walks_without_counters(self, capsys):
-        assert main(["profile", "gzip", "--max-instructions", "3000",
-                     "--no-batch"]) == 0
-        out = capsys.readouterr().out
-        assert "gzip.graphic: 3,000 instructions traced" in out
-        assert "batch_configs" not in out
-        assert "batch_walks_saved" not in out
 
     def test_unknown_workload(self, capsys):
         assert main(["profile", "doom"]) == 2
@@ -416,14 +419,19 @@ class TestSweep:
     def test_no_batch_flag_produces_identical_run_table(
         self, tmp_path, capsys
     ):
+        # A warm re-run serves every row from the cache and reproduces
+        # the cold run's deterministic artifacts byte for byte.
         path = self.write_suite(tmp_path)
-        batched_dir = tmp_path / "batched"
-        plain_dir = tmp_path / "plain"
-        assert main(["sweep", path, "--jobs", "1", "--no-cache",
-                     "--out", str(batched_dir)]) == 0
-        assert main(["sweep", path, "--jobs", "1", "--no-cache",
-                     "--out", str(plain_dir), "--no-batch"]) == 0
+        cache_dir = str(tmp_path / "cache")
+        cold_dir = tmp_path / "cold"
+        warm_dir = tmp_path / "warm"
+        assert main(["sweep", path, "--jobs", "1", "--cache-dir", cache_dir,
+                     "--out", str(cold_dir)]) == 0
+        assert main(["sweep", path, "--jobs", "1", "--cache-dir", cache_dir,
+                     "--out", str(warm_dir)]) == 0
         capsys.readouterr()
+        meta = json.loads((warm_dir / "run_meta.json").read_text())
+        assert meta["cache_hits"] == meta["cells"] == 2
         for artifact in ("run_table.json", "summary.txt"):
-            assert (batched_dir / artifact).read_bytes() == \
-                (plain_dir / artifact).read_bytes(), artifact
+            assert (cold_dir / artifact).read_bytes() == \
+                (warm_dir / artifact).read_bytes(), artifact

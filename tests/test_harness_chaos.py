@@ -89,9 +89,9 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_cell_key_bakes_in_window_and_params(self):
-        a = TaskCell("fig5", "164.gzip", 1_000, (("config", "svf_2p"),))
-        b = TaskCell("fig5", "164.gzip", 2_000, (("config", "svf_2p"),))
-        c = TaskCell("fig5", "164.gzip", 1_000, (("config", "svf_1p"),))
+        a = TaskCell("table4", "164.gzip", 1_000, (("period", 3200),))
+        b = TaskCell("table4", "164.gzip", 2_000, (("period", 3200),))
+        c = TaskCell("table4", "164.gzip", 1_000, (("period", 6400),))
         assert len({cell_key(a), cell_key(b), cell_key(c)}) == 3
 
     def test_disk_ledger_claims_exactly_once(self, tmp_path):

@@ -2,8 +2,8 @@
 
 The contract (see :func:`repro.harness.sweep.run_sweep_batch_cell`):
 fusing timing cells into ``"sweep-batch"`` groups changes submission
-shape only — run-table and summary bytes are identical batched vs
-unbatched at every ``--jobs``, per-member cell-cache keys stay the
+shape only — run-table and summary bytes are identical to per-member
+execution at every ``--jobs``, per-member cell-cache keys stay the
 caching unit (a partially-warm group recomputes only its cold
 members), and failures degrade exactly the offending member's row.
 """
@@ -11,6 +11,7 @@ members), and failures degrade exactly the offending member's row.
 import pytest
 
 from repro.core.svf import StackValueFile
+from repro.harness import parallel
 from repro.harness import sweep as sweep_mod
 from repro.harness.sweep import SweepOptions, run_sweep
 from repro.sweepspec import parse_suite
@@ -46,20 +47,38 @@ def timing_suite(**overrides):
     return parse_suite(data)
 
 
-def _run(spec, tmp_path, name, *, jobs=1, batch=True, use_cache=True):
+def _run(spec, tmp_path, name, *, jobs=1, use_cache=True):
     return run_sweep(spec, SweepOptions(
         jobs=jobs,
         cache_dir=str(tmp_path / name) if use_cache else None,
         use_cache=use_cache,
-        batch=batch,
     ))
 
 
+def _run_per_member(spec, tmp_path, name, monkeypatch):
+    """Run ``spec`` inline with an interposed ``"sweep"`` runner, which
+    makes every fused group execute its members one by one; returns
+    the result and the member cells the runner saw."""
+    seen = []
+
+    def per_member(cell):
+        seen.append(cell)
+        return sweep_mod.run_sweep_cell(cell)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(parallel._CELL_RUNNERS, "sweep", per_member)
+        result = _run(spec, tmp_path, name)
+    return result, seen
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_run_table_bytes_identical_batched_vs_unbatched(tmp_path, jobs):
+def test_run_table_bytes_identical_batched_vs_unbatched(
+    tmp_path, jobs, monkeypatch
+):
     spec = timing_suite()
-    batched = _run(spec, tmp_path, f"b{jobs}", jobs=jobs, batch=True)
-    plain = _run(spec, tmp_path, f"p{jobs}", jobs=jobs, batch=False)
+    batched = _run(spec, tmp_path, f"b{jobs}", jobs=jobs)
+    plain, seen = _run_per_member(spec, tmp_path, f"p{jobs}", monkeypatch)
+    assert len(seen) == len(plain.rows) == 4
     assert batched.ok and plain.ok
     assert batched.run_table_json() == plain.run_table_json()
     assert batched.render_summary() == plain.render_summary()
@@ -97,17 +116,16 @@ def test_partially_warm_group_recomputes_only_cold_members(tmp_path):
     third = run_sweep(full, SweepOptions(jobs=1, cache_dir=str(cache)))
     assert third.ok and third.cache_hits == len(third.rows) == 4
 
-    # Warm rows are byte-identical to a cold unbatched run.
-    cold = _run(full, tmp_path, "cold", batch=False)
+    # Warm rows are byte-identical to a cold run.
+    cold = _run(full, tmp_path, "cold")
     assert third.run_table_json() == cold.run_table_json()
 
 
 def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
     # A stack unit that refuses 16-byte granules passes spec validation
-    # but fails inside the simulator: the batched pass fails as a
+    # but fails inside the simulator: the batched call fails as a
     # whole, falls back to sequential per-member execution, and only
-    # the bad member's row degrades — with the same bytes the
-    # unbatched run produces.
+    # the bad member's row degrades.
     class CoarseGranuleFault(StackValueFile):
         def __init__(self, *args, granularity=8, **kwargs):
             if granularity == 16:
@@ -118,24 +136,20 @@ def test_member_failure_degrades_exactly_one_row(tmp_path, monkeypatch):
     spec = timing_suite(
         workloads=["gzip"], grid={"svf_granularity": [8, 16]}
     )
-    batched = _run(spec, tmp_path, "deg-b", batch=True)
-    plain = _run(spec, tmp_path, "deg-p", batch=False)
-    for result in (batched, plain):
-        assert not result.ok
-        bad = [row for row in result.rows if not row.ok]
-        assert len(bad) == 1
-        assert bad[0].level("svf_granularity") == 16
-        assert "granularity" in bad[0].error
-        good = [row for row in result.rows if row.ok]
-        assert len(good) == 1 and good[0].metrics["speedup"] > 0
-    assert batched.run_table_json() == plain.run_table_json()
-    assert batched.render_summary() == plain.render_summary()
+    result = _run(spec, tmp_path, "deg")
+    assert not result.ok
+    bad = [row for row in result.rows if not row.ok]
+    assert len(bad) == 1
+    assert bad[0].level("svf_granularity") == 16
+    assert "granularity" in bad[0].error
+    good = [row for row in result.rows if row.ok]
+    assert len(good) == 1 and good[0].metrics["speedup"] > 0
 
 
 def test_batch_engine_failure_falls_back_sequentially(
     tmp_path, monkeypatch
 ):
-    # If the fused pass itself blows up, members recompute one by one
+    # If the fused call itself blows up, members recompute one by one
     # through the stock runner; no row degrades.
     def explode(trace, configs):
         raise RuntimeError("batched pass exploded")
@@ -149,16 +163,11 @@ def test_batch_engine_failure_falls_back_sequentially(
 def test_no_batch_option_and_gate_produce_plain_cells(
     tmp_path, submitted_sections
 ):
-    spec = timing_suite(workloads=["gzip"])
-    _run(spec, tmp_path, "plain", batch=False)
-    assert submitted_sections == ["sweep", "sweep"]
-
-    del submitted_sections[:]
-    previous = pipeline.set_batch_enabled(False)
-    try:
-        _run(spec, tmp_path, "gated", batch=True)
-    finally:
-        pipeline.set_batch_enabled(previous)
+    # One design point per workload: every group has one row, and a
+    # one-row group is submitted as its plain cell.
+    spec = timing_suite(grid={"svf_ports": [1]})
+    result = _run(spec, tmp_path, "single")
+    assert result.ok and len(result.rows) == 2
     assert submitted_sections == ["sweep", "sweep"]
 
 
@@ -173,3 +182,16 @@ def test_traffic_sweeps_never_fuse(tmp_path, submitted_sections):
     result = _run(spec, tmp_path, "traffic")
     assert result.ok
     assert submitted_sections == ["sweep", "sweep"]
+
+
+def test_sweep_chaos_plans_faults_over_fused_cells():
+    # Chaos victims are drawn from the cells a real sweep submits:
+    # the smoke suite's two workloads fuse into two group cells.
+    from pathlib import Path
+
+    from repro.harness.chaos import ChaosOptions, _SweepTarget
+
+    suite = Path(__file__).parents[1] / "benchmarks/suites/smoke.yaml"
+    keys = _SweepTarget(ChaosOptions(suite=str(suite))).planned_keys()
+    assert len(keys) == 2
+    assert all(key.startswith("sweep-batch:") for key in keys)

@@ -131,10 +131,10 @@ def test_step_decode_reference_budget():
 
 @pytest.mark.perf
 def test_batched_timing_budget():
-    # One batched pass over four configs must fit the budget two
-    # sequential walks get: the batch shares the trace walk and the
-    # config-invariant precompute instead of multiplying them.  Fires
-    # if simulate_batch silently degrades to a per-config loop.
+    # Four configs share one config-invariant precompute and walk the
+    # trace once each; the batch counters record the shared
+    # precompute, and the budget fires only if the walk falls off its
+    # packed path.
     trace = workload("gzip").trace(max_instructions=WINDOW)
     base = table2_config(16)
     configs = [base] + [
