@@ -523,19 +523,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_compile(args) -> int:
     from repro.emulator import run_program
+    from repro.lang import CodegenError, LexerError, ParseError, SemanticError
 
+    emit = "asm" if args.emit == "asm" else "program"
     try:
-        with open(args.source) as handle:
-            source = handle.read()
+        with open(args.source, encoding="utf-8") as handle:
+            compiled = api.compile_source(
+                handle.read(), _compile_options(args), emit=emit
+            )
     except FileNotFoundError:
         return _fail(f"no such source file: {args.source}")
-    options = _compile_options(args)
+    except UnicodeDecodeError as exc:
+        return _fail(f"compile: {args.source}: byte {exc.start}: "
+                     f"not UTF-8 ({exc.reason})")
+    except (LexerError, ParseError, SemanticError, CodegenError) as exc:
+        return _fail(f"compile: {args.source}: {exc}")
     if args.emit == "asm":
-        print(api.compile_source(source, options, emit="asm"))
+        print(compiled)
         return 0
     machine, _trace = run_program(
-        api.compile_source(source, options),
-        max_instructions=args.max_instructions,
+        compiled, max_instructions=args.max_instructions
     )
     print(f"{machine.instruction_count:,} instructions, "
           f"halted={machine.halted}")

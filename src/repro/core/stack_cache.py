@@ -19,7 +19,7 @@ Traffic is counted in quad-words, matching the paper's Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import List, Set
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class StackCacheAccess:
     written_back: int = 0
 
 
+_HIT = StackCacheAccess(hit=True)
+
+
 class StackCache:
     """Direct-mapped decoupled stack cache."""
 
@@ -43,8 +46,15 @@ class StackCache:
         self.line_size = line_size
         self.num_lines = capacity_bytes // line_size
         self.line_words = line_size // 8
-        #: line index -> (tag, dirty)
-        self._lines: Dict[int, Tuple[int, bool]] = {}
+        #: line index -> resident line number (-1 = empty)
+        self._lines: List[int] = [-1] * self.num_lines
+        #: resident line numbers with a dirty word
+        self._dirty: Set[int] = set()
+        # The two miss outcomes, shared like ``_HIT``.
+        self._miss = StackCacheAccess(hit=False, filled=self.line_words)
+        self._miss_writeback = StackCacheAccess(
+            hit=False, filled=self.line_words, written_back=self.line_words
+        )
         # Traffic counters (quad-words between the stack cache and L2).
         self.qw_in = 0
         self.qw_out = 0
@@ -54,35 +64,34 @@ class StackCache:
         self.writebacks = 0
         self.context_switches = 0
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line_number = addr // self.line_size
-        return line_number % self.num_lines, line_number // self.num_lines
-
-    def access(self, addr: int, size: int, is_store: bool) -> StackCacheAccess:
+    def access(self, addr: int, size: int, is_store) -> StackCacheAccess:
         """Present one stack reference; updates state and traffic.
 
         Both read and write misses fill the whole line from the L2
         (write-allocate): with only per-line state the cache cannot
         know that a freshly allocated frame needs no fill.
+        ``is_store`` may be any truthy value.
         """
-        index, tag = self._locate(addr)
-        entry = self._lines.get(index)
-        if entry is not None and entry[0] == tag:
+        line = addr // self.line_size
+        index = line % self.num_lines
+        resident = self._lines[index]
+        if resident == line:
             self.hits += 1
-            if is_store and not entry[1]:
-                self._lines[index] = (tag, True)
-            return StackCacheAccess(hit=True)
+            if is_store:
+                self._dirty.add(line)
+            return _HIT
         self.misses += 1
-        written_back = 0
-        if entry is not None and entry[1]:
-            written_back = self.line_words
-            self.qw_out += written_back
-            self.writebacks += 1
         self.qw_in += self.line_words
-        self._lines[index] = (tag, is_store)
-        return StackCacheAccess(
-            hit=False, filled=self.line_words, written_back=written_back
-        )
+        self._lines[index] = line
+        outcome = self._miss
+        if resident in self._dirty:
+            self._dirty.remove(resident)
+            self.qw_out += self.line_words
+            self.writebacks += 1
+            outcome = self._miss_writeback
+        if is_store:
+            self._dirty.add(line)
+        return outcome
 
     def context_switch(self) -> int:
         """Flush for a context switch; returns bytes written back.
@@ -92,18 +101,19 @@ class StackCache:
         writeback traffic (contrast with the SVF's per-word bits).
         """
         self.context_switches += 1
-        dirty_lines = sum(1 for _, dirty in self._lines.values() if dirty)
-        self._lines.clear()
+        dirty_lines = len(self._dirty)
+        self._lines = [-1] * self.num_lines
+        self._dirty.clear()
         self.qw_out += dirty_lines * self.line_words
         return dirty_lines * self.line_size
 
     @property
     def valid_lines(self) -> int:
-        return len(self._lines)
+        return self.num_lines - self._lines.count(-1)
 
     @property
     def dirty_lines(self) -> int:
-        return sum(1 for _, dirty in self._lines.values() if dirty)
+        return len(self._dirty)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -43,6 +43,10 @@ class SVFAccess:
     filled: int = 0
 
 
+_HIT = SVFAccess(in_range=True, hit=True)
+_OUT_OF_RANGE = SVFAccess(in_range=False)
+
+
 class StackValueFile:
     """Circular-buffer stack value file with per-word valid/dirty bits.
 
@@ -68,6 +72,10 @@ class StackValueFile:
                 "capacity must be a positive multiple of the granularity"
             )
         self.granularity = granularity
+        #: the outcome of every demand fill: one granule from the L1
+        self._fill = SVFAccess(
+            in_range=True, filled=granularity // self.WORD
+        )
         self.capacity = capacity_bytes
         self.page_size = page_size
         #: optional callable(addr) invoked for every granule written
@@ -202,37 +210,41 @@ class StackValueFile:
 
     # -- data access -----------------------------------------------------------
 
-    def access(self, addr: int, size: int, is_store: bool) -> SVFAccess:
-        """Present one stack reference; updates state and traffic."""
-        if not self.covers(addr):
+    def access(self, addr: int, size: int, is_store) -> SVFAccess:
+        """Present one stack reference; updates state and traffic.
+
+        ``is_store`` may be any truthy value.  Outcomes are shared
+        frozen instances.
+        """
+        tos = self.tos
+        if tos is None or not tos <= addr < tos + self.capacity:
             self.out_of_range += 1
-            return SVFAccess(in_range=False)
-        granule = addr & ~(self.granularity - 1)
-        valid = granule in self._words
-        filled = 0
-        if is_store:
-            if not valid and size < self.granularity:
-                # Sub-granule store to an invalid granule: read-merge
-                # fill (never happens at the natural 8-byte/quad-word
-                # granularity for quad-word stores).
-                filled = self.granularity // self.WORD
-            elif not valid and granule in self._fresh:
-                # Full-granule store validating freshly allocated stack
-                # without any fill: the win the valid bits exist for.
+            return _OUT_OF_RANGE
+        granule = addr & -self.granularity
+        words = self._words
+        if granule in words:
+            if is_store:
+                words[granule] = True
+            self.hits += 1
+            return _HIT
+        if is_store and size >= self.granularity:
+            # Full-granule store to an invalid granule: it validates the
+            # word without a fill, which is the win the valid bits exist
+            # for when the granule is freshly allocated stack.
+            words[granule] = True
+            if granule in self._fresh:
+                self._fresh.remove(granule)
                 self.fills_avoided += 1
-            self._words[granule] = True
-        else:
-            if not valid:
-                filled = self.granularity // self.WORD
-                self._words[granule] = False
-        if not valid:
-            self._fresh.discard(granule)
-        self.qw_in += filled
-        if filled:
-            self.fills += 1
-            return SVFAccess(in_range=True, hit=False, filled=filled)
-        self.hits += 1
-        return SVFAccess(in_range=True, hit=True)
+            self.hits += 1
+            return _HIT
+        # Demand fill: a load, or a sub-granule store's read-merge
+        # (never needed at the natural 8-byte granularity for
+        # quad-word stores).
+        words[granule] = bool(is_store)
+        self._fresh.discard(granule)
+        self.qw_in += self._fill.filled
+        self.fills += 1
+        return self._fill
 
     # -- context switches -------------------------------------------------------
 

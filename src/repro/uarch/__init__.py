@@ -10,19 +10,16 @@ from repro.uarch.config import (
     table2_config,
 )
 from repro.uarch.pipeline import simulate
-from repro.uarch.resources import CyclePool, acquire_all
 from repro.uarch.stats import SimStats
 
 __all__ = [
     "Cache",
     "CacheConfig",
-    "CyclePool",
     "GSharePredictor",
     "MachineConfig",
     "PerfectPredictor",
     "SVFConfig",
     "SimStats",
-    "acquire_all",
     "baseline_16wide",
     "build_hierarchy",
     "make_predictor",

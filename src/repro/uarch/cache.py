@@ -9,13 +9,17 @@ counters record line movements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.uarch.config import CacheConfig
 
 
 class Cache:
-    """One cache level; ``next_level`` chains to the L2 / memory."""
+    """One cache level; ``next_level`` chains to the L2 / memory.
+
+    Each set is a list of resident line numbers, least recently used
+    first; one set holds the dirty resident lines of the whole cache.
+    """
 
     def __init__(
         self,
@@ -28,54 +32,55 @@ class Cache:
         self.name = name
         self.next_level = next_level
         self.memory_latency = memory_latency
+        self.latency = config.latency
+        self.line_size = config.line_size
+        self.assoc = config.assoc
         self.num_sets = max(1, config.size // (config.line_size * config.assoc))
-        #: set index -> list of (tag, dirty), most recent last
-        self._sets: Dict[int, List[Tuple[int, bool]]] = {}
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        self._dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
         self.fills = 0
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line_number = addr // self.config.line_size
-        return line_number % self.num_sets, line_number // self.num_sets
+    def access(self, addr: int, is_write=False) -> int:
+        """Access one address; returns the total latency in cycles.
 
-    def access(self, addr: int, is_write: bool = False) -> int:
-        """Access one address; returns the total latency in cycles."""
-        index, tag = self._locate(addr)
-        ways = self._sets.setdefault(index, [])
-        for position, (way_tag, dirty) in enumerate(ways):
-            if way_tag == tag:
-                self.hits += 1
-                ways.pop(position)
-                ways.append((tag, dirty or is_write))
-                return self.config.latency
+        ``is_write`` may be any truthy value.
+        """
+        line = addr // self.line_size
+        ways = self._sets[line % self.num_sets]
+        if line in ways:
+            self.hits += 1
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
+            if is_write:
+                self._dirty.add(line)
+            return self.latency
         # Miss: fetch from the next level (or memory).
         self.misses += 1
         self.fills += 1
         if self.next_level is not None:
-            below = self.next_level.access(addr, is_write=False)
+            below = self.next_level.access(addr)
         else:
             below = self.memory_latency
-        if len(ways) >= self.config.assoc:
-            _, victim_dirty = ways.pop(0)
-            if victim_dirty:
+        if len(ways) >= self.assoc:
+            victim = ways.pop(0)
+            if victim in self._dirty:
+                # Write buffers absorb the writeback: no latency.
+                self._dirty.remove(victim)
                 self.writebacks += 1
-                if self.next_level is not None:
-                    self.next_level.mark_dirty_fill()
-        ways.append((tag, is_write))
+        ways.append(line)
+        if is_write:
+            self._dirty.add(line)
         # Total load-use latency: this level's lookup plus the fill.
-        return self.config.latency + below
-
-    def mark_dirty_fill(self) -> None:
-        """Account for a writeback arriving from the level above."""
-        # Writebacks are absorbed by write buffers; no latency modeled.
-        pass
+        return self.latency + below
 
     def probe(self, addr: int) -> bool:
         """True if ``addr`` is currently resident (no state change)."""
-        index, tag = self._locate(addr)
-        return any(t == tag for t, _ in self._sets.get(index, ()))
+        line = addr // self.line_size
+        return line in self._sets[line % self.num_sets]
 
     @property
     def miss_rate(self) -> float:

@@ -36,15 +36,22 @@ The stack unit is pluggable (``config.svf.mode``):
 
 One dense-window walk (:func:`_walk`) implements the model.  It
 reads the trace column-wise (:class:`ColumnarTrace`; other iterables
-are packed on entry): :class:`_Columns` turns the columns into flat
-python lists and derives the per-instruction values every config
-needs (quad-word address, stack-region test, FU latency) once per
-trace.  Issue, FU and port occupancy live in dense
-:class:`~repro.uarch.resources.CycleWindow` lists indexed by cycle;
-the fetch, dispatch and commit pools collapse to scalar (cycle, units
-used) pairs because their floors never decrease; the IFQ/RUU/LSQ ring
-heads are read from the dispatch/commit history lists; and memory
-completion is written out route by route.
+are packed on entry): :class:`_Columns` turns the columns the walk
+reads per instruction into flat python lists once per trace, points
+missing source registers at a sentinel slot that is always ready (a
+missing destination writes a second, never-read slot), and folds the
+FU latency and the memory test into one column.  Fetch has no stage
+of its own: fetch and dispatch share ``decode_width``, and at equal
+widths an in-order allocator applied to fetch and then to dispatch
+yields the cycles of one application to ``max(redirect, IFQ head) +
+frontend_depth``.  Issue, FU and port occupancy live in dense
+:class:`~repro.uarch.resources.CycleWindow` lists indexed by cycle,
+and the ALU window is left out when it cannot bind (every ALU op also
+holds an issue slot, so ``int_alus >= issue_width`` never stalls);
+dispatch and commit collapse to scalar (cycle, units free) pairs
+because their floors never decrease; the IFQ/RUU/LSQ ring heads are
+read from prefilled history lists; and memory completion is written
+out route by route.
 """
 
 from __future__ import annotations
@@ -69,19 +76,27 @@ from repro.uarch.stats import SimStats
 
 _DIV_OPS = ("divq", "remq")
 
-#: Completion latency of IMULT ops by opcode number (0 = not an IMULT).
-_MULT_LATENCY = [0] * (len(OPCODE_NUMBERS) + 1)
+#: Completion latency of non-memory ops by opcode number: 1 for the
+#: integer ALUs, 3 or 20 for the multiplier.  ``_Columns`` writes 0
+#: for memory ops, so the latency column doubles as the memory test.
+_FU_LATENCY = [1] * (len(OPCODE_NUMBERS) + 1)
 for _name, _num in OPCODE_NUMBERS.items():
     if OPCODES[_name].op_class is OpClass.IMULT:
-        _MULT_LATENCY[_num] = 20 if _name in _DIV_OPS else 3
+        _FU_LATENCY[_num] = 20 if _name in _DIV_OPS else 3
 
 _LDA = OPCODE_NUMBERS["lda"]
 
-#: Integer route codes for memory references.
+#: Integer route codes for memory references; ``_R_SVF`` is a stack
+#: reference still to be bounds-checked against the SVF window.
 _R_DL1 = 0
 _R_FAST = 1
 _R_REROUTE = 2
 _R_SC = 3
+_R_SVF = 4
+
+#: Register-file slot that is never written: missing sources read it.
+_READY = NUM_REGISTERS
+
 
 def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
     """Run the timing model over a trace; returns :class:`SimStats`."""
@@ -154,45 +169,42 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
 class _Columns:
     """Config-invariant per-trace precompute for the timing walk.
 
-    Everything the walk derives from the trace alone — the flat python
-    lists, the quad-word/stack-region/FU-latency columns, the branch
-    count — is computed once here.  :func:`simulate` builds one per
-    call; :func:`simulate_batch` builds one and shares it across every
-    config in the batch.  ``pc_list`` is lazy because only non-perfect
-    predictors read the PC column.
+    Everything the walk derives from the trace alone -- the flat
+    python lists of the columns it reads on every instruction, the
+    source registers with the sentinel slot filled in, the FU latency
+    column and the branch count -- is computed once here.
+    :func:`simulate` builds one per call; :func:`simulate_batch`
+    builds one and shares it across every config in the batch.
+    Columns read only at rare events (``$sp`` writes, predicted
+    branches) stay in ``trace``.
     """
 
     __slots__ = (
-        "n", "flags_l", "opcode_l", "size_l", "nsrc_l", "src0_l",
-        "src1_l", "base_l", "dst_l", "sp_l", "spimm_l", "addr_l",
-        "qw_l", "on_stack_l", "fu_latency_l", "total_branches",
-        "_trace", "_pc_l",
+        "n", "trace", "flags_l", "size_l", "src0_l", "src1_l", "base_l",
+        "dst_l", "addr_l", "latency_l", "total_branches",
     )
 
     def __init__(self, trace: ColumnarTrace):
-        self._trace = trace
-        self._pc_l = None
+        self.trace = trace
         self.n = len(trace.pc)
         self.flags_l = list(trace.flags)
-        self.opcode_l = list(trace.opcode)
         self.size_l = list(trace.size)
-        self.nsrc_l = list(trace.nsrc)
-        self.src0_l = list(trace.src0)
-        self.src1_l = list(trace.src1)
+        nsrc = trace.nsrc
+        self.src0_l = [
+            src if count else _READY for src, count in zip(trace.src0, nsrc)
+        ]
+        self.src1_l = [
+            src if count > 1 else _READY
+            for src, count in zip(trace.src1, nsrc)
+        ]
         self.base_l = trace.base.tolist()
         self.dst_l = trace.dst.tolist()
-        self.sp_l = trace.sp.tolist()
-        self.spimm_l = trace.spimm.tolist()
-        self.addr_l = addr_l = trace.addr.tolist()
-        self.qw_l = [addr & ~7 for addr in addr_l]
-        self.on_stack_l = [addr >= STACK_REGION_FLOOR for addr in addr_l]
-        self.fu_latency_l = [_MULT_LATENCY[op] for op in self.opcode_l]
+        self.addr_l = trace.addr.tolist()
+        self.latency_l = [
+            0 if flags & 3 else _FU_LATENCY[op]
+            for flags, op in zip(self.flags_l, trace.opcode)
+        ]
         self.total_branches = sum(1 for flags in self.flags_l if flags & 4)
-
-    def pc_list(self) -> list:
-        if self._pc_l is None:
-            self._pc_l = self._trace.pc.tolist()
-        return self._pc_l
 
 
 def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
@@ -204,9 +216,9 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
     stats = SimStats(config_name=config.name)
     predictor = make_predictor(config.branch_predictor)
     # Perfect prediction is the common case; skip the call entirely.
-    predict_bits = getattr(predictor, "predict_bits", None)
-    if config.branch_predictor == "perfect":
-        predict_bits = None
+    predict_bits = None
+    if config.branch_predictor != "perfect":
+        predict_bits = predictor.predict_bits
     dl1, l2 = build_hierarchy(config.dl1, config.l2, config.memory_latency)
 
     svf_conf = config.svf
@@ -220,40 +232,24 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
         )
         # Writebacks land in the DL1 (write-back path), so data the SVF
         # spills can be re-read at L1 latency.
-        svf.writeback_sink = lambda addr: dl1.access(addr, is_write=True)
+        svf.writeback_sink = lambda addr: dl1.access(addr, True)
     elif mode == "stack_cache":
         stack_cache = StackCache(capacity_bytes=svf_conf.capacity_bytes)
 
     n = columns.n
-
-    # -------------------------- columns shared across the whole batch
-    flags_l = columns.flags_l
-    opcode_l = columns.opcode_l
-    size_l = columns.size_l
-    nsrc_l = columns.nsrc_l
-    src0_l = columns.src0_l
-    src1_l = columns.src1_l
-    base_l = columns.base_l
-    dst_l = columns.dst_l
-    sp_l = columns.sp_l
-    spimm_l = columns.spimm_l
+    trace = columns.trace
     addr_l = columns.addr_l
-    pc_l = columns.pc_list() if predict_bits is not None else None
-    qw_l = columns.qw_l
-    on_stack_l = columns.on_stack_l
-    fu_latency_l = columns.fu_latency_l
-    total_branches = columns.total_branches
+    base_l = columns.base_l
+    size_l = columns.size_l
 
     # --------------------------------------- dense occupancy windows
-    # The horizon tracks the highest commit cycle so far; every cycle
-    # any probe can touch this instruction is bounded by the horizon
-    # plus one worst-case latency/penalty chain, so one growth check
-    # per instruction keeps every list indexing in bounds.
-    fetch_width = config.decode_width
+    # Every cycle any probe can touch for this instruction is bounded
+    # by the latest commit cycle plus one worst-case latency/penalty
+    # chain, so one growth check per instruction keeps every list
+    # indexing in bounds.
     dispatch_width = config.decode_width
     issue_width = config.issue_width
     commit_width = config.commit_width
-    alu_width = config.int_alus
     mult_width = config.int_mults
     dl1_width = config.dl1_ports
     stack_width = svf_conf.ports
@@ -273,19 +269,23 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
     capacity = n + margin + 64
     windows = [
         CycleWindow("issue", issue_width, capacity),
-        CycleWindow("alu", alu_width, capacity),
         CycleWindow("mult", mult_width, capacity),
         CycleWindow("dl1_ports", dl1_width, capacity),
     ]
     issue_slots = windows[0].slots
-    alu_slots = windows[1].slots
-    mult_slots = windows[2].slots
-    dl1_slots = windows[3].slots
+    mult_slots = windows[1].slots
+    dl1_slots = windows[2].slots
+    # An ALU op also takes an issue slot in the same cycle, so at least
+    # as many ALUs as issue slots can never bind: skip the ALU window.
+    alu_slots = None
+    alu_width = config.int_alus
+    if alu_width < issue_width:
+        windows.append(CycleWindow("alu", alu_width, capacity))
+        alu_slots = windows[-1].slots
     stack_slots = None
     if mode in ("svf", "stack_cache"):
-        stack_window = CycleWindow("stack_ports", stack_width, capacity)
-        windows.append(stack_window)
-        stack_slots = stack_window.slots
+        windows.append(CycleWindow("stack_ports", stack_width, capacity))
+        stack_slots = windows[-1].slots
     # Banked SVF: one single-ported window per bank, selected by the
     # low-order word-address bits (conclusion of the paper: banking is
     # the cheap alternative to true multiporting).
@@ -298,9 +298,14 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
         ]
         windows.extend(bank_windows)
         bank_slots = [w.slots for w in bank_windows]
-    pool_len = capacity
+    grow_at = capacity - margin
 
-    reg_ready = [0] * NUM_REGISTERS
+    # Register ready cycles, plus the two sentinel slots: sources the
+    # instruction lacks read ``_READY`` (always 0) and a missing
+    # destination (-1) writes the last slot, which nothing reads.
+    reg_ready = [0] * (NUM_REGISTERS + 2)
+    # Quad-word -> completion cycle of the SVF entry's last write, of
+    # the last store in the LSQ, and of a pending rerouted gpr-store.
     entry_ready = {}
     last_store = {}
     pending_gpr_store = {}
@@ -308,54 +313,50 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
     ls_get = last_store.get
     pg_get = pending_gpr_store.get
 
-    ifq_size = config.ifq_size
-    ruu_size = config.ruu_size
-    lsq_size = config.lsq_size
     # Ring heads read the dispatch/commit/LSQ-commit history directly:
     # the head of a size-k ring fed once per instruction is the value
-    # appended k instructions ago.
-    disp_hist: list = []
+    # appended k instructions ago, and k prefilled zeros (never above
+    # any floor) stand in for the entries before the first.
+    disp_hist = [0] * config.ifq_size
     disp_append = disp_hist.append
-    commit_hist: list = []
+    commit_hist = [0] * config.ruu_size
     commit_append = commit_hist.append
-    lsq_hist: list = []
+    lsq_hist = [0] * config.lsq_size
     lsq_append = lsq_hist.append
     mem_count = 0
 
+    # Fetch needs no stage of its own: with fetch and dispatch both
+    # ``decode_width`` wide, allocating fetch and then dispatch yields
+    # the dispatch cycles of one allocation from the fetch floor plus
+    # ``frontend_depth`` (docs/timing-model.md gives the argument).  The
+    # fetch floor is the latest redirect -- a mispredict, squash or
+    # context switch -- or the $sp decode block moved back by the
+    # frontend depth; it and the ring heads never decrease, so dispatch
+    # and commit each collapse to a scalar (current cycle, units free)
+    # pair.
     redirect_at = 0
-    decode_block = 0
-    horizon = 0
-    # Fetch/dispatch/commit floors are provably non-decreasing (every
-    # floor term — redirect_at, the ring heads, the previous cycle of
-    # the same stage, decode_block — only ever grows), so each of the
-    # three pools collapses to a scalar (current cycle, units used)
-    # pair: a probe either lands on the current cycle, advances one
-    # when it is full, or jumps forward to a higher floor.  Cycles the
-    # floor jumps over can never be probed again.
-    fetch_cur = -1
-    fetch_cnt = fetch_width
+    frontend_depth = config.frontend_depth
     disp_cur = -1
-    disp_cnt = dispatch_width
+    disp_free = 0
     commit_cur = 0
-    commit_cnt = 0
-    sp_seen = svf is None
+    commit_free = 0
     # Adaptive disable (Section 3.3): watch the squash rate and shut
     # the SVF off for a cooling period when it misbehaves locally.
     adaptive = svf_conf.adaptive and mode == "svf"
     svf_disabled_until = -1
-    window_end = svf_conf.adaptive_window
+    window_end = svf_conf.adaptive_window if adaptive else n
     window_squashes = 0
     disables = 0
-    frontend_depth = config.frontend_depth
     dl1_latency = config.dl1.latency
     agu_depth = config.agu_depth
     no_addr_calc = config.no_addr_calc
     spec_sp = svf_conf.spec_sp
     mispredict_redirect = config.mispredict_redirect
     sp_block_mode = mode in ("svf", "ideal")
-    mode_ideal = mode == "ideal"
-    mode_svf = mode == "svf"
-    mode_sc = mode == "stack_cache"
+    # The route every stack-region reference takes before the SVF's own
+    # bounds check; off-stack references always use the DL1.
+    stack_route = {"ideal": _R_FAST, "stack_cache": _R_SC,
+                   "svf": _R_SVF}.get(mode, _R_DL1)
     svf_fast_latency = svf_conf.fast_latency
     reroute_latency = svf_conf.reroute_latency
     no_squash = svf_conf.no_squash
@@ -363,14 +364,25 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
     adaptive_threshold = svf_conf.adaptive_threshold
     adaptive_off_period = svf_conf.adaptive_off_period
     adaptive_window = svf_conf.adaptive_window
-    sp_reg = SP
-    lda_op = _LDA
     dl1_access = dl1.access
     svf_access = svf.access if svf is not None else None
-    svf_covers = svf.covers if svf is not None else None
+    # The SVF window [svf_lo, svf_hi) follows the traced $sp.
+    svf_lo = svf_hi = 0
+    if svf is not None and n:
+        svf.update_sp(trace.sp[0])
+        svf_lo = svf.tos
+        svf_hi = svf_lo + svf.capacity
+    # Branch flag bit to predict on, 0 under perfect prediction; one
+    # test of ``rare`` skips both branch and $sp handling.
+    predicted = 4 if predict_bits is not None else 0
+    rare = predicted | 32
 
     switch_period = config.context_switch_period
     switch_overhead = config.context_switch_overhead
+    next_switch = switch_period if switch_period else n
+    # Context switches and adaptive-window ends are the only events
+    # tied to the instruction count (``n`` = never).
+    next_event = min(next_switch, window_end)
     switch_bytes = 0
     switches = 0
 
@@ -385,164 +397,143 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
     out_of_range = 0
     squashes = 0
 
-    for index in range(n):
-        if horizon + margin >= pool_len:
-            pool_len = grow_windows(windows, horizon + 2 * margin + 1024)
-        flags = flags_l[index]
-        is_mem = flags & 3
+    for index, flags, latency, src0, src1, dst in zip(
+        range(n), columns.flags_l, columns.latency_l, columns.src0_l,
+        columns.src1_l, columns.dst_l,
+    ):
+        if commit_cur >= grow_at:
+            grow_at = grow_windows(
+                windows, commit_cur + 2 * margin + 1024
+            ) - margin
 
-        # ------------------------------------------- context switches
-        if switch_period and index and index % switch_period == 0:
-            switches += 1
-            when = commit_cur + switch_overhead
-            if when > redirect_at:
-                redirect_at = when
-            if svf is not None:
-                switch_bytes += svf.context_switch()
-                entry_ready.clear()
-                pending_gpr_store.clear()
-            if stack_cache is not None:
-                switch_bytes += stack_cache.context_switch()
-            last_store.clear()
-
-        # ------------------------------------------------------ fetch
-        cycle = redirect_at
-        if index >= ifq_size:
-            head = disp_hist[index - ifq_size]
-            if head > cycle:
-                cycle = head
-        if cycle > fetch_cur:
-            fetch_cur = cycle
-            fetch_cnt = 1
-        elif fetch_cnt < fetch_width:
-            fetch_cnt += 1
-        else:
-            fetch_cur += 1
-            fetch_cnt = 1
-        fetch_cycle = fetch_cur
+        # ------------------------------ context switches, adaptive SVF
+        if index == next_event:
+            if index == next_switch:
+                next_switch += switch_period
+                switches += 1
+                when = commit_cur + switch_overhead
+                if when > redirect_at:
+                    redirect_at = when
+                if svf is not None:
+                    switch_bytes += svf.context_switch()
+                    entry_ready.clear()
+                    pending_gpr_store.clear()
+                if stack_cache is not None:
+                    switch_bytes += stack_cache.context_switch()
+                last_store.clear()
+            if index == window_end:
+                if window_squashes >= adaptive_threshold:
+                    svf_disabled_until = index + adaptive_off_period
+                    disables += 1
+                    svf.context_switch()
+                    pending_gpr_store.clear()
+                window_squashes = 0
+                window_end = index + adaptive_window
+            next_event = min(next_switch, window_end)
 
         # ---------------------------------------------------- dispatch
-        cycle = fetch_cycle + frontend_depth
-        if disp_cur > cycle:
-            cycle = disp_cur
-        if decode_block > cycle:
-            cycle = decode_block
-        if index >= ruu_size:
-            head = commit_hist[index - ruu_size]
-            if head > cycle:
-                cycle = head
-        if is_mem and mem_count >= lsq_size:
-            head = lsq_hist[mem_count - lsq_size]
+        cycle = disp_hist[index]
+        if redirect_at > cycle:
+            cycle = redirect_at
+        cycle += frontend_depth
+        head = commit_hist[index]
+        if head > cycle:
+            cycle = head
+        if not latency:
+            head = lsq_hist[mem_count]
             if head > cycle:
                 cycle = head
         if cycle > disp_cur:
             disp_cur = cycle
-            disp_cnt = 1
-        elif disp_cnt < dispatch_width:
-            disp_cnt += 1
+            disp_free = dispatch_width - 1
+        elif disp_free:
+            disp_free -= 1
         else:
             disp_cur += 1
-            disp_cnt = 1
-        dispatch_cycle = disp_cur
-        disp_append(dispatch_cycle)
+            disp_free = dispatch_width - 1
+        disp_append(disp_cur)
 
-        # SVF front-end bookkeeping: the speculative $sp copy follows
-        # immediate adjustments for free; any other $sp write stalls
-        # decode until it resolves (Section 3.1).
-        if not sp_seen:
-            svf.update_sp(sp_l[index])
-            sp_seen = True
-
-        # ----------------------------------------------- routing
-        if adaptive and index >= window_end:
-            if window_squashes >= adaptive_threshold:
-                svf_disabled_until = index + adaptive_off_period
-                disables += 1
-                svf.context_switch()
-                pending_gpr_store.clear()
-            window_squashes = 0
-            window_end = index + adaptive_window
-
-        # -------------------------- routing, readiness, issue, latency
-        if is_mem:
+        # ------------------------------------ routing and readiness
+        # ``issue`` rises from the cycle after dispatch to the ready
+        # cycle, then to the first cycle with the slots it needs.
+        issue = disp_cur + 1
+        if not latency:
             addr = addr_l[index]
-            qw = qw_l[index]
-            on_stack = on_stack_l[index]
-            route = _R_DL1
-            if on_stack:
-                if mode_ideal:
-                    route = _R_FAST
-                elif mode_svf and (
-                    not adaptive or index >= svf_disabled_until
-                ):
-                    if svf_covers(addr):
-                        route = (
-                            _R_FAST
-                            if base_l[index] == sp_reg
-                            else _R_REROUTE
-                        )
-                    else:
-                        out_of_range += 1
-                elif mode_sc:
-                    route = _R_SC
-            drop_base = (route == _R_FAST and spec_sp) or (
-                no_addr_calc and on_stack
-            )
-            ready = dispatch_cycle + 1
-            if agu_depth and not drop_base:
+            qw = addr & -8
+            on_stack = addr >= STACK_REGION_FLOOR
+            route = stack_route if on_stack else _R_DL1
+            if route == _R_SVF:
+                if index < svf_disabled_until:
+                    route = _R_DL1
+                elif svf_lo <= addr < svf_hi:
+                    route = _R_FAST if base_l[index] == SP else _R_REROUTE
+                else:
+                    out_of_range += 1
+                    route = _R_DL1
+            if (route == _R_FAST and spec_sp) or (no_addr_calc and on_stack):
+                # The address needs no calculation: only the data
+                # source, never the base register, gates issue.
+                base = base_l[index]
+                if src0 != base and reg_ready[src0] > issue:
+                    issue = reg_ready[src0]
+                if src1 != base and reg_ready[src1] > issue:
+                    issue = reg_ready[src1]
+            else:
                 # Deep pipelines place address generation several
                 # stages past dispatch; morphed references resolved
                 # in decode skip those stages entirely (Section 3.1).
-                ready += agu_depth
-            nsrc = nsrc_l[index]
-            if nsrc:
-                if drop_base:
-                    base = base_l[index]
-                    src = src0_l[index]
-                    if src != base and reg_ready[src] > ready:
-                        ready = reg_ready[src]
-                    if nsrc > 1:
-                        src = src1_l[index]
-                        if src != base and reg_ready[src] > ready:
-                            ready = reg_ready[src]
-                else:
-                    when = reg_ready[src0_l[index]]
-                    if when > ready:
-                        ready = when
-                    if nsrc > 1:
-                        when = reg_ready[src1_l[index]]
-                        if when > ready:
-                            ready = when
+                issue += agu_depth
+                when = reg_ready[src0]
+                if when > issue:
+                    issue = when
+                when = reg_ready[src1]
+                if when > issue:
+                    issue = when
             if route == _R_DL1:
-                port_slots = dl1_slots
-                port_width = dl1_width
-            elif route == _R_SC:
-                port_slots = stack_slots
-                port_width = stack_width
+                unit_slots = dl1_slots
+                unit_width = dl1_width
             elif bank_slots is not None:
-                port_slots = bank_slots[(qw >> 3) % num_banks]
-                port_width = 1
-            else:  # svf ports, or None in ideal mode (no port limit)
-                port_slots = stack_slots
-                port_width = stack_width
-            cycle = ready
-            if port_slots is None:
-                used = issue_slots[cycle]
-                while used >= issue_width:
-                    cycle += 1
-                    used = issue_slots[cycle]
-                issue_slots[cycle] = used + 1
+                unit_slots = bank_slots[(qw >> 3) % num_banks]
+                unit_width = 1
+            else:  # stack ports, or None in ideal mode (no port limit)
+                unit_slots = stack_slots
+                unit_width = stack_width
+        else:
+            when = reg_ready[src0]
+            if when > issue:
+                issue = when
+            when = reg_ready[src1]
+            if when > issue:
+                issue = when
+            if latency > 1:
+                unit_slots = mult_slots
+                unit_width = mult_width
             else:
-                while True:
-                    used = issue_slots[cycle]
-                    if used < issue_width:
-                        port_use = port_slots[cycle]
-                        if port_use < port_width:
-                            issue_slots[cycle] = used + 1
-                            port_slots[cycle] = port_use + 1
-                            break
-                    cycle += 1
-            issue_cycle = cycle
+                unit_slots = alu_slots
+                unit_width = alu_width
+
+        # ------------------------------------------------------- issue
+        if unit_slots is None:
+            used = issue_slots[issue]
+            while used >= issue_width:
+                issue += 1
+                used = issue_slots[issue]
+            issue_slots[issue] = used + 1
+        else:
+            while True:
+                used = issue_slots[issue]
+                if used < issue_width:
+                    unit_use = unit_slots[issue]
+                    if unit_use < unit_width:
+                        issue_slots[issue] = used + 1
+                        unit_slots[issue] = unit_use + 1
+                        break
+                issue += 1
+
+        # ---------------------------------------------------- complete
+        if latency:
+            complete = issue + latency
+        else:
             is_store = flags & 2
             if is_store:
                 stores += 1
@@ -551,46 +542,37 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
             if route == _R_DL1:
                 if is_store:
                     dl1_access(addr, True)
-                    complete = issue_cycle + 1
-                    last_store[qw] = (index, complete)
+                    complete = issue + 1
+                    last_store[qw] = complete
                 else:
-                    forwarded = ls_get(qw)
-                    if forwarded is not None and forwarded[1] > issue_cycle:
+                    when = ls_get(qw, 0)
+                    if when > issue:
                         store_forwards += 1
-                        when = forwarded[1]
-                        complete = (
-                            issue_cycle if issue_cycle > when else when
-                        ) + forward_latency
+                        complete = when + forward_latency
                     else:
-                        complete = issue_cycle + dl1_access(addr)
+                        complete = issue + dl1_access(addr)
             elif route == _R_FAST:
                 fast_latency = svf_fast_latency
-                if svf is not None:
-                    outcome = svf_access(addr, size_l[index], is_store != 0)
-                    if outcome.filled:
-                        # A demand fill reads the word from the L1:
-                        # L1 (or below) latency plus one cycle of
-                        # SVF insertion.
-                        fast_latency = dl1_access(addr) + 1
+                if svf is not None and svf_access(
+                    addr, size_l[index], is_store
+                ).filled:
+                    # A demand fill reads the word from the L1: L1 (or
+                    # below) latency plus one cycle of SVF insertion.
+                    fast_latency = dl1_access(addr) + 1
                 if is_store:
                     fast_stores += 1
-                    complete = issue_cycle + svf_fast_latency
+                    complete = issue + svf_fast_latency
                     entry_ready[qw] = complete
                 else:
                     fast_loads += 1
-                    complete = issue_cycle + fast_latency
+                    complete = issue + fast_latency
                     when = er_get(qw, 0) + 1
                     if when > complete:
                         complete = when
                     # Squash check (Section 3.2): a pending gpr-store
                     # to the same word not complete by our issue time.
-                    pending = pg_get(qw)
-                    if (
-                        pending is not None
-                        and pending[0] < index
-                        and pending[1] > issue_cycle
-                    ):
-                        when = pending[1]
+                    when = pg_get(qw, 0)
+                    if when > issue:
                         if no_squash:
                             if when + 1 > complete:
                                 complete = when + 1
@@ -603,118 +585,80 @@ def _walk(config: MachineConfig, columns: _Columns) -> SimStats:
                                 complete = when + svf_fast_latency
             elif route == _R_REROUTE:
                 rerouted += 1
-                outcome = svf_access(addr, size_l[index], is_store != 0)
                 access_latency = reroute_latency
-                if outcome.filled:
+                if svf_access(addr, size_l[index], is_store).filled:
                     access_latency = dl1_access(addr) + 1
                 if is_store:
                     # Stores complete into the LSQ as on the DL1
                     # path; the reroute penalty applies to loads,
                     # which must poll the SVF once their address
                     # resolves.
-                    complete = issue_cycle + 1
+                    complete = issue + 1
                     entry_ready[qw] = complete
-                    pending_gpr_store[qw] = (index, complete)
+                    pending_gpr_store[qw] = complete
                 else:
                     when = er_get(qw, 0)
                     complete = (
-                        issue_cycle if issue_cycle > when else when
+                        issue if issue > when else when
                     ) + access_latency
             else:  # _R_SC
-                outcome = stack_cache.access(
-                    addr, size_l[index], is_store != 0
-                )
-                if outcome.hit:
+                if stack_cache.access(addr, size_l[index], is_store).hit:
                     access_latency = dl1_latency
                 else:
-                    access_latency = l2.access(addr, is_store != 0)
+                    access_latency = l2.access(addr, is_store)
                 if is_store:
-                    complete = issue_cycle + 1
-                    last_store[qw] = (index, complete)
+                    complete = issue + 1
+                    last_store[qw] = complete
                 else:
-                    forwarded = ls_get(qw)
-                    if forwarded is not None and forwarded[1] > issue_cycle:
+                    when = ls_get(qw, 0)
+                    if when > issue:
                         store_forwards += 1
-                        when = forwarded[1]
-                        complete = (
-                            issue_cycle if issue_cycle > when else when
-                        ) + forward_latency
+                        complete = when + forward_latency
                     else:
-                        complete = issue_cycle + access_latency
-        else:
-            ready = dispatch_cycle + 1
-            nsrc = nsrc_l[index]
-            if nsrc:
-                when = reg_ready[src0_l[index]]
-                if when > ready:
-                    ready = when
-                if nsrc > 1:
-                    when = reg_ready[src1_l[index]]
-                    if when > ready:
-                        ready = when
-            latency = fu_latency_l[index]
-            if latency:
-                fu_slots = mult_slots
-                fu_width = mult_width
-            else:
-                fu_slots = alu_slots
-                fu_width = alu_width
-                latency = 1
-            cycle = ready
-            while True:
-                used = issue_slots[cycle]
-                if used < issue_width:
-                    fu_use = fu_slots[cycle]
-                    if fu_use < fu_width:
-                        issue_slots[cycle] = used + 1
-                        fu_slots[cycle] = fu_use + 1
-                        break
-                cycle += 1
-            complete = cycle + latency
+                        complete = issue + access_latency
 
-        # --------------------------------------------------- branches
-        if predict_bits is not None and flags & 4:
-            branches += 1
-            if not predict_bits(pc_l[index], flags & 8, flags & 16):
-                mispredictions += 1
-                when = complete + mispredict_redirect
-                if when > redirect_at:
-                    redirect_at = when
+        # ------------------------------------------ branches, $sp
+        if flags & rare:
+            if flags & predicted:
+                branches += 1
+                if not predict_bits(trace.pc[index], flags & 8, flags & 16):
+                    mispredictions += 1
+                    when = complete + mispredict_redirect
+                    if when > redirect_at:
+                        redirect_at = when
+            # $sp interlock: unexpected (non-immediate) updates stall
+            # decode of everything younger until the new $sp resolves.
+            if flags & 32:
+                if svf is not None:
+                    svf.update_sp(trace.sp[index])
+                    svf_lo = svf.tos
+                    svf_hi = svf_lo + svf.capacity
+                if sp_block_mode and not (
+                    trace.opcode[index] == _LDA and trace.spimm[index] != 0
+                ):
+                    when = complete - frontend_depth
+                    if when > redirect_at:
+                        redirect_at = when
 
-        # $sp interlock: unexpected (non-immediate) updates stall
-        # decode of everything younger until the new $sp resolves.
-        if flags & 32:
-            if svf is not None:
-                svf.update_sp(sp_l[index])
-            if sp_block_mode and not (
-                opcode_l[index] == lda_op and spimm_l[index] != 0
-            ):
-                if complete > decode_block:
-                    decode_block = complete
         # ----------------------------------------------------- commit
-        cycle = complete + 1
-        if cycle > commit_cur:
-            commit_cur = cycle
-            commit_cnt = 1
-        elif commit_cnt < commit_width:
-            commit_cnt += 1
+        if complete >= commit_cur:
+            commit_cur = complete + 1
+            commit_free = commit_width - 1
+        elif commit_free:
+            commit_free -= 1
         else:
             commit_cur += 1
-            commit_cnt = 1
-        cycle = commit_cur
-        commit_append(cycle)
-        if is_mem:
-            lsq_append(cycle)
+            commit_free = commit_width - 1
+        commit_append(commit_cur)
+        if not latency:
+            lsq_append(commit_cur)
             mem_count += 1
-        horizon = cycle
-
-        # ---------------------------------------------------- results
-        dst = dst_l[index]
-        if dst >= 0:
-            reg_ready[dst] = complete
+        reg_ready[dst] = complete
 
     stats.instructions = n
-    stats.branches = total_branches if predict_bits is None else branches
+    stats.branches = (
+        columns.total_branches if predict_bits is None else branches
+    )
     stats.mispredictions = mispredictions
     stats.cycles = commit_cur
     stats.dl1_accesses = dl1.hits + dl1.misses

@@ -101,6 +101,22 @@ class TestUsageErrors:
         assert main(["compile", "/no/such/file.mc"]) == 2
         self._assert_one_line_error(capsys, "no such source file")
 
+    @pytest.mark.parametrize("source,fragment", [
+        (b"int main() { int x = ; return 0; }\n",
+         "line 1, col 22: expected expression"),
+        (b"int main() { return foo(); }\n",
+         "line 1: call to undefined function 'foo'"),
+        (b"int main() { return 0; } \xff\n", "byte 25: not UTF-8"),
+    ], ids=["syntax-error", "undefined-function", "non-utf8"])
+    def test_compile_bad_source(self, source, fragment, capsys, tmp_path):
+        path = tmp_path / "bad.mc"
+        path.write_bytes(source)
+        for emit in ("asm", "run"):
+            assert main(["compile", str(path), "--emit", emit]) == 2
+            self._assert_one_line_error(
+                capsys, f"repro: compile: {path}: {fragment}"
+            )
+
     def test_replay_missing_file(self, capsys):
         assert main(["replay", "/no/such/trace.svft"]) == 2
         self._assert_one_line_error(capsys, "no such trace file")

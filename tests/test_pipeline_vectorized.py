@@ -5,13 +5,20 @@ statistics recorded from an independent implementation:
 ``pipeline_golden.json`` was recorded at commit 69d8cca with numpy
 disabled, i.e. from the dict-pool reference walk that then ran beside
 the dense-window walk.  The dense-window walk reproduced every field
-of every row before the reference walk was deleted.
+of every row before the reference walk was deleted.  The ``CONFIGS``
+rows for the 4- and 8-wide machines, ``agu_depth``, ``no_addr_calc``,
+``spec_sp=False``, ``int_alus=2``, the Figure 6/7 DL1 variants, the
+context-switching stack cache, an IFQ and an LSQ that bind, and the
+:data:`SP_INTERLOCK` rows were added at commit 079fba0, from the walk
+before its fetch stage was folded into dispatch; every older row came
+out unchanged in that recording.
 
 The fixture stores the :class:`SimStats` field names once and one row
 of values per (trace, config) pair:
 
 * ``shapes`` -- gzip and eon under every config in :data:`CONFIGS`,
-  plus crafty, mcf and perlbmk under base/svf/ideal/gshare, at an
+  plus crafty, mcf and perlbmk under base/svf/ideal/gshare and the
+  :data:`SP_INTERLOCK` loop under six configs, at an
   8,000-instruction window;
 * ``grid`` -- every registry workload under the 12-config ``GRID`` of
   ``tests/test_pipeline_batch.py`` at a 2,000-instruction window.
@@ -31,6 +38,9 @@ import os
 
 import pytest
 
+from repro.emulator import Machine
+from repro.harness.experiments import fig6_machine_pair, fig7_machine_pair
+from repro.isa import assemble
 from repro.trace.columnar import ColumnarTrace
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate
@@ -60,7 +70,54 @@ CONFIGS = {
     "gshare": dataclasses.replace(
         _BASE.with_svf(mode="svf", ports=2), branch_predictor="gshare"
     ),
+    # Narrow machines: small IFQ/RUU/LSQ rings that fill and bind.
+    "w4": table2_config(4),
+    "w4_svf": table2_config(4).with_svf(mode="svf", ports=1),
+    "w8": table2_config(8),
+    "w8_svf": table2_config(8).with_svf(mode="svf", ports=1),
+    "agu3": _BASE.with_(agu_depth=3),
+    "agu3_svf": _BASE.with_(agu_depth=3).with_svf(mode="svf", ports=2),
+    "no_addr_calc": _BASE.with_(no_addr_calc=True),
+    "svf_no_spec_sp": _BASE.with_svf(mode="svf", ports=2, spec_sp=False),
+    # Fewer ALUs than issue slots: the ALU window binds.
+    "alu2": _BASE.with_(int_alus=2),
+    "dl1_2x": fig6_machine_pair("L1_2x")[1],
+    "dl1_4p0": fig7_machine_pair("(4+0)")[1],
+    "stack_cache_ctx_switch": dataclasses.replace(
+        _BASE.with_svf(mode="stack_cache"), context_switch_period=2_000
+    ),
+    # An IFQ shorter than frontend_depth cycles of dispatch, and an LSQ
+    # short enough to fill before the RUU does: both bind.
+    "ifq8": _BASE.with_(ifq_size=8),
+    "lsq8": _BASE.with_(lsq_size=8),
 }
+
+#: No registry workload writes $sp other than by ``lda sp, imm(sp)``,
+#: so this loop pins the $sp interlock: each ``addq``/``subq`` to $sp
+#: stalls decode behind a multiply once a stack unit is attached.
+SP_INTERLOCK = "asm.sp_interlock"
+_SP_INTERLOCK_SOURCE = """
+.text
+main:
+    lda   t1, 300(zero)
+    lda   t7, -64(zero)
+    lda   t8, 1(zero)
+main$loop:
+    mulq  t7, t8, t2
+    addq  sp, t2, sp
+    stq   t1, 0(sp)
+    stq   t2, 8(sp)
+    ldq   t4, 0(sp)
+    addq  t4, t1, t4
+    stq   t4, 16(sp)
+    subq  sp, t2, sp
+    ldq   t5, -64(sp)
+    ldq   t6, -48(sp)
+    addq  t5, t6, t5
+    lda   t1, -1(t1)
+    bne   t1, main$loop
+    ret
+"""
 
 #: Three very different reference structures beside gzip: deep
 #: recursion (crafty), pointer chasing (mcf), and an interpreter loop
@@ -73,9 +130,20 @@ SHAPES = {
     "crafty": ["base", "svf", "ideal", "gshare"],
     "mcf": ["base", "svf", "ideal", "gshare"],
     "perlbmk": ["base", "svf", "ideal", "gshare"],
+    SP_INTERLOCK: ["base", "svf", "ideal", "no_squash", "ifq8", "lsq8"],
 }
 
 FIELDS = [field.name for field in dataclasses.fields(SimStats)]
+
+
+def _shape_trace(bench: str) -> ColumnarTrace:
+    if bench == SP_INTERLOCK:
+        trace = ColumnarTrace()
+        Machine(assemble(_SP_INTERLOCK_SOURCE)).run(
+            max_instructions=SHAPES_WINDOW, trace_sink=trace
+        )
+        return trace
+    return workload(bench).trace(max_instructions=SHAPES_WINDOW)
 
 
 def _row(stats: SimStats) -> list:
@@ -112,7 +180,7 @@ def test_fast_walk_matches_reference(golden, gzip_trace, name):
 @pytest.mark.parametrize("bench", sorted(set(SHAPES) - {"gzip"}))
 def test_fast_walk_across_workload_shapes(golden, bench):
     recorded = golden["shapes"][bench]
-    trace = workload(bench).trace(max_instructions=SHAPES_WINDOW)
+    trace = _shape_trace(bench)
     for name in SHAPES[bench]:
         stats = simulate(trace, CONFIGS[name])
         _assert_matches(stats, recorded[name], f"{bench}:{name}")
@@ -170,7 +238,7 @@ def record(path: str = GOLDEN_PATH) -> None:
     """Re-run every recorded pair and rewrite the fixture."""
     shapes = {}
     for bench, names in SHAPES.items():
-        trace = workload(bench).trace(max_instructions=SHAPES_WINDOW)
+        trace = _shape_trace(bench)
         shapes[bench] = {
             name: _row(simulate(trace, CONFIGS[name])) for name in names
         }

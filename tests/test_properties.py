@@ -9,7 +9,7 @@ from repro.isa.assembler import assemble
 from repro.lang import compile_program
 from repro.uarch.cache import Cache
 from repro.uarch.config import CacheConfig
-from repro.uarch.resources import CyclePool
+from repro.uarch.resources import CycleWindow
 
 MASK64 = (1 << 64) - 1
 
@@ -216,18 +216,34 @@ class TestCacheProperties:
 
 
 class TestCyclePoolProperties:
+    """The walk's probe over a :class:`CycleWindow` that it grows."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.integers(0, 30), min_size=1, max_size=100),
         st.integers(1, 4),
     )
     def test_never_oversubscribed_and_monotone(self, requests, per_cycle):
-        pool = CyclePool("p", per_cycle)
-        grants = [pool.acquire(request) for request in requests]
+        window = CycleWindow("p", per_cycle, 4)
+        slots = window.slots
+        grants = []
+        for request in requests:
+            cycle = request
+            while True:
+                if cycle >= len(slots):
+                    # In place: the alias held here stays valid.
+                    assert window.grow(cycle + 1) == len(slots)
+                if slots[cycle] < per_cycle:
+                    break
+                cycle += 1
+            slots[cycle] += 1
+            grants.append(cycle)
+        assert window.slots is slots
         for request, grant in zip(requests, grants):
             assert grant >= request
-        for cycle in set(grants):
-            assert pool.usage(cycle) <= per_cycle
+            assert all(slots[c] == per_cycle for c in range(request, grant))
+        assert max(slots) <= per_cycle
+        assert sum(slots) == len(requests)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Unit tests for predictors, caches, resource pools and configs."""
+"""Unit tests for predictors, caches, the frontend allocator and configs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import OpClass
 from repro.trace.records import TraceRecord
@@ -12,7 +13,6 @@ from repro.uarch.config import (
     SVFConfig,
     table2_config,
 )
-from repro.uarch.resources import CyclePool, acquire_all
 
 
 def branch_record(pc, taken):
@@ -122,23 +122,137 @@ class TestCache:
         assert cache.miss_rate == 0.5
 
 
-class TestCyclePool:
-    def test_respects_per_cycle_limit(self):
-        pool = CyclePool("issue", 2)
-        assert pool.acquire(5) == 5
-        assert pool.acquire(5) == 5
-        assert pool.acquire(5) == 6
+class _ReferenceCache:
+    """LRU write-back cache as a list of ``(tag, dirty)`` per set."""
 
-    def test_acquire_all_requires_common_slot(self):
-        first = CyclePool("a", 1)
-        second = CyclePool("b", 1)
-        first.take(3)
-        second.take(4)
-        assert acquire_all([first, second], 3) == 5
+    def __init__(self, config, next_level=None, memory_latency=60):
+        self.config = config
+        self.next_level = next_level
+        self.memory_latency = memory_latency
+        self.num_sets = max(1, config.size // (config.line_size * config.assoc))
+        self.sets = {}
+        self.hits = self.misses = self.fills = self.writebacks = 0
 
-    def test_invalid_pool(self):
-        with pytest.raises(ValueError):
-            CyclePool("x", 0)
+    def access(self, addr, is_write=False):
+        line = addr // self.config.line_size
+        tag = line // self.num_sets
+        ways = self.sets.setdefault(line % self.num_sets, [])
+        for position, (way_tag, dirty) in enumerate(ways):
+            if way_tag == tag:
+                self.hits += 1
+                ways.pop(position)
+                ways.append((tag, dirty or bool(is_write)))
+                return self.config.latency
+        self.misses += 1
+        self.fills += 1
+        if self.next_level is not None:
+            below = self.next_level.access(addr)
+        else:
+            below = self.memory_latency
+        if len(ways) >= self.config.assoc and ways.pop(0)[1]:
+            self.writebacks += 1
+        ways.append((tag, bool(is_write)))
+        return self.config.latency + below
+
+
+_COUNTERS = ("hits", "misses", "fills", "writebacks")
+_STREAMS = st.lists(
+    st.tuples(st.integers(0, 2047), st.booleans()), min_size=1, max_size=300
+)
+
+
+class TestCacheAgainstReference:
+    """``Cache`` keeps set lists of line numbers plus one dirty set;
+    it must behave exactly like the plain ``(tag, dirty)`` LRU lists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STREAMS, st.sampled_from([1, 2, 4]))
+    def test_one_level(self, stream, assoc):
+        config = CacheConfig(size=256, assoc=assoc, line_size=32, latency=3)
+        cache = Cache(config, memory_latency=60)
+        reference = _ReferenceCache(config, memory_latency=60)
+        for addr, is_write in stream:
+            assert cache.access(addr, is_write) == reference.access(
+                addr, is_write
+            )
+        for name in _COUNTERS:
+            assert getattr(cache, name) == getattr(reference, name), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STREAMS, st.sampled_from([1, 2, 4]))
+    def test_dl1_to_l2_chain(self, stream, assoc):
+        dl1_config = CacheConfig(size=128, assoc=assoc, latency=3)
+        l2_config = CacheConfig(size=512, assoc=2, line_size=64, latency=16)
+        dl1, l2 = build_hierarchy(dl1_config, l2_config, memory_latency=60)
+        ref_l2 = _ReferenceCache(l2_config, memory_latency=60)
+        ref_dl1 = _ReferenceCache(dl1_config, next_level=ref_l2)
+        for addr, is_write in stream:
+            assert dl1.access(addr, is_write) == ref_dl1.access(
+                addr, is_write
+            )
+        for ours, theirs in ((dl1, ref_dl1), (l2, ref_l2)):
+            for name in _COUNTERS:
+                assert getattr(ours, name) == getattr(theirs, name), name
+
+
+def _in_order(floors, width):
+    """The timing walk's in-order allocator: ``width`` units a cycle,
+    each request at or after its floor and no earlier than the last."""
+    cycles = []
+    current, free = -1, 0
+    for floor in floors:
+        if floor > current:
+            current, free = floor, width - 1
+        elif free:
+            free -= 1
+        else:
+            current, free = current + 1, width - 1
+        cycles.append(current)
+    return cycles
+
+
+def _two_stage(fetch_floors, other_floors, depth, fetch_width, width):
+    fetched = _in_order(fetch_floors, fetch_width)
+    return _in_order(
+        [max(cycle + depth, other)
+         for cycle, other in zip(fetched, other_floors)],
+        width,
+    )
+
+
+def _one_stage(fetch_floors, other_floors, depth, width):
+    return _in_order(
+        [max(floor + depth, other)
+         for floor, other in zip(fetch_floors, other_floors)],
+        width,
+    )
+
+
+class TestFetchFoldsIntoDispatch:
+    """The walk has no fetch stage: at equal fetch and dispatch widths,
+    allocating fetch and then dispatch gives the same dispatch cycles as
+    one allocation over the fetch floor plus the frontend depth."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                 max_size=60),
+        st.integers(0, 6),
+        st.integers(1, 5),
+    )
+    def test_equal_widths_fold_exactly(self, floors, depth, width):
+        fetch_floors = [fetch for fetch, _ in floors]
+        other_floors = [other for _, other in floors]
+        assert _two_stage(
+            fetch_floors, other_floors, depth, width, width
+        ) == _one_stage(fetch_floors, other_floors, depth, width)
+
+    def test_unequal_widths_do_not_fold(self):
+        # One fetch a cycle cannot feed two dispatches a cycle: the
+        # second instruction dispatches a cycle later than the fold
+        # claims, so a separate fetch width needs its own stage.
+        assert _two_stage([0, 0], [0, 0], 0, 1, 2) == [0, 1]
+        assert _one_stage([0, 0], [0, 0], 0, 2) == [0, 0]
 
 
 class TestMachineConfig:
