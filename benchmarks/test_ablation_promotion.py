@@ -17,10 +17,11 @@ BENCHMARKS = ["186.crafty", "164.gzip", "300.twolf"]
 
 def distribution(name, promoted, window):
     dist = AccessDistribution()
-    workload(name).run(
-        max_instructions=window,
-        trace_sink=dist,
-        options=CodegenOptions(promoted_locals=promoted),
+    dist.consume_columns(
+        workload(name).trace(
+            max_instructions=window,
+            options=CodegenOptions(promoted_locals=promoted),
+        )
     )
     return dist
 

@@ -17,7 +17,6 @@ def test_fig7(benchmark, emit, timing_window):
         iterations=1,
     )
     emit("fig7_svf_vs_stackcache", result.render())
-    emit("fig8_reference_breakdown", result.render_fig8())
 
     averages = result.averages()
     # SVF beats the stack cache on average; no_squash widens the gap.

@@ -15,7 +15,7 @@ import os
 import tempfile
 
 from repro.harness import percent, render_table
-from repro.trace import load_trace, TraceWriter
+from repro.trace import load_trace, save_trace
 from repro.uarch import simulate, table2_config
 from repro.workloads import workload
 
@@ -23,11 +23,9 @@ WINDOW = 40_000
 
 
 def record(work, path):
-    with open(path, "wb") as stream:
-        writer = TraceWriter(stream)
-        work.run(max_instructions=WINDOW, trace_sink=writer)
+    count = save_trace(work.trace(max_instructions=WINDOW), path)
     size_kb = os.path.getsize(path) / 1024
-    print(f"recorded {writer.count:,} instructions of {work.full_name} "
+    print(f"recorded {count:,} instructions of {work.full_name} "
           f"to {os.path.basename(path)} ({size_kb:.0f} KiB)")
 
 

@@ -330,7 +330,12 @@ def run_workload(
     max_instructions: Optional[int] = None,
     trace_sink=None,
 ) -> RunResult:
-    """Compile and execute one registry workload on the emulator."""
+    """Compile and execute one registry workload on the emulator.
+
+    ``trace_sink``, when given, must be a
+    :class:`~repro.trace.columnar.ColumnarTrace`; the run appends its
+    trace there.  Any other object raises :class:`TypeError`.
+    """
     from repro.isa.registers import V0
 
     work = _workload(benchmark, input_name)

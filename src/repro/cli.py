@@ -11,8 +11,9 @@ Commands:
 ``simulate <workload> [--width W] [--svf MODE] [--ports P] ...``
     time one workload on a Table-2 machine, optionally with a stack
     unit attached, and report cycles/IPC (plus speedup vs baseline).
-``compile <file.mc> [--emit asm|trace] [-O LEVEL]``
-    compile a MiniC source file; print assembly or run and trace.
+``compile <file.mc> [--emit asm|run] [-O LEVEL]``
+    compile a MiniC source file; print assembly or run it and print
+    its output.
 ``experiment <name> [--window N] [--format text|json]``
     regenerate one paper artifact: table1, table2, fig1, fig2, fig3,
     fig5, fig6, fig7, fig8, fig9, table3, table4.
@@ -522,7 +523,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from repro.emulator import run_program
+    from repro.emulator import Machine
     from repro.lang import CodegenError, LexerError, ParseError, SemanticError
 
     emit = "asm" if args.emit == "asm" else "program"
@@ -541,9 +542,8 @@ def cmd_compile(args) -> int:
     if args.emit == "asm":
         print(compiled)
         return 0
-    machine, _trace = run_program(
-        compiled, max_instructions=args.max_instructions
-    )
+    machine = Machine(compiled)
+    machine.run(max_instructions=args.max_instructions)
     print(f"{machine.instruction_count:,} instructions, "
           f"halted={machine.halted}")
     print(f"output: {machine.output}")

@@ -61,7 +61,13 @@ class TrafficResult:
 
 
 class TrafficSimulator:
-    """Streaming traffic model; implements the trace-sink protocol."""
+    """Traffic model fed one trace window at a time.
+
+    :meth:`consume_columns` is the protocol every caller uses; windows
+    fed in order compose to one whole-trace pass.  :meth:`append` is the
+    record-at-a-time reference the column walk is held to
+    (``tests/test_analysis_columnar.py``).
+    """
 
     def __init__(
         self,
@@ -83,6 +89,7 @@ class TrafficSimulator:
         self._stack_cache_switch_bytes = 0
 
     def append(self, record) -> None:
+        """Reference form of :meth:`consume_columns`: one record."""
         if not self._sp_seen:
             self.svf.update_sp(record.sp_value)
             self._sp_seen = True

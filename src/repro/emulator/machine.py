@@ -1,21 +1,19 @@
 """Functional emulator for the Alpha-like ISA.
 
 Executes an assembled :class:`~repro.isa.instructions.Program` and, when
-given a trace sink, emits one record per retired instruction.  The
-emulator is purely functional (no timing): the out-of-order timing
-model in :mod:`repro.uarch` replays the emitted stream, which carries
-full register- and memory-dependence information.
+given a :class:`~repro.trace.columnar.ColumnarTrace`, appends one entry
+per retired instruction to its columns as raw integers.  The emulator
+is purely functional (no timing): the out-of-order timing model in
+:mod:`repro.uarch` replays the emitted stream, which carries full
+register- and memory-dependence information.
 
 Static instructions are pre-decoded once into flat tuples keyed by an
 *integer* structural kind (plus a precomputed ALU/branch handler), so
 the interpretation loop dispatches on small-int comparisons instead of
-opcode strings.  Tracing has two paths:
-
-* a :class:`~repro.trace.columnar.ColumnarTrace` sink appends raw
-  integers straight into the column buffers (no record objects);
-* any other sink receives classic :class:`TraceRecord` objects, so
-  streaming consumers (traffic model, analyses, trace writers) keep
-  working unchanged.
+opcode strings.  Columns are the only trace protocol: a consumer that
+must not hold a whole run calls :meth:`Machine.run` repeatedly with a
+bounded ``max_instructions`` and a fresh trace per chunk (see
+``repro.harness.prediction``).
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.trace.columnar import (
     FLAG_STORE,
     FLAG_TAKEN,
 )
-from repro.trace.records import TraceRecord
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
@@ -239,10 +236,6 @@ class Machine:
             self._decode_columnar(i, instr)
             for i, instr in enumerate(program.instructions)
         ]
-        self._emit_records = [
-            self._decode_record(i, instr)
-            for i, instr in enumerate(program.instructions)
-        ]
         self._pc_index = program.label_index(program.entry)
         # Sentinel return address: returning here halts the machine.
         self._halt_address = TEXT_BASE + 4 * len(program.instructions) + 4
@@ -330,29 +323,6 @@ class Machine:
             spimm,
         )
 
-    @staticmethod
-    def _decode_record(index, instr):
-        """Static TraceRecord fields for the legacy (object) sink path."""
-        dst = instr.destination_register()
-        imm = instr.imm if instr.imm is not None else 0
-        sp_update = dst == SP
-        return (
-            TEXT_BASE + 4 * index,
-            instr.op,
-            instr.op_class,
-            instr.source_registers(),
-            dst,
-            instr.is_load,
-            instr.is_store,
-            instr.spec.mem_size,
-            instr.rb if instr.is_mem else None,
-            imm,
-            instr.is_branch,
-            instr.is_conditional,
-            sp_update,
-            imm if sp_update and instr.op == "lda" and instr.rb == SP else 0,
-        )
-
     @property
     def pc(self) -> int:
         """Current program counter as a byte address."""
@@ -365,10 +335,18 @@ class Machine:
     ) -> int:
         """Run until ``halt`` or ``max_instructions``.
 
-        ``trace_sink`` is any object with ``append`` (e.g. a list, or a
-        streaming analysis); a :class:`ColumnarTrace` sink takes the
-        packed fast path.  Returns the number of instructions retired.
+        ``trace_sink`` is a :class:`ColumnarTrace` that receives one
+        entry per retired instruction, or ``None`` to trace nothing;
+        anything else is a :class:`TypeError`.  Returns the number of
+        instructions retired.
         """
+        if trace_sink is not None and not isinstance(
+            trace_sink, ColumnarTrace
+        ):
+            raise TypeError(
+                "trace_sink must be a ColumnarTrace or None, not "
+                f"{type(trace_sink).__name__}"
+            )
         profiler = profiling.active()
         profile_started = perf_counter() if profiler is not None else 0.0
         registers = self.registers
@@ -384,11 +362,10 @@ class Machine:
         pc_index = self._pc_index
         num_instructions = len(decoded)
 
-        columns = trace_sink if isinstance(trace_sink, ColumnarTrace) else None
+        columns = trace_sink
         superblocks = None
         sb_builds = sb_replays = sb_replayed = 0
         if columns is not None:
-            emit = None
             emit_cols = self._emit_cols
             if _superblock._ENABLED:
                 superblocks = self._superblocks
@@ -426,9 +403,6 @@ class Machine:
             col_addr = columns.addr.append
             col_next_pc = columns.next_pc.append
             col_sp = columns.sp.append
-        else:
-            emit = trace_sink.append if trace_sink is not None else None
-            emit_records = self._emit_records
 
         while not self.halted and (stop is None or count < stop):
             if not 0 <= pc_index < num_instructions:
@@ -556,46 +530,6 @@ class Machine:
                 col_addr(addr)
                 col_next_pc(text_base + 4 * next_index)
                 col_sp(registers[SP])
-            elif emit is not None:
-                (
-                    pc,
-                    op,
-                    op_class,
-                    srcs,
-                    dst,
-                    is_load,
-                    is_store,
-                    size,
-                    base_reg,
-                    disp,
-                    is_branch,
-                    is_conditional,
-                    sp_update,
-                    spimm,
-                ) = emit_records[pc_index]
-                emit(
-                    TraceRecord(
-                        count,
-                        pc,
-                        op,
-                        op_class,
-                        srcs,
-                        dst,
-                        is_load=is_load,
-                        is_store=is_store,
-                        addr=addr,
-                        size=size,
-                        base_reg=base_reg,
-                        displacement=disp,
-                        is_branch=is_branch,
-                        is_conditional=is_conditional,
-                        taken=taken,
-                        next_pc=text_base + 4 * next_index,
-                        sp_value=registers[SP],
-                        sp_update=sp_update,
-                        sp_update_immediate=spimm,
-                    )
-                )
             count += 1
             pc_index = next_index
 
@@ -632,20 +566,13 @@ class Machine:
         return handler(left, right)
 
 
-def run_program(
-    program: Program,
-    max_instructions: Optional[int] = None,
-    collect_trace: bool = True,
-):
+def run_program(program: Program, max_instructions: Optional[int] = None):
     """Run ``program`` to completion (or the instruction limit).
 
-    Returns ``(machine, trace)`` where ``trace`` is a list of
-    :class:`TraceRecord` (empty when ``collect_trace`` is False).
+    Returns ``(machine, trace)`` where ``trace`` is the run's
+    :class:`ColumnarTrace`.
     """
     machine = Machine(program)
-    trace: List[TraceRecord] = []
-    machine.run(
-        max_instructions=max_instructions,
-        trace_sink=trace if collect_trace else None,
-    )
+    trace = ColumnarTrace()
+    machine.run(max_instructions=max_instructions, trace_sink=trace)
     return machine, trace

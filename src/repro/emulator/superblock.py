@@ -1,7 +1,7 @@
 """Superblock replay engine: batch-decoded micro-op templates.
 
-The emulator's emit loop is the last record-at-a-time walk on the
-produce side of the pipeline: even with the packed columnar fast path,
+The emulator's emit loop is the last instruction-at-a-time walk on the
+produce side of the pipeline: even appending straight into the columns,
 ``Machine.run`` pays per retired instruction for a bounds check, a
 9-tuple unpack, an integer dispatch and fourteen column ``append``
 calls.  Straight-line code makes almost all of that work redundant —

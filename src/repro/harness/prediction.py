@@ -4,8 +4,9 @@ For each workload and each optimization level this driver:
 
 1. compiles the program and computes the per-function static bounds of
    :mod:`repro.analysis.predict`;
-2. executes it on the functional emulator, streaming every record into
-   a :class:`TrafficSimulator` (so full runs need no materialized
+2. executes it on the functional emulator in bounded chunks of
+   :data:`CHUNK` instructions, feeding each chunk's columns to a
+   :class:`TrafficSimulator` (so a full run never holds its whole
    trace) while counting ``$sp``-relative references and per-function
    activations (entries into each function's first instruction);
 3. scales each function's per-activation bound by its activation count
@@ -30,11 +31,15 @@ from repro.emulator import Machine
 from repro.emulator.memory import TEXT_BASE
 from repro.isa.registers import SP, V0
 from repro.lang.codegen import CodegenOptions
+from repro.trace.columnar import ColumnarTrace
 from repro.workloads import ALL_BENCHMARKS, workload
+
+#: Instructions emulated per chunk of a measured run.
+CHUNK = 1 << 16
 
 
 class _PredictionSink:
-    """Trace sink: traffic model + $sp counts + activation counts."""
+    """Traffic model + $sp counts + activation counts, fed by chunk."""
 
     def __init__(self, traffic: TrafficSimulator, entry_points: Dict[int, str]):
         self.traffic = traffic
@@ -43,16 +48,22 @@ class _PredictionSink:
         self.sp_stores = 0
         self.activations: Dict[str, int] = {}
 
-    def append(self, record) -> None:
-        self.traffic.append(record)
-        if (record.is_load or record.is_store) and record.base_reg == SP:
-            if record.is_store:
-                self.sp_stores += 1
-            else:
-                self.sp_loads += 1
-        name = self.entry_points.get(record.pc)
-        if name is not None:
-            self.activations[name] = self.activations.get(name, 0) + 1
+    def consume_columns(self, trace: ColumnarTrace) -> None:
+        self.traffic.consume_columns(trace)
+        entry_points = self.entry_points
+        activations = self.activations
+        sp_loads = sp_stores = 0
+        for flags, base, pc in zip(trace.flags, trace.base, trace.pc):
+            if flags & 3 and base == SP:  # $sp-relative load or store
+                if flags & 2:
+                    sp_stores += 1
+                else:
+                    sp_loads += 1
+            name = entry_points.get(pc)
+            if name is not None:
+                activations[name] = activations.get(name, 0) + 1
+        self.sp_loads += sp_loads
+        self.sp_stores += sp_stores
 
 
 @dataclass
@@ -215,7 +226,14 @@ def check_workload(
             TrafficSimulator(capacity_bytes=capacity_bytes), entry_points
         )
         machine = Machine(program)
-        machine.run(max_instructions=max_instructions, trace_sink=sink)
+        remaining = max_instructions
+        while not machine.halted and (remaining is None or remaining > 0):
+            window = CHUNK if remaining is None else min(CHUNK, remaining)
+            chunk = ColumnarTrace()
+            machine.run(max_instructions=window, trace_sink=chunk)
+            sink.consume_columns(chunk)
+            if remaining is not None:
+                remaining -= window
         result = sink.traffic.result()
 
         predicted_fills = predicted_kills = 0

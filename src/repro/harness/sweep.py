@@ -144,23 +144,26 @@ def _metrics_from_stats(baseline, run) -> Dict[str, Any]:
 
 
 def _traffic_metrics(trace, machine_fields: Mapping[str, Any]) -> Dict:
-    """Walk the trace through a stand-alone SVF; report quad-words."""
+    """Walk the trace columns through a stand-alone SVF; report quad-words."""
     from repro.core.svf import StackValueFile
-    from repro.trace.regions import is_stack_address
+    from repro.trace.regions import STACK_REGION_FLOOR
 
     svf = StackValueFile(
         capacity_bytes=machine_fields["svf_capacity"],
         granularity=machine_fields["svf_granularity"],
     )
-    sp_seen = False
-    for record in trace:
-        if not sp_seen:
-            svf.update_sp(record.sp_value)
-            sp_seen = True
-        if record.is_mem and is_stack_address(record.addr):
-            svf.access(record.addr, record.size, record.is_store)
-        if record.sp_update:
-            svf.update_sp(record.sp_value)
+    access = svf.access
+    update_sp = svf.update_sp
+    col_sp = trace.sp
+    if len(trace):
+        update_sp(col_sp[0])
+    for index, (flags, addr, size) in enumerate(
+        zip(trace.flags, trace.addr, trace.size)
+    ):
+        if flags & 3 and addr >= STACK_REGION_FLOOR:  # stack load/store
+            access(addr, size, flags & 2)
+        if flags & 32:  # sp_update
+            update_sp(col_sp[index])
     return {
         "qw_in": svf.qw_in,
         "qw_out": svf.qw_out,

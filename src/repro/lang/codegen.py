@@ -29,10 +29,11 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.emulator.memory import HEAP_BASE
+from repro.emulator.memory import DATA_BASE, HEAP_BASE, STACK_BASE
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.semantics import Symbol, analyze
+from repro.trace.regions import STACK_REGION_FLOOR
 
 _TEMP_POOL = ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9",
               "t10", "t11", "t12", "t13"]
@@ -40,6 +41,11 @@ _ARG_REGS = ["a0", "a1", "a2", "a3", "a4", "a5"]
 _SAVED_REGS = ["s0", "s1", "s2", "s3", "s4", "s5"]
 
 _HEAP_PTR_SYMBOL = "__heap_ptr"
+
+#: Bytes one frame may span (the whole stack region) and bytes all
+#: globals may span (the data region, heap pointer included).
+_STACK_REGION_BYTES = STACK_BASE - STACK_REGION_FLOOR
+_DATA_REGION_BYTES = HEAP_BASE - DATA_BASE
 
 #: comparison operators mapped to (opcode, swap_operands, negate_result)
 _COMPARISONS = {
@@ -422,6 +428,11 @@ class _FunctionEmitter:
         ra_offset = saved_base + (8 if self.fp_framed else 0)
         frame = ra_offset + (8 if self.info.makes_calls else 0)
         frame = max(16, (frame + 15) & ~15)
+        if frame > _STACK_REGION_BYTES:
+            raise CodegenError(
+                f"function {self.function.name!r} needs a {frame:,}-byte "
+                f"frame; the stack region holds {_STACK_REGION_BYTES:,} bytes"
+            )
         array_rel = self.array_rel
 
         def resolve_array(match: "re.Match") -> str:
@@ -827,6 +838,12 @@ class CodeGenerator:
 
     def generate(self, unit: ast.TranslationUnit) -> str:
         analyze(unit)
+        data_bytes = 8 + sum(8 * (g.array_size or 1) for g in unit.globals)
+        if data_bytes > _DATA_REGION_BYTES:
+            raise CodegenError(
+                f"globals need {data_bytes:,} bytes; the data region holds "
+                f"{_DATA_REGION_BYTES:,} bytes"
+            )
         sections: List[str] = [".data"]
         sections.append(f"{_HEAP_PTR_SYMBOL}: .quad 0")
         for global_var in unit.globals:

@@ -1,28 +1,23 @@
-"""Streaming trace analyses reproducing the paper's Figures 1-3.
+"""Trace analyses reproducing the paper's Figures 1-3.
 
-Each analysis implements two consumption protocols:
+Each analysis consumes a :class:`~repro.trace.columnar.ColumnarTrace`
+window through ``consume_columns(trace, lo, hi)``, walking the flat
+columns without materializing a :class:`TraceRecord` per instruction.
+When the optional numpy backend is enabled
+(:meth:`ColumnarTrace.as_arrays`), region classification and histogram
+accumulation run as vectorized reductions over the column views;
+otherwise a pure-python index walk over the packed columns is used.
 
-* the trace-sink protocol (an ``append`` method), so it can be
-  attached directly to :meth:`repro.emulator.Machine.run` and consume
-  the dynamic instruction stream without storing it — this remains the
-  reference implementation;
-* the batched protocol (``consume_columns(trace, lo, hi)``), which
-  walks a :class:`~repro.trace.columnar.ColumnarTrace`'s flat columns
-  without materializing a :class:`TraceRecord` per instruction.  When
-  the optional numpy backend is enabled
-  (:meth:`ColumnarTrace.as_arrays`), region classification and
-  histogram accumulation run as vectorized reductions over the column
-  views; otherwise a pure-python index walk over the packed columns is
-  used.
-
-``tests/test_analysis_columnar.py`` differentially gates all three
-paths (append / python columns / numpy columns) field-for-field on the
-whole workload suite plus fuzzed traces.
+Each analysis also keeps a record-at-a-time ``append`` method.  It is
+not a trace protocol — the emulator emits only columns — but the
+plain reference the column walks are held to:
+``tests/test_analysis_columnar.py`` gates all three paths (append /
+python columns / numpy columns) field-for-field on the whole workload
+suite plus fuzzed traces.
 
 :func:`consume_trace` is the dispatcher the harness uses: it feeds one
-trace to many sinks, batching where a sink supports it and sharing a
-single record-materialization pass for any that do not, and notes the
-``analysis`` phase into the active :mod:`repro.profiling` profiler.
+trace window to many analyses and notes the ``analysis`` phase into
+the active :mod:`repro.profiling` profiler.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import profiling
 from repro.emulator.memory import DATA_BASE, HEAP_BASE
@@ -60,6 +55,7 @@ class AccessDistribution:
     )
 
     def append(self, record: TraceRecord) -> None:
+        """Reference form of :meth:`consume_columns`: one record."""
         self.total_instructions += 1
         if not (record.is_load or record.is_store):
             return
@@ -198,6 +194,7 @@ class StackDepthProfile:
     max_depth: int = 0
 
     def append(self, record: TraceRecord) -> None:
+        """Reference form of :meth:`consume_columns`: one record."""
         if not record.sp_update:
             return
         depth = (self.stack_base - record.sp_value) // 8
@@ -211,7 +208,7 @@ class StackDepthProfile:
         """Batched form of ``append`` over ``trace[lo:hi)``.
 
         Sample indices stay absolute trace positions, matching the
-        ``record.index`` values of the streaming path.
+        ``record.index`` values of the reference path.
         """
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
@@ -291,6 +288,7 @@ class OffsetLocality:
     beyond_tos: int = 0
 
     def append(self, record: TraceRecord) -> None:
+        """Reference form of :meth:`consume_columns`: one record."""
         if not (record.is_load or record.is_store):
             return
         from repro.trace.regions import is_stack_address
@@ -416,92 +414,25 @@ class OffsetLocality:
         return out
 
 
-class MultiSink:
-    """Fan a trace stream out to several sinks (and optionally keep it)."""
-
-    def __init__(self, *sinks, keep: bool = False):
-        self.sinks = list(sinks)
-        self.records: List[TraceRecord] = []
-        self._keep = keep
-
-    def append(self, record: TraceRecord) -> None:
-        for sink in self.sinks:
-            sink.append(record)
-        if self._keep:
-            self.records.append(record)
-
-    def consume_columns(
-        self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
-    ) -> None:
-        """Fan a column window out, batching sinks that support it.
-
-        Sinks without ``consume_columns`` (and the ``keep`` copy, which
-        needs materialized records) share one record-materialization
-        pass.
-        """
-        hi = len(trace) if hi is None else hi
-        legacy = []
-        for sink in self.sinks:
-            consume = getattr(sink, "consume_columns", None)
-            if consume is None:
-                legacy.append(sink)
-            else:
-                consume(trace, lo, hi)
-        if legacy or self._keep:
-            record_at = trace.record_at
-            records = self.records
-            for index in range(lo, hi):
-                record = record_at(index)
-                for sink in legacy:
-                    sink.append(record)
-                if self._keep:
-                    records.append(record)
-
-
 def consume_trace(
-    trace,
+    trace: ColumnarTrace,
     sinks: Sequence,
     lo: int = 0,
     hi: Optional[int] = None,
 ) -> int:
     """Feed ``trace[lo:hi)`` to every sink; returns instructions fed.
 
-    The harness-side dispatcher for the batched analysis protocol:
-
-    * on a :class:`ColumnarTrace`, sinks implementing
-      ``consume_columns`` walk the flat columns (vectorized when the
-      numpy backend is on); any remaining ``append``-only sinks share
-      one record-materialization pass;
-    * on a plain record sequence every sink falls back to ``append``.
-
-    Wall time and instruction count are noted as the ``analysis``
-    phase of the active :mod:`repro.profiling` profiler.
+    Each sink walks the window through its ``consume_columns``
+    (vectorized when the numpy backend is on).  Wall time and
+    instruction count are noted as the ``analysis`` phase of the
+    active :mod:`repro.profiling` profiler.
     """
     profiler = profiling.active()
     started = perf_counter() if profiler is not None else 0.0
-    if isinstance(trace, ColumnarTrace):
-        end = len(trace) if hi is None else hi
-        legacy = []
-        for sink in sinks:
-            consume = getattr(sink, "consume_columns", None)
-            if consume is None:
-                legacy.append(sink)
-            else:
-                consume(trace, lo, end)
-        if legacy:
-            record_at = trace.record_at
-            for index in range(lo, end):
-                record = record_at(index)
-                for sink in legacy:
-                    sink.append(record)
-        count = end - lo
-    else:
-        records = trace if lo == 0 and hi is None else trace[lo:hi]
-        count = 0
-        for record in records:
-            for sink in sinks:
-                sink.append(record)
-            count += 1
+    end = len(trace) if hi is None else hi
+    for sink in sinks:
+        sink.consume_columns(trace, lo, end)
+    count = end - lo
     if profiler is not None:
         profiler.note("analysis", perf_counter() - started, count)
     return count

@@ -7,10 +7,11 @@ plus ~18 attribute stores on the way in and as many attribute loads on
 the way out.  :class:`ColumnarTrace` stores the same information as
 fourteen flat, append-only columns (``array``/``bytearray``), so:
 
-* the emulator appends raw integers straight into the columns
-  (``Machine.run`` has a dedicated fast path);
-* the timing and traffic models read fields by column index without
-  materializing records;
+* the emulator appends raw integers straight into the columns (it
+  emits nothing else: a ``ColumnarTrace`` is ``Machine.run``'s only
+  trace sink);
+* the timing, traffic and analysis models read fields by column index
+  without materializing records;
 * serialization writes each column as a single ``tobytes`` blob.
 
 Column layout (one entry per retired instruction)::
@@ -31,11 +32,11 @@ Column layout (one entry per retired instruction)::
     sp       array('Q')   $sp value at retirement
 
 The record ``index`` is implicit: it is the position in the columns.
-:meth:`records` (and ``__iter__``/``__getitem__``) materialize
-:class:`TraceRecord` views on demand, so every legacy consumer — the
-prediction harness, tests — keeps working on a ``ColumnarTrace``
-unchanged; the Figure 1-3 analyses consume columns in batch (see
-:mod:`repro.trace.analysis`).
+:meth:`record_at` (and ``__iter__``/``__getitem__``) are read views
+that materialize :class:`TraceRecord` objects on demand, for tests and
+one-off inspection; no production consumer walks records.
+:meth:`from_records` packs a record sequence, the input
+``repro.api.simulate`` documents besides a ``ColumnarTrace``.
 
 When numpy is importable, :meth:`ColumnarTrace.as_arrays` additionally
 exposes the columns as zero-copy ``ndarray`` views (the optional
@@ -171,10 +172,10 @@ _FIELDS = (
 class ColumnarTrace:
     """A dynamic instruction trace stored column-wise.
 
-    Implements the trace-sink protocol (``append``) for legacy
-    producers and the sequence protocol (``len``/``iter``/indexing)
-    for legacy consumers; the hot paths bypass both and touch the
-    columns directly.
+    The emulator and every consumer touch the columns directly.
+    ``append`` packs one record (the :meth:`from_records` packer) and
+    the sequence protocol (``len``/``iter``/indexing) gives record
+    views.
     """
 
     __slots__ = (
@@ -210,9 +211,9 @@ class ColumnarTrace:
         self.next_pc = array("Q")
         self.sp = array("Q")
 
-    # ------------------------------------------------------------ sink
+    # ------------------------------------------------------------ pack
     def append(self, record: TraceRecord) -> None:
-        """Trace-sink protocol: pack one :class:`TraceRecord`."""
+        """Pack one :class:`TraceRecord` onto the end of the columns."""
         flags = 0
         if record.is_load:
             flags |= FLAG_LOAD

@@ -27,7 +27,7 @@ from repro.trace.regions import STACK_REGION_FLOOR, is_stack_address
 
 @dataclass
 class FirstTouchProfile:
-    """Streaming trace sink measuring first-touch store fractions."""
+    """Trace analysis measuring first-touch store fractions."""
 
     #: stack words allocated (exposed by an $sp decrease) but untouched
     _pending: Set[int] = field(default_factory=set)
@@ -42,6 +42,7 @@ class FirstTouchProfile:
     other_first_loads: int = 0
 
     def append(self, record: TraceRecord) -> None:
+        """Reference form of :meth:`consume_columns`: one record."""
         if self._previous_sp == 0:
             self._previous_sp = record.sp_value
         if record.is_load or record.is_store:

@@ -1,7 +1,11 @@
 """Dynamic-instruction trace records.
 
-The functional emulator emits one :class:`TraceRecord` per retired
-instruction.  A record carries everything the downstream consumers need:
+A :class:`TraceRecord` is the one-object view of a single retired
+instruction.  The emulator emits columns
+(:class:`~repro.trace.columnar.ColumnarTrace`), which materializes
+records on demand for tests, inspection and the analyses' reference
+``append`` paths.  A record carries every field the downstream
+consumers read from the columns:
 
 * the timing model (``repro.uarch``) uses the register source/dest sets,
   op class, memory address and branch outcome;
@@ -10,7 +14,8 @@ instruction.  A record carries everything the downstream consumers need:
 * the SVF/stack-cache traffic models (Table 3/4) use addresses, sizes
   and the ``sp_update`` markers.
 
-Records use ``__slots__``: a run produces 10^5-10^6 of them.
+Records use ``__slots__``: a record view of a whole run is 10^5-10^6
+of them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ replay (the timing model), so persisting them pays off when sweeping
 many machine configurations — the same split SimpleScalar users make
 with EIO traces.  Since the in-memory representation is already
 columnar (:class:`~repro.trace.columnar.ColumnarTrace`), the file is
-just the columns back to back::
+just the columns back to back, written in one shot from a finished
+trace (record a run into a ``ColumnarTrace``, then :func:`save_trace`
+it)::
 
     magic   6 bytes   b"SVFT\\x04\\x00"
     crc32   <I        zlib.crc32 of everything after this field
@@ -45,7 +47,6 @@ from typing import BinaryIO, Iterable
 
 from repro.isa.encoding import OPCODE_NAMES
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TraceRecord
 
 MAGIC = b"SVFT\x04\x00"
 
@@ -87,7 +88,15 @@ def _column_to_bytes(column) -> bytes:
     return column.tobytes()
 
 
-def _write_columns(stream: BinaryIO, trace: ColumnarTrace) -> int:
+def write_trace(stream: BinaryIO, trace: Iterable) -> int:
+    """Write a trace to an open binary stream; returns the record count.
+
+    Accepts a :class:`ColumnarTrace` (written as-is) or any iterable
+    of :class:`TraceRecord` (packed first).  Used by callers that
+    manage the file themselves (e.g. the trace cache's atomic
+    temp-file-then-rename writes).
+    """
+    trace = ColumnarTrace.from_records(trace)
     count = len(trace)
     blobs = [_COUNT.pack(count)]
     blobs += [
@@ -101,57 +110,6 @@ def _write_columns(stream: BinaryIO, trace: ColumnarTrace) -> int:
     for blob in blobs:
         stream.write(blob)
     return count
-
-
-class TraceWriter:
-    """Streaming sink: attach to ``Machine.run(trace_sink=...)``.
-
-    Records are buffered column-wise and written in one shot by
-    :meth:`close` (the columnar format is not per-record appendable).
-    Usable as a context manager.
-    """
-
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-        self._buffer = ColumnarTrace()
-        self._closed = False
-
-    @property
-    def count(self) -> int:
-        return len(self._buffer)
-
-    def append(self, record: TraceRecord) -> None:
-        self._buffer.append(record)
-
-    @property
-    def buffer(self) -> ColumnarTrace:
-        """The buffered columns (e.g. to reuse without re-reading)."""
-        return self._buffer
-
-    def close(self) -> int:
-        """Write the buffered trace; returns the record count."""
-        if self._closed:
-            return len(self._buffer)
-        self._closed = True
-        return _write_columns(self._stream, self._buffer)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-
-
-def write_trace(stream: BinaryIO, trace: Iterable) -> int:
-    """Write a trace to an open binary stream; returns the record count.
-
-    Accepts a :class:`ColumnarTrace` (written as-is) or any iterable
-    of :class:`TraceRecord` (packed first).  Used by callers that
-    manage the file themselves (e.g. the trace cache's atomic
-    temp-file-then-rename writes).
-    """
-    return _write_columns(stream, ColumnarTrace.from_records(trace))
 
 
 def save_trace(trace: Iterable, path: str) -> int:
@@ -249,7 +207,7 @@ def unpack_shared(buffer):
 
 
 def load_trace(path: str) -> ColumnarTrace:
-    """Read a trace written by :func:`save_trace` / :class:`TraceWriter`."""
+    """Read a trace written by :func:`save_trace` / :func:`write_trace`."""
     with open(path, "rb") as stream:
         blob = stream.read()
     header_size = len(MAGIC) + _CRC.size + _COUNT.size

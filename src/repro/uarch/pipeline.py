@@ -100,8 +100,7 @@ _READY = NUM_REGISTERS
 
 def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
     """Run the timing model over a trace; returns :class:`SimStats`."""
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_records(trace)
+    trace = ColumnarTrace.from_records(trace)
     profiler = profiling.active()
     profile_started = perf_counter() if profiler is not None else 0.0
     stats = _walk(config, _Columns(trace))
@@ -126,8 +125,7 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     emits no batch counters.
     """
     configs = list(configs)
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_records(trace)
+    trace = ColumnarTrace.from_records(trace)
     if not configs:
         return []
     if len(configs) == 1:

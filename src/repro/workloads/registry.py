@@ -73,7 +73,12 @@ class Workload:
         options: Optional[CodegenOptions] = None,
         **overrides,
     ) -> Machine:
-        """Compile and execute, streaming records into ``trace_sink``."""
+        """Compile and execute; returns the finished machine.
+
+        ``trace_sink`` is a :class:`ColumnarTrace` that receives the
+        run's columns, or ``None`` to trace nothing (see
+        :meth:`repro.emulator.Machine.run`).
+        """
         machine = Machine(self.program(options, **overrides))
         machine.run(max_instructions=max_instructions, trace_sink=trace_sink)
         return machine

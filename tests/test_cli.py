@@ -107,7 +107,20 @@ class TestUsageErrors:
         (b"int main() { return foo(); }\n",
          "line 1: call to undefined function 'foo'"),
         (b"int main() { return 0; } \xff\n", "byte 25: not UTF-8"),
-    ], ids=["syntax-error", "undefined-function", "non-utf8"])
+        (b"int main() { int x[99999999999999999999]; return 0; }\n",
+         "function 'main' needs a 800,000,000,000,000,000,000-byte frame; "
+         "the stack region holds 1,073,737,728 bytes"),
+        (b"int main() { int a[100000000]; int b[100000000];\n"
+         b"  a[0] = 3; b[0] = a[0]; print(b[0]); return 0; }\n",
+         "function 'main' needs a 1,600,000,016-byte frame; "
+         "the stack region holds 1,073,737,728 bytes"),
+        (b"int g[99999999999999999999];\n"
+         b"int main() { g[0] = 3; return 0; }\n",
+         "globals need 800,000,000,000,000,000,000 bytes; "
+         "the data region holds 268,435,456 bytes"),
+    ], ids=["syntax-error", "undefined-function", "non-utf8",
+            "huge-local-array", "frame-overflows-stack-region",
+            "huge-global-array"])
     def test_compile_bad_source(self, source, fragment, capsys, tmp_path):
         path = tmp_path / "bad.mc"
         path.write_bytes(source)

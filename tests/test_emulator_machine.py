@@ -276,3 +276,8 @@ class TestTraceRecords:
     def test_indices_are_sequential(self, recursive_run):
         _, trace = recursive_run
         assert [r.index for r in trace[:100]] == list(range(100))
+
+    def test_only_columnar_sinks_are_accepted(self):
+        program = assemble("main:\n    halt\n")
+        with pytest.raises(TypeError, match="ColumnarTrace or None, not list"):
+            Machine(program).run(trace_sink=[])

@@ -353,10 +353,8 @@ class TestCodegenOptions:
             program = compile_program(
                 self.SOURCE, CodegenOptions(promoted_locals=promoted)
             )
-            from repro.emulator import Machine
-
-            machine = Machine(program)
-            machine.run(trace_sink=dist)
+            _, trace = run_program(program)
+            dist.consume_columns(trace)
             counts[promoted] = dist.counts
         from repro.trace.regions import AccessMethod
 

@@ -5,7 +5,6 @@ from repro.isa.instructions import OpClass
 from repro.isa.registers import FP, SP
 from repro.trace.analysis import (
     AccessDistribution,
-    MultiSink,
     OffsetLocality,
     StackDepthProfile,
 )
@@ -156,23 +155,6 @@ class TestOffsetLocality:
         log_cdf = locality.log_cdf(buckets=8)
         assert len(log_cdf) == 8
         assert log_cdf[-1][1] == 1.0
-
-
-class TestMultiSink:
-    def test_fans_out_to_all_sinks(self):
-        first = AccessDistribution()
-        second = AccessDistribution()
-        sink = MultiSink(first, second, keep=True)
-        sink.append(make_record(0, is_load=True, addr=STACK_BASE - 8,
-                                base_reg=SP))
-        assert first.memory_references == 1
-        assert second.memory_references == 1
-        assert len(sink.records) == 1
-
-    def test_keep_false_discards(self):
-        sink = MultiSink(AccessDistribution())
-        sink.append(make_record(0))
-        assert sink.records == []
 
 
 class TestOnRealTrace:

@@ -1,23 +1,49 @@
-"""Differential gate for the columnar trace IR.
+"""Gate for the columnar trace the emulator emits.
 
-The columnar fast path in ``Machine.run`` packs retired instructions
-straight into :class:`ColumnarTrace` columns, bypassing
-``TraceRecord`` construction entirely.  These tests prove the two
-paths are observationally identical: every registry workload and a
-corpus of hypothesis-fuzzed programs run twice — once into a plain
-``list`` sink (the legacy record-object path) and once into a
-``ColumnarTrace`` sink (the packed path) — and every field of every
-record must match, position by position.
+``Machine.run`` packs each retired instruction straight into
+:class:`ColumnarTrace` columns; columns are its only emit path.  Two
+checks hold it to the record fields a trace must carry:
+
+* ``trace_columns_golden.json`` stores a SHA-256 digest of every column
+  for each registry workload at a 2,000-instruction window and for a
+  full mcf run (halt included).  It was recorded at commit 1cca2e0,
+  where a record-object emit path still ran beside the column path and
+  the two matched field for field on these traces.
+* Hypothesis-fuzzed programs: every entry's static fields must equal
+  what the :class:`~repro.isa.instructions.Instruction` at its pc
+  implies, and its dynamic fields (``next_pc``, ``taken``, ``addr``,
+  ``$sp``) must agree with a plain replay of the program's control
+  flow and ``$sp`` arithmetic.
+
+After a deliberate change to the emitted columns, re-record from the
+repository root with ``PYTHONPATH=src python -m
+tests.test_trace_columnar`` and commit the new fixture together with
+the change that explains it.
 """
+
+import hashlib
+import json
+import os
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.emulator import Machine
+from repro.emulator import Machine, STACK_BASE, TEXT_BASE
 from repro.isa import assemble
+from repro.isa.registers import SP
 from repro.trace.columnar import ColumnarTrace, record_fields
-from repro.trace.records import TraceRecord
 from repro.workloads import ALL_BENCHMARKS, workload
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "trace_columns_golden.json"
+)
+
+WINDOW = 2_000
+
+#: Fixture key of the full (unwindowed) mcf run.
+FULL_RUN = "181.mcf/full"
 
 #: registers the fuzz uses (caller-saved temps, away from $sp/$ra)
 REGS = ["r1", "r2", "r3", "r4", "r5"]
@@ -26,45 +52,60 @@ ALU_OPS = ["addq", "subq", "mulq", "and", "or", "xor",
            "sll", "srl", "cmpeq", "cmplt"]
 
 
-def assert_traces_identical(columnar, legacy):
-    """Field-by-field comparison of a columnar trace vs a record list."""
-    assert isinstance(columnar, ColumnarTrace)
-    assert all(isinstance(r, TraceRecord) for r in legacy)
-    assert len(columnar) == len(legacy)
-    for got, want in zip(columnar, legacy):
-        assert record_fields(got) == record_fields(want)
-        # op_class must be the shared singleton, not a reconstruction.
-        assert got.op_class is want.op_class
+def emit(program, max_instructions=None):
+    trace = ColumnarTrace()
+    Machine(program).run(
+        max_instructions=max_instructions, trace_sink=trace
+    )
+    return trace
 
 
-def run_both_ways(program, max_instructions=None):
-    legacy = []
-    Machine(program).run(
-        max_instructions=max_instructions, trace_sink=legacy
-    )
-    columnar = ColumnarTrace()
-    Machine(program).run(
-        max_instructions=max_instructions, trace_sink=columnar
-    )
-    return columnar, legacy
+def column_digests(trace):
+    """Length plus a SHA-256 per column over its little-endian bytes."""
+    digests = {"length": len(trace)}
+    for name in ColumnarTrace.__slots__:
+        column = getattr(trace, name)
+        if isinstance(column, array) and sys.byteorder == "big":
+            column = array(column.typecode, column)
+            column.byteswap()
+        digests[name] = hashlib.sha256(bytes(column)).hexdigest()
+    return digests
+
+
+def _golden_traces():
+    """(fixture key, program, window) for every recorded trace."""
+    cases = [
+        (bench, workload(bench).program(), WINDOW)
+        for bench in ALL_BENCHMARKS
+    ]
+    cases.append((FULL_RUN, workload("mcf").program(), None))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)["traces"]
 
 
 class TestWorkloadDifferential:
-    """The gate the issue demands: columnar == legacy on every workload."""
+    """Every registry workload reproduces its recorded columns."""
 
     # (param is named ``bench``: pytest-benchmark owns ``benchmark``.)
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS)
-    def test_columnar_matches_legacy(self, bench):
-        program = workload(bench).program()
-        columnar, legacy = run_both_ways(program, max_instructions=2_000)
-        assert len(legacy) > 0
-        assert_traces_identical(columnar, legacy)
+    def test_columnar_matches_legacy(self, bench, golden):
+        trace = emit(workload(bench).program(), max_instructions=WINDOW)
+        assert len(trace) == WINDOW
+        assert column_digests(trace) == golden[bench]
 
-    def test_full_run_including_halt(self):
+    def test_full_run_including_halt(self, golden):
         # No window: the trace covers the halt path too.
         program = workload("mcf").program()
-        columnar, legacy = run_both_ways(program)
-        assert_traces_identical(columnar, legacy)
+        machine = Machine(program)
+        trace = ColumnarTrace()
+        machine.run(trace_sink=trace)
+        assert machine.halted
+        assert column_digests(trace) == golden[FULL_RUN]
 
 
 # --- fuzzed programs: ALU ops, stack memory traffic, $sp updates, ----
@@ -87,8 +128,10 @@ _memory = st.one_of(
 _branch = st.tuples(st.just("branch"), st.sampled_from(["beq", "bne"]),
                     st.sampled_from(REGS))
 _sp_adjust = st.tuples(st.just("sp"), st.sampled_from([-32, -16, 16, 32]))
+_sp_via_register = st.tuples(st.just("sp_reg"),
+                             st.sampled_from([-32, -16, 16, 32]))
 
-_step = st.one_of(_alu, _memory, _branch, _sp_adjust)
+_step = st.one_of(_alu, _memory, _branch, _sp_adjust, _sp_via_register)
 
 
 def _fuzz_source(steps):
@@ -115,13 +158,83 @@ def _fuzz_source(steps):
             lines.append(f"    {op} {reg}, skip_{i}")
             lines.append("    addq r1, 1, r1")
             lines.append(f"skip_{i}:")
-        else:  # sp wiggle inside the reserved frame
+        elif kind == "sp":  # sp wiggle inside the reserved frame
             _, imm = item
             lines.append(f"    lda sp, {imm}(sp)")
+            lines.append(f"    lda sp, {-imm}(sp)")
+        else:  # the same wiggle, with $sp set through another register
+            _, imm = item
+            lines.append(f"    lda r5, {imm - 8}(sp)")
+            lines.append("    lda sp, 8(r5)")
             lines.append(f"    lda sp, {-imm}(sp)")
     lines.append("    lda sp, 512(sp)")
     lines.append("    halt")
     return "\n".join(lines)
+
+
+def assert_static_fields(record, instr):
+    """The record fields fixed by the instruction at its pc."""
+    dst = instr.destination_register()
+    imm = instr.imm if instr.imm is not None else 0
+    sp_update = dst == SP
+    assert record.op == instr.op
+    # op_class must be the shared singleton, not a reconstruction.
+    assert record.op_class is instr.op_class
+    assert record.srcs == tuple(instr.source_registers())
+    assert record.dst == dst
+    assert record.is_load == instr.is_load
+    assert record.is_store == instr.is_store
+    assert record.size == instr.spec.mem_size
+    assert record.base_reg == (instr.rb if instr.is_mem else None)
+    assert record.displacement == imm
+    assert record.is_branch == instr.is_branch
+    assert record.is_conditional == instr.is_conditional
+    assert record.sp_update == sp_update
+    assert record.sp_update_immediate == (
+        imm if sp_update and instr.op == "lda" and instr.rb == SP else 0
+    )
+
+
+def assert_trace_consistent(trace, program):
+    """Static fields per pc, plus control flow and ``$sp`` replayed.
+
+    The fuzzed programs address memory only through ``$sp`` and set
+    ``$sp`` only by ``lda``, from ``$sp`` or from a register an earlier
+    ``lda`` derived from ``$sp``.  So the expected ``$sp`` value and
+    effective address of every entry follow from the entries before
+    it.
+    """
+    sp = STACK_BASE
+    derived = {}  # register -> value an ``lda reg, imm(sp)`` gave it
+    pc = TEXT_BASE + 4 * program.label_index(program.entry)
+    for index, record in enumerate(trace):
+        assert record.index == index
+        assert record.pc == pc
+        instr = program.instructions[(pc - TEXT_BASE) // 4]
+        assert_static_fields(record, instr)
+        if instr.op == "lda":
+            base = sp if instr.rb == SP else derived[instr.rb]
+            if record.dst == SP:
+                sp = base + record.displacement
+            else:
+                derived[record.dst] = base + record.displacement
+        elif record.dst is not None:
+            derived.pop(record.dst, None)
+        assert record.sp_value == sp
+        if record.is_load or record.is_store:
+            assert record.addr == sp + record.displacement
+        else:
+            assert record.addr == 0
+        if instr.op == "halt":
+            assert record.next_pc == pc
+        elif record.is_conditional:
+            target = TEXT_BASE + 4 * instr.target_index
+            assert record.taken == (record.next_pc == target)
+            assert record.next_pc in (target, pc + 4)
+        else:
+            assert not record.taken
+            assert record.next_pc == pc + 4
+        pc = record.next_pc
 
 
 class TestFuzzedDifferential:
@@ -129,21 +242,25 @@ class TestFuzzedDifferential:
     @given(st.lists(_step, min_size=1, max_size=30))
     def test_columnar_matches_legacy(self, steps):
         program = assemble(_fuzz_source(steps))
-        columnar, legacy = run_both_ways(program)
-        assert len(legacy) > 0
-        assert_traces_identical(columnar, legacy)
+        trace = emit(program)
+        assert len(trace) > 0
+        assert trace[-1].op == "halt"
+        assert_trace_consistent(trace, program)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(_step, min_size=5, max_size=30),
            st.integers(1, 20))
     def test_truncated_window_matches(self, steps, window):
         program = assemble(_fuzz_source(steps))
-        columnar, legacy = run_both_ways(program, max_instructions=window)
-        assert_traces_identical(columnar, legacy)
+        full = emit(program)
+        truncated = emit(program, max_instructions=window)
+        assert len(truncated) == min(window, len(full))
+        assert truncated == full[:window]
+        assert_trace_consistent(truncated, program)
 
 
 class TestColumnarContainer:
-    """Sequence/sink protocol details legacy consumers rely on."""
+    """Sequence protocol details the read views rely on."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -192,3 +309,20 @@ class TestColumnarContainer:
         assert len(empty) == 0
         assert list(empty) == []
         assert empty == []
+
+
+def record(path: str = GOLDEN_PATH) -> None:
+    """Re-run every recorded trace and rewrite the fixture."""
+    traces = {
+        key: column_digests(emit(program, max_instructions=window))
+        for key, program, window in _golden_traces()
+    }
+    with open(path, "w") as handle:
+        json.dump(
+            {"window": WINDOW, "traces": traces}, handle, indent=1
+        )
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.trace.serialization import (
     TraceFormatError,
-    TraceWriter,
     load_trace,
     save_trace,
 )
@@ -43,28 +42,6 @@ class TestRoundTrip:
         restored_stats = simulate(restored, config)
         assert restored_stats.cycles == original_stats.cycles
         assert restored_stats.svf_fast_loads == original_stats.svf_fast_loads
-
-    def test_streaming_writer_matches_batch(self, gzip_trace, tmp_path):
-        streamed = tmp_path / "streamed.svft"
-        with open(streamed, "wb") as stream:
-            with TraceWriter(stream) as writer:
-                for record in gzip_trace[:500]:
-                    writer.append(record)
-                assert writer.count == 500
-        batch = tmp_path / "batch.svft"
-        save_trace(gzip_trace[:500], str(batch))
-        assert streamed.read_bytes() == batch.read_bytes()
-
-    def test_writer_as_machine_sink(self, tmp_path):
-        from repro.workloads import workload
-
-        path = tmp_path / "direct.svft"
-        with open(path, "wb") as stream:
-            writer = TraceWriter(stream)
-            workload("gzip").run(max_instructions=2_000, trace_sink=writer)
-            assert writer.close() == 2_000
-        restored = load_trace(str(path))
-        assert len(restored) == 2_000
 
 
 class TestErrors:

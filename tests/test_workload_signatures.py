@@ -10,7 +10,11 @@ on.
 import pytest
 
 from repro.emulator.memory import STACK_BASE
-from repro.trace.analysis import AccessDistribution, StackDepthProfile
+from repro.trace.analysis import (
+    AccessDistribution,
+    StackDepthProfile,
+    consume_trace,
+)
 from repro.trace.regions import AccessMethod
 from repro.workloads import workload
 
@@ -28,13 +32,10 @@ def profiles():
     for name in names:
         distribution = AccessDistribution()
         depth = StackDepthProfile(stack_base=STACK_BASE)
-
-        class _Both:
-            def append(self, record, d=distribution, s=depth):
-                d.append(record)
-                s.append(record)
-
-        workload(name).run(max_instructions=WINDOW, trace_sink=_Both())
+        consume_trace(
+            workload(name).trace(max_instructions=WINDOW),
+            (distribution, depth),
+        )
         out[name] = (distribution, depth)
     return out
 
