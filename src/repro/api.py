@@ -22,6 +22,7 @@ changes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -268,6 +269,16 @@ class ReportOptions:
         return default_cache_dir()
 
 
+def _make_dir(path: Optional[str], what: str) -> Optional[str]:
+    """Create ``path`` up front: a bad one fails once, not in each cell."""
+    if path is not None:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create {what} {path}: {exc.strerror}")
+    return path
+
+
 def generate_report(
     options: Optional[ReportOptions] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -275,8 +286,9 @@ def generate_report(
 ) -> str:
     """Run the full experiment battery; returns one markdown document.
 
-    Unknown benchmark names raise :class:`repro.errors.UsageError`
-    before any simulation starts; a cell that fails inside the sweep
+    Unknown benchmark names and uncreatable cache directories raise
+    :class:`repro.errors.UsageError` before any simulation starts; a
+    cell that fails inside the sweep
     degrades to an annotated gap in its section.  ``profiler`` is an
     optional :class:`repro.profiling.PhaseProfiler` that accumulates
     the sweep's per-phase wall-time breakdown (``repro report
@@ -294,7 +306,7 @@ def generate_report(
         benchmarks=benchmarks,
         progress=progress,
         jobs=options.jobs,
-        cache_dir=options.resolved_cache_dir(),
+        cache_dir=_make_dir(options.resolved_cache_dir(), "cache directory"),
         task_timeout=options.task_timeout,
         profiler=profiler,
         incremental=options.incremental,
@@ -573,8 +585,9 @@ def sweep(
 
     ``suite`` is a descriptor path (YAML/JSON) or an already-validated
     :class:`repro.sweepspec.SweepSpec`.  A malformed descriptor raises
-    :class:`repro.errors.UsageError` before any cell runs; a cell that
-    fails after its retry degrades to an annotated gap row.  The run
+    :class:`repro.errors.UsageError` before any cell runs, as does an
+    uncreatable cache or output directory; a cell that fails after
+    its retry degrades to an annotated gap row.  The run
     table (:meth:`SweepResult.run_table_json` and the rendered
     summary) is byte-identical across ``jobs`` values and across warm
     re-runs; with the disk cache on, completed cells are skipped, so
@@ -589,6 +602,9 @@ def sweep(
             f"sweep: expected a descriptor path or SweepSpec, "
             f"not {type(suite).__name__}"
         )
+    options = options if options is not None else SweepOptions()
+    _make_dir(options.resolved_cache_dir(), "cache directory")
+    _make_dir(options.out_dir, "output directory")
     return _run_sweep(suite, options=options, progress=progress)
 
 

@@ -69,11 +69,11 @@ Commands:
     exit 0.
 
 Exit codes are uniform across commands: 0 success, 1 the command ran
-but found failures (lint errors), 2 usage errors — unknown workload or
-input names, missing files, a count option (``--max-instructions``,
-``--window``, ``--timing-window``, ``--functional-window``,
-``--jobs``) below 1 — reported as a one-line message on stderr, never
-a traceback.  All subsystem access goes through the stable
+but found failures (lint errors), 2 usage errors — unknown names,
+unreadable input files, unwritable output or cache paths (checked
+before any work runs), a count option (``--max-instructions``,
+``--window``, ``--timing-window``, ``--functional-window``, ``--jobs``)
+below 1 — reported as a one-line message on stderr, never a traceback.  All subsystem access goes through the stable
 :mod:`repro.api` facade; JSON outputs carry its ``schema_version``.
 """
 
@@ -81,11 +81,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
 from repro import api
-from repro.errors import UsageError
+from repro.errors import UsageError, read_text
 from repro.workloads import BENCHMARK_ORDER, input_names, workload
 
 
@@ -422,6 +423,13 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _check_output_file(command: str, path: str) -> None:
+    """Fail before any work runs when ``path`` cannot be written."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder):
+        raise UsageError(f"{command}: cannot write a file at {path}")
+
+
 def _machine_config(spec: api.MachineSpec) -> api.MachineConfig:
     """``spec.config()``, with an out-of-range field as a usage error."""
     try:
@@ -527,16 +535,11 @@ def cmd_compile(args) -> int:
     from repro.lang import CodegenError, LexerError, ParseError, SemanticError
 
     emit = "asm" if args.emit == "asm" else "program"
+    source = read_text("compile", args.source, "source file")
     try:
-        with open(args.source, encoding="utf-8") as handle:
-            compiled = api.compile_source(
-                handle.read(), _compile_options(args), emit=emit
-            )
-    except FileNotFoundError:
-        return _fail(f"no such source file: {args.source}")
-    except UnicodeDecodeError as exc:
-        return _fail(f"compile: {args.source}: byte {exc.start}: "
-                     f"not UTF-8 ({exc.reason})")
+        compiled = api.compile_source(
+            source, _compile_options(args), emit=emit
+        )
     except (LexerError, ParseError, SemanticError, CodegenError) as exc:
         return _fail(f"compile: {args.source}: {exc}")
     if args.emit == "asm":
@@ -564,11 +567,7 @@ def cmd_lint(args) -> int:
             from repro.analysis.lint import lint_assembly
             from repro.isa.assembler import AssemblerError
 
-            try:
-                with open(args.asm) as handle:
-                    source = handle.read()
-            except FileNotFoundError:
-                return _fail(f"no such assembly file: {args.asm}")
+            source = read_text("lint", args.asm, "assembly file")
             try:
                 reports = [lint_assembly(source, name=args.asm)]
             except AssemblerError as exc:
@@ -608,11 +607,7 @@ def cmd_certify(args) -> int:
         if args.asm is not None:
             from repro.isa.assembler import AssemblerError, assemble
 
-            try:
-                with open(args.asm) as handle:
-                    source = handle.read()
-            except FileNotFoundError:
-                return _fail(f"no such assembly file: {args.asm}")
+            source = read_text("certify", args.asm, "assembly file")
             try:
                 program = assemble(source)
             except AssemblerError as exc:
@@ -654,8 +649,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import os
-
     spec = api.load_suite(args.suite)
     if args.dry_run:
         points = spec.expand()
@@ -749,6 +742,7 @@ def cmd_report(args) -> int:
         use_cache=not args.no_cache,
         incremental=args.incremental,
     )
+    _check_output_file("report", args.output)
     profiler = PhaseProfiler() if args.profile else None
     text = api.generate_report(
         options,
@@ -815,6 +809,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.output:
+        _check_output_file("predict", args.output)
     report = api.predict(
         benchmarks=args.benchmarks or None,
         max_instructions=args.max_instructions,
@@ -842,6 +838,7 @@ def cmd_trace(args) -> int:
         work = workload(args.workload, args.input)
     except KeyError as exc:
         return _fail(exc.args[0])
+    _check_output_file("trace", args.output)
     options = _compile_options(args)
     columns = ColumnarTrace()
     work.run(
@@ -855,7 +852,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from repro.trace import load_trace
+    from repro.trace import TraceFormatError, load_trace
 
     config = _machine_config(api.MachineSpec(
         width=args.width, svf_mode=args.svf, svf_ports=args.ports
@@ -864,6 +861,10 @@ def cmd_replay(args) -> int:
         trace = load_trace(args.trace_file)
     except FileNotFoundError:
         return _fail(f"no such trace file: {args.trace_file}")
+    except TraceFormatError as exc:
+        return _fail(f"replay: {exc}")
+    except OSError as exc:
+        return _fail(f"replay: {args.trace_file}: {exc.strerror}")
     base = api.MachineSpec(width=args.width)
     baseline = api.simulate(trace, base)
     print(f"{args.trace_file}: {len(trace):,} instructions")

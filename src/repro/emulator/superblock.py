@@ -57,7 +57,6 @@ from array import array
 from typing import List, Optional
 
 from repro.emulator.memory import MemoryError_
-from repro.trace import columnar as _columnar
 from repro.trace.columnar import ColumnarTrace
 
 _MASK64 = (1 << 64) - 1
@@ -154,7 +153,6 @@ class SuperblockTemplate:
         "_fn",
         "_static",
         "_addr_zero",
-        "_sp_stride",
     )
 
     def __init__(self, start_index, end_index, fn, static_blobs,
@@ -172,8 +170,6 @@ class SuperblockTemplate:
         #: Shared progress cell: ops fully retired by the current call.
         self.progress = [0]
         self._addr_zero = bytes(8 * self.length)
-        #: Per-op widths of the 8-byte columns, for partial emit.
-        self._sp_stride = 8
 
     # ---------------------------------------------------------- replay
     def replay(self, registers, words, mem_load, mem_load_signed,
@@ -225,16 +221,16 @@ class SuperblockTemplate:
         else:
             # Fault-free blocks have no loads/stores: no effective
             # addresses to collect, no progress to track.
-            addrs = None
+            addrs = ()
             self._fn(
                 registers, None, None, None, None,
                 output_append, None, sp_append, None,
             )
 
         (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, np_b) = self._static
+         di_b, si_b, nx_b) = self._static
         (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_np) = emitters
+         e_di, e_si, e_nx) = emitters
         e_pc(pc_b)
         e_op(op_b)
         e_fl(fl_b)
@@ -246,36 +242,21 @@ class SuperblockTemplate:
         e_s1(s1_b)
         e_di(di_b)
         e_si(si_b)
-        e_np(np_b)
+        e_nx(nx_b)
 
         # addr: zeros except at the block's memory ops, scattered from
-        # the addresses the body collected (in op order).  The numpy
-        # buffer path builds the slice vectorized when enabled; the
-        # scatter loop over mem ops is the pure-python reference.
-        n = self.length
+        # the addresses the body collected (in op order).
         col_addr = columns.addr
-        if not addrs:
-            col_addr.frombytes(self._addr_zero)
-        elif (
-            _columnar._np is not None
-            and _columnar._NUMPY_ENABLED
-            and len(addrs) > 16
-        ):
-            np = _columnar._np
-            buf = np.zeros(n, dtype="<u8")
-            buf[self.mem_positions] = np.array(addrs, dtype="<u8")
-            col_addr.frombytes(buf.tobytes())
-        else:
-            base_len = len(col_addr)
-            col_addr.frombytes(self._addr_zero)
-            for position, addr in zip(self.mem_positions, addrs):
-                col_addr[base_len + position] = addr
+        base_len = len(col_addr)
+        col_addr.frombytes(self._addr_zero)
+        for position, addr in zip(self.mem_positions, addrs):
+            col_addr[base_len + position] = addr
 
         # sp: constant across a block with no $sp write (one repeated
         # fill), else the per-op values the body collected.
         if sps is None:
             columns.sp.frombytes(
-                registers[_SP].to_bytes(8, "little") * n
+                registers[_SP].to_bytes(8, "little") * self.length
             )
         else:
             columns.sp.extend(sps)
@@ -286,9 +267,9 @@ class SuperblockTemplate:
         if done == 0:
             return
         (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, np_b) = self._static
+         di_b, si_b, nx_b) = self._static
         (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_np) = emitters
+         e_di, e_si, e_nx) = emitters
         e_pc(pc_b[: 8 * done])
         e_op(op_b[:done])
         e_fl(fl_b[:done])
@@ -300,7 +281,7 @@ class SuperblockTemplate:
         e_s1(s1_b[:done])
         e_di(di_b[: 8 * done])
         e_si(si_b[: 8 * done])
-        e_np(np_b[: 8 * done])
+        e_nx(nx_b[: 8 * done])
         col_addr = columns.addr
         base_len = len(col_addr)
         col_addr.frombytes(self._addr_zero[: 8 * done])

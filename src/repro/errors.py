@@ -19,4 +19,18 @@ class UsageError(Exception):
     """A malformed request: bad names or flags, reported without traceback."""
 
 
-__all__ = ["UsageError"]
+def read_text(command: str, path: str, what: str) -> str:
+    """The UTF-8 text of a user-named file, or a UsageError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise UsageError(f"no such {what}: {path}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{command}: {path}: byte {exc.start}: "
+                         f"not UTF-8 ({exc.reason})")
+    except OSError as exc:
+        raise UsageError(f"{command}: {path}: {exc.strerror}")
+
+
+__all__ = ["UsageError", "read_text"]

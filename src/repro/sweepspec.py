@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import UsageError
+from repro.errors import UsageError, read_text
 from repro.workloads import validate_benchmarks
 
 #: Descriptor keys the parser understands; anything else is an error.
@@ -448,13 +448,7 @@ def load_suite(path: str) -> SweepSpec:
     treated as YAML (requires PyYAML, with a usage error — not an
     ImportError traceback — when it is missing).
     """
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise UsageError(f"no such suite descriptor: {path}")
-    except IsADirectoryError:
-        raise UsageError(f"suite descriptor is a directory: {path}")
+    text = read_text("sweep", path, "suite descriptor")
     if path.endswith(".json"):
         try:
             data = json.loads(text)

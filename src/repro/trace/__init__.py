@@ -9,7 +9,6 @@ from repro.trace.analysis import (
 from repro.trace.columnar import (
     ColumnarTrace,
     numpy_available,
-    numpy_enabled,
     set_numpy_enabled,
 )
 from repro.trace.records import TraceRecord
@@ -44,7 +43,6 @@ __all__ = [
     "is_stack_address",
     "load_trace",
     "numpy_available",
-    "numpy_enabled",
     "save_trace",
     "set_numpy_enabled",
     "write_trace",

@@ -68,18 +68,13 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def numpy_enabled() -> bool:
-    """True when :meth:`ColumnarTrace.as_arrays` will return views."""
-    return _np is not None and _NUMPY_ENABLED
-
-
 def set_numpy_enabled(enabled: bool) -> bool:
     """Toggle the numpy backend at runtime; returns the previous state.
 
-    The backend serves the batched analyses, the traffic model and
-    superblock replay; the pure-python column walk is their reference
-    implementation, so benchmarks and the differential gates use this
-    to time/compare both paths in one process.  The timing model is
+    The backend serves the batched analyses and the traffic model;
+    the pure-python column walk is their reference implementation, so
+    benchmarks and the differential gates use this to time/compare
+    both paths in one process.  Emulation and the timing model are
     pure python either way.  Enabling has no effect when numpy is not
     importable.
     """

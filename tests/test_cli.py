@@ -134,6 +134,84 @@ class TestUsageErrors:
         assert main(["replay", "/no/such/trace.svft"]) == 2
         self._assert_one_line_error(capsys, "no such trace file")
 
+    @pytest.mark.parametrize("damage,fragment", [
+        ("truncated", "checksum mismatch in '{path}'"),
+        ("bit-flipped", "checksum mismatch in '{path}'"),
+        ("not-a-trace", "bad trace header in '{path}'"),
+    ], ids=["truncated", "bit-flipped", "not-a-trace"])
+    def test_replay_unreadable_trace(self, damage, fragment, capsys,
+                                     tmp_path):
+        path = tmp_path / "t.svft"
+        assert main(["trace", "mcf", str(path),
+                     "--max-instructions", "500"]) == 0
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            path.write_bytes(blob[: len(blob) // 2])
+        elif damage == "bit-flipped":
+            blob[len(blob) // 2] ^= 1
+            path.write_bytes(blob)
+        else:
+            path.write_text("int main() { return 0; }\n")
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        self._assert_one_line_error(
+            capsys, "repro: replay: " + fragment.format(path=path)
+        )
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["lint", "--asm", "{bad}"],
+         "repro: lint: {bad}: byte 6: not UTF-8"),
+        (["certify", "--asm", "{bad}"],
+         "repro: certify: {bad}: byte 6: not UTF-8"),
+        (["sweep", "{bad}"], "repro: sweep: {bad}: byte 6: not UTF-8"),
+        (["lint", "--asm", "{dir}"], "repro: lint: {dir}: Is a directory"),
+        (["compile", "{dir}"], "repro: compile: {dir}: Is a directory"),
+        (["replay", "{dir}"], "repro: replay: {dir}: Is a directory"),
+    ], ids=["lint-asm-non-utf8", "certify-asm-non-utf8",
+            "sweep-suite-non-utf8", "lint-asm-directory",
+            "compile-directory", "replay-directory"])
+    def test_unreadable_input_file(self, argv, fragment, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"main:\n\xff\n")
+        names = {"bad": bad, "dir": tmp_path}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        self._assert_one_line_error(capsys, fragment.format(**names))
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["trace", "gzip", "{missing}/t.svft"],
+         "repro: trace: cannot write a file at {missing}/t.svft"),
+        (["report", "--output", "{missing}/r.md"],
+         "repro: report: cannot write a file at {missing}/r.md"),
+        (["predict", "--output", "{missing}/p.txt"],
+         "repro: predict: cannot write a file at {missing}/p.txt"),
+        (["sweep", "{suite}", "--out", "{file}/x"],
+         "repro: cannot create output directory {file}/x: Not a directory"),
+        (["sweep", "{suite}", "--cache-dir", "{file}/c"],
+         "repro: cannot create cache directory {file}/c: Not a directory"),
+        (["report", "--cache-dir", "{file}/c", "--jobs", "1",
+          "--output", "{tmp}/r.md"],
+         "repro: cannot create cache directory {file}/c: Not a directory"),
+        (["report", "--cache-dir", "{file}/c", "--jobs", "2",
+          "--output", "{tmp}/r.md"],
+         "repro: cannot create cache directory {file}/c: Not a directory"),
+    ], ids=["trace-output-missing-dir", "report-output-missing-dir",
+            "predict-output-missing-dir", "sweep-out-under-file",
+            "sweep-cache-dir-under-file", "report-cache-dir-jobs-1",
+            "report-cache-dir-jobs-2"])
+    def test_unwritable_path_fails_before_work(self, argv, fragment,
+                                               capsys, tmp_path):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(TestSweep.SUITE))
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        names = {"missing": tmp_path / "no" / "such", "file": plain,
+                 "suite": suite, "tmp": tmp_path}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == fragment.format(**names) + "\n"
+        assert not (tmp_path / "r.md").exists()
+
     def test_every_handler_returns_int(self, tmp_path, capsys):
         # The cheap commands, exercised end to end: handlers must
         # return int (argparse-level SystemExit is a separate path).

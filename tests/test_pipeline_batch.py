@@ -50,9 +50,9 @@ GRID = [
     ),
 ]
 
-#: The numpy switch selects the analysis, traffic and superblock
-#: backends; running each check under both settings keeps the timing
-#: walk independent of it.
+#: The numpy switch selects the analysis and traffic backends;
+#: running each check under both settings keeps the timing walk
+#: independent of it.
 LEGS = [
     pytest.param(False, id="reference"),
     pytest.param(
