@@ -439,38 +439,6 @@ def check_output_invariant(
     )
 
 
-def check_no_leaked_shm(engine_report) -> ChaosCheck:
-    """No shared-memory segment outlives the run that published it.
-
-    Workers publish trace segments under a run-scoped name prefix and
-    never unlink them; the engine's end-of-run sweep is the single
-    cleanup point.  This check re-scans the prefix *after* the sweep,
-    so a segment still present — including one published by a worker
-    the chaos harness SIGKILLed mid-run — is a leak.  A run that never
-    enabled shared memory passes trivially.
-    """
-    from repro.harness.parallel import leaked_shm_segments
-
-    prefix = getattr(engine_report, "shm_prefix", None)
-    if not prefix:
-        return ChaosCheck(
-            "no-leaked-shm-segments", True,
-            "shared-memory fan-out not used by this run",
-        )
-    leaked = leaked_shm_segments(prefix)
-    if leaked:
-        return ChaosCheck(
-            "no-leaked-shm-segments", False,
-            f"segments survived the cleanup sweep: {', '.join(leaked)}",
-        )
-    return ChaosCheck(
-        "no-leaked-shm-segments", True,
-        f"prefix {prefix!r} swept clean "
-        f"({engine_report.shm_segments} segments, "
-        f"{engine_report.shm_bytes} bytes reclaimed)",
-    )
-
-
 def check_no_orphans(engine_report) -> ChaosCheck:
     """No worker process survives the run (and none was silently lost)."""
     alive = [
@@ -590,7 +558,6 @@ def run_chaos(options: Optional[ChaosOptions] = None,
     engine_report = engine.last_engine_report()
     if engine_report is not None:
         result.checks.append(check_no_orphans(engine_report))
-        result.checks.append(check_no_leaked_shm(engine_report))
 
     note("chaos: repair run (same cache, no faults)")
     repaired = target.run(chaos_cache)
@@ -763,7 +730,6 @@ __all__ = [
     "bitflip_entry",
     "cache_entries",
     "cell_key",
-    "check_no_leaked_shm",
     "check_no_orphans",
     "check_output_invariant",
     "inject_cache_faults",

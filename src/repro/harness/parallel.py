@@ -26,10 +26,14 @@ The engine is backed by :class:`TraceCache`, a shared on-disk
 compile/trace cache keyed by (benchmark, input, opt level, window) and
 versioned by :data:`repro.api.SCHEMA_VERSION`: worker processes and
 repeated invocations reuse each functional trace instead of
-re-emulating it.  The cache installs itself as the second level behind
-the per-process cache of :func:`repro.workloads.cached_trace`, and it
-also memoizes finished cell payloads, so a warm re-run skips the
-timing model as well.
+re-emulating it.  It is the only way a trace crosses processes.  The
+cache installs itself as the second level behind the per-process cache
+of :func:`repro.workloads.cached_trace`, which the engine empties as
+each cell ends, so a worker holds only the traces of its current cell.
+The cache also memoizes finished cell payloads, so a warm re-run skips
+the timing model as well.  Without a disk cache (``cache_dir=None``)
+each worker emulates the traces it needs and keeps them for its later
+cells.
 """
 
 from __future__ import annotations
@@ -47,26 +51,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import profiling
 from repro.harness import chaos
-from repro.trace.columnar import SharedColumnarTrace
-from repro.trace.serialization import (
-    TraceFormatError,
-    load_trace,
-    pack_shared,
-    shared_payload_size,
-    write_trace,
-)
+from repro.trace.serialization import TraceFormatError, load_trace, write_trace
 from repro.workloads import (
+    clear_trace_cache,
     get_disk_trace_cache,
     input_names,
     set_disk_trace_cache,
-    set_shm_trace_cache,
     workload,
 )
-
-try:  # unavailable on exotic platforms; the engine degrades to pickle
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - all CI hosts have it
-    _shared_memory = None
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +127,7 @@ def _escape_key_part(value: Any) -> str:
 
 
 class TraceCache:
-    """On-disk store under ``<root>/v<SCHEMA_VERSION>/``, two namespaces:
+    """On-disk store under ``<root>/v<SCHEMA_VERSION>/``, three namespaces:
 
     * functional traces, one ``.trace.bin`` file per (benchmark,
       input, opt level, window) key in the columnar binary format of
@@ -312,142 +304,6 @@ class TraceCache:
 
     def store_section(self, section: str, key: str, payload: Any) -> None:
         self._write(self.section_path_for(section, key), payload, "section")
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory trace fan-out
-# ---------------------------------------------------------------------------
-
-#: where POSIX shared memory shows up as files (Linux); the prefix
-#: sweep and the chaos leak check both scan it.
-_SHM_DIR = Path("/dev/shm")
-
-
-def shm_available() -> bool:
-    """True when the shared-memory fan-out path can work on this host.
-
-    Needs :mod:`multiprocessing.shared_memory` *and* a scannable
-    ``/dev/shm`` — the engine guarantees cleanup by sweeping its
-    run-scoped name prefix, which requires segments to be enumerable.
-    Anything else falls back to the pickle/disk path.
-    """
-    return _shared_memory is not None and _SHM_DIR.is_dir()
-
-
-def _untrack_shm(segment) -> None:
-    """Opt this process's resource tracker out of managing ``segment``.
-
-    Every worker maps the same segments; the default per-process
-    tracker would unlink them when the first worker exits (and warn
-    about double unlinks).  Ownership belongs to the engine run: the
-    parent's prefix sweep in :func:`run_cells` is the only unlink.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout changed
-        pass
-
-
-class ShmTraceCache:
-    """Zero-copy trace fan-out over ``multiprocessing.shared_memory``.
-
-    The first worker to materialize a functional trace (from the
-    emulator or the disk cache) *publishes* the packed columns into a
-    named segment; every other worker *attaches* a read-only
-    :class:`~repro.trace.columnar.SharedColumnarTrace` view in O(1),
-    so fan-out cost stops scaling with trace size.  Segment names are
-    a pure function of (run prefix, trace key), so workers need no
-    coordination channel; the payload's commit-record magic (see
-    ``repro.trace.serialization.pack_shared``) makes a segment left
-    torn by a killed worker read as a miss, never as a wrong trace.
-
-    Registered in workers via ``repro.workloads.set_shm_trace_cache``;
-    the engine's parent process sweeps ``/dev/shm`` for the run prefix
-    when the run ends, so no segment outlives :func:`run_cells`.
-    """
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.attaches = 0
-        self.publishes = 0
-        self.fanout_bytes = 0
-
-    def segment_name(self, key) -> str:
-        import hashlib
-
-        digest = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
-        return f"{self.prefix}{digest}"
-
-    def load(self, key) -> Optional[SharedColumnarTrace]:
-        """Attach the published trace for ``key``, or None on miss."""
-        if _shared_memory is None:
-            return None
-        try:
-            segment = _shared_memory.SharedMemory(
-                name=self.segment_name(key), create=False
-            )
-        except (FileNotFoundError, OSError, ValueError):
-            return None
-        _untrack_shm(segment)
-        trace = SharedColumnarTrace.from_buffer(segment.buf, owner=segment)
-        if trace is None:
-            # Uncommitted payload (writer raced or was killed mid-pack).
-            segment.close()
-            return None
-        self.attaches += 1
-        self.fanout_bytes += trace.nbytes
-        profiler = profiling.active()
-        if profiler is not None:
-            profiler.count("shm_trace_attaches")
-            profiler.count("shm_fanout_bytes", trace.nbytes)
-        return trace
-
-    def publish(self, key, trace) -> None:
-        """Export a trace for the other workers; never raises."""
-        if _shared_memory is None or isinstance(trace, SharedColumnarTrace):
-            return
-        size = shared_payload_size(len(trace))
-        try:
-            segment = _shared_memory.SharedMemory(
-                name=self.segment_name(key), create=True, size=size
-            )
-        except FileExistsError:
-            return  # another worker won the race; its copy is identical
-        except (OSError, ValueError):
-            return  # /dev/shm full or unusable: pickle path still works
-        _untrack_shm(segment)
-        try:
-            pack_shared(segment.buf, trace)
-        finally:
-            segment.close()
-        self.publishes += 1
-        profiler = profiling.active()
-        if profiler is not None:
-            profiler.count("shm_trace_publishes")
-
-
-def sweep_shm_segments(prefix: str) -> List[Tuple[str, int]]:
-    """Unlink every segment with ``prefix``; returns (name, bytes)."""
-    removed: List[Tuple[str, int]] = []
-    if not prefix or not shm_available():
-        return removed
-    for path in _SHM_DIR.glob(prefix + "*"):
-        try:
-            size = path.stat().st_size
-            path.unlink()
-        except OSError:
-            continue
-        removed.append((path.name, size))
-    return removed
-
-
-def leaked_shm_segments(prefix: str) -> List[str]:
-    """Segments with ``prefix`` still present (chaos leak check)."""
-    if not prefix or not shm_available():
-        return []
-    return sorted(path.name for path in _SHM_DIR.glob(prefix + "*"))
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +545,19 @@ def _execute_cell(
             profiler.snapshot(),
         )
     finally:
+        if cache is not None:
+            # The disk cache serves the next cell, so a worker holds
+            # only the traces of the cell it is running.
+            clear_trace_cache()
         profiling.swap(previous)
 
 
 def _init_worker(
     cache_dir: Optional[str],
     fault_plan: Optional[chaos.FaultPlan] = None,
-    shm_prefix: Optional[str] = None,
 ) -> None:
     if cache_dir:
         set_disk_trace_cache(TraceCache(cache_dir))
-    if shm_prefix:
-        set_shm_trace_cache(ShmTraceCache(shm_prefix))
     if fault_plan is not None:
         # Real workers take real SIGKILLs — the engine must survive
         # losing the process, not a polite exception.
@@ -726,10 +583,6 @@ class EngineOptions:
     retries: int = 1
     #: deterministic fault plan installed in every worker (chaos runs).
     fault_plan: Optional[chaos.FaultPlan] = None
-    #: fan traces out to workers over POSIX shared memory (zero-copy
-    #: attach instead of per-worker disk reads); silently degrades to
-    #: the pickle/disk path when the host has no usable /dev/shm.
-    shared_memory: bool = True
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
@@ -757,11 +610,24 @@ class EngineReport:
     timeouts: int = 0
     #: attempts lost to a dead worker (SIGKILL, crash).
     broken: int = 0
-    #: run-scoped shared-memory segment name prefix (None = shm off).
-    shm_prefix: Optional[str] = None
-    #: segments the end-of-run sweep unlinked, and their total bytes.
-    shm_segments: int = 0
-    shm_bytes: int = 0
+
+
+# perfbench's reads.  perfbench/ still imports these two functions and
+# reads the three EngineReport attributes below, which described the
+# shared-memory trace fan-out.  Traces now cross processes only
+# through TraceCache, so each reads as "not used".  Delete this block
+# together with perfbench's reads.
+def shm_available() -> bool:
+    return False
+
+
+def leaked_shm_segments(prefix: Optional[str]) -> List[str]:
+    return []
+
+
+EngineReport.shm_prefix = None
+EngineReport.shm_segments = 0
+EngineReport.shm_bytes = 0
 
 
 @dataclass
@@ -881,15 +747,9 @@ class _WorkerSlot:
     it and the rest of the pool never notices.
     """
 
-    def __init__(
-        self,
-        options: EngineOptions,
-        report: EngineReport,
-        shm_prefix: Optional[str] = None,
-    ):
+    def __init__(self, options: EngineOptions, report: EngineReport):
         self._options = options
         self._report = report
-        self._shm_prefix = shm_prefix
         self._executor: Optional[ProcessPoolExecutor] = None
         self.future = None
         self.index = -1
@@ -903,8 +763,7 @@ class _WorkerSlot:
                 max_workers=1,
                 initializer=_init_worker,
                 initargs=(self._options.cache_dir,
-                          self._options.fault_plan,
-                          self._shm_prefix),
+                          self._options.fault_plan),
             )
         self.index = index
         self.attempt = attempt
@@ -947,16 +806,9 @@ def _run_pool(
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
     report = EngineReport()
-    shm_prefix = None
-    if options.shared_memory and shm_available():
-        # Run-scoped prefix: workers derive segment names from it, and
-        # the end-of-run sweep below unlinks exactly this namespace —
-        # even segments published by a worker that was later SIGKILLed.
-        shm_prefix = f"svf-{os.getpid()}-{os.urandom(4).hex()}-"
-        report.shm_prefix = shm_prefix
     pending = deque((index, 1) for index in range(total))
     slots = [
-        _WorkerSlot(options, report, shm_prefix)
+        _WorkerSlot(options, report)
         for _ in range(min(options.effective_jobs(), total))
     ]
     done = 0
@@ -1039,12 +891,6 @@ def _run_pool(
                 slot.recycle()
             else:
                 slot.close()
-        # Workers never unlink (they may not be last); the run owns the
-        # namespace, so sweeping the prefix here is the single point of
-        # cleanup and makes "no leaked segments" checkable afterwards.
-        removed = sweep_shm_segments(shm_prefix) if shm_prefix else []
-        report.shm_segments = len(removed)
-        report.shm_bytes = sum(size for _, size in removed)
         _LAST_REPORT = report
     return outcomes  # type: ignore[return-value]
 
@@ -1054,13 +900,9 @@ __all__ = [
     "CellOutcome",
     "EngineOptions",
     "EngineReport",
-    "ShmTraceCache",
     "TaskCell",
     "TraceCache",
     "default_cache_dir",
     "last_engine_report",
-    "leaked_shm_segments",
     "run_cells",
-    "shm_available",
-    "sweep_shm_segments",
 ]

@@ -129,8 +129,8 @@ class PhaseProfiler:
             )
         if self.counters:
             lines.append("cache counters:")
-            # Width fits the longest name (the superblock and shm
-            # counters outgrew the old fixed column).
+            # Width fits the longest name (the superblock counters
+            # outgrew the old fixed column).
             width = max(24, max(len(name) for name in self.counters))
             for name in sorted(self.counters):
                 lines.append(

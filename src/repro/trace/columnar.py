@@ -357,79 +357,6 @@ class ColumnarTrace:
         return f"<ColumnarTrace {len(self.pc)} records>"
 
 
-class SharedColumnarTrace(ColumnarTrace):
-    """Read-only :class:`ColumnarTrace` view over one shared buffer.
-
-    Every column is a zero-copy ``memoryview`` cast over a single
-    packed payload (see ``repro.trace.serialization.pack_shared``), so
-    attaching a trace published in ``multiprocessing.shared_memory``
-    costs O(1) regardless of trace size — the hot loops (the timing
-    walks, the batch analyses, :meth:`as_arrays`) read the columns
-    through the buffer protocol exactly as they read ``array`` /
-    ``bytearray`` columns.  The view is deliberately immutable: the
-    buffer is mapped by many processes, so ``append`` refuses.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, columns, owner=None):
-        for name in ColumnarTrace.__slots__:
-            setattr(self, name, columns[name])
-        # Keep the shared-memory segment (or other buffer owner) alive
-        # exactly as long as any view over it.
-        self._owner = owner
-
-    @classmethod
-    def from_buffer(cls, buffer, owner=None):
-        """Attach to a packed payload; ``None`` if not committed."""
-        from repro.trace.serialization import unpack_shared
-
-        columns = unpack_shared(buffer)
-        if columns is None:
-            return None
-        return cls(columns, owner)
-
-    def append(self, record) -> None:
-        raise TypeError("SharedColumnarTrace is a read-only view")
-
-    def close(self) -> None:
-        """Release the column views, then the owning segment.
-
-        Order matters: a shared-memory owner cannot unmap while the
-        column memoryviews still export its buffer, so teardown that
-        leaves it to reference-count order can raise ``BufferError``
-        from ``SharedMemory.__del__``.  Safe to call twice; the view
-        is unusable afterwards.
-        """
-        for name in ColumnarTrace.__slots__:
-            view = getattr(self, name, None)
-            if isinstance(view, memoryview):
-                view.release()
-        owner, self._owner = self._owner, None
-        if owner is not None:
-            try:
-                owner.close()
-            except (BufferError, OSError):  # pragma: no cover
-                pass
-
-    def __del__(self):  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    @property
-    def nbytes(self) -> int:
-        """Total payload bytes served by the shared buffer."""
-        return sum(
-            len(getattr(self, name)) * getattr(self, name).itemsize
-            for name in ColumnarTrace.__slots__
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SharedColumnarTrace {len(self.pc)} records>"
-
-
 def record_fields(record: TraceRecord) -> tuple:
     """All fields of a record as a comparable tuple (test helper)."""
     return tuple(getattr(record, name) for name in _FIELDS)

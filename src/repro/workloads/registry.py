@@ -258,17 +258,12 @@ def _resolve(benchmark: str) -> Tuple[object, str]:
 
 TraceKey = Tuple[str, str, int, Optional[int]]
 
-_TRACE_CACHE: Dict[TraceKey, list] = {}
+_TRACE_CACHE: Dict[TraceKey, ColumnarTrace] = {}
 
-#: Optional on-disk cache: any object with load(key) -> Optional[list]
-#: and store(key, trace).  None disables the disk level.
+#: Optional on-disk cache: any object with
+#: load(key) -> Optional[ColumnarTrace] and store(key, trace).  None
+#: disables the disk level.
 _DISK_CACHE = None
-
-#: Optional shared-memory cache (installed by the parallel engine's
-#: ShmTraceCache in worker processes): load(key) returns a zero-copy
-#: SharedColumnarTrace view, publish(key, trace) exports a computed or
-#: disk-loaded trace for the other workers.  None disables the level.
-_SHM_CACHE = None
 
 
 def set_disk_trace_cache(cache) -> None:
@@ -282,22 +277,11 @@ def get_disk_trace_cache():
     return _DISK_CACHE
 
 
-def set_shm_trace_cache(cache) -> None:
-    """Install (or with ``None`` remove) the shared-memory trace cache."""
-    global _SHM_CACHE
-    _SHM_CACHE = cache
-
-
-def get_shm_trace_cache():
-    """The currently installed shared-memory trace cache, if any."""
-    return _SHM_CACHE
-
-
 def cached_trace(
     work: Workload,
     max_instructions: Optional[int],
     options: Optional[CodegenOptions] = None,
-) -> list:
+) -> ColumnarTrace:
     """Trace for a workload, cached per process (and on disk when enabled).
 
     The key is (benchmark, input, opt level, window) — everything that
@@ -308,25 +292,21 @@ def cached_trace(
     trace = _TRACE_CACHE.get(key)
     if trace is not None:
         return trace
-    if _SHM_CACHE is not None:
-        # Attaching to a segment another worker already published is a
-        # zero-copy O(1) map, so it beats both re-emulation and the
-        # disk read + column materialization below.
-        trace = _SHM_CACHE.load(key)
-    if trace is None and _DISK_CACHE is not None:
+    if _DISK_CACHE is not None:
         trace = _DISK_CACHE.load(key)
-        if trace is not None and _SHM_CACHE is not None:
-            _SHM_CACHE.publish(key, trace)
     if trace is None:
         trace = work.trace(max_instructions=max_instructions, options=options)
         if _DISK_CACHE is not None:
             _DISK_CACHE.store(key, trace)
-        if _SHM_CACHE is not None:
-            _SHM_CACHE.publish(key, trace)
     _TRACE_CACHE[key] = trace
     return trace
 
 
 def clear_trace_cache() -> None:
-    """Drop all in-memory cached traces (used by tests)."""
+    """Drop all in-memory cached traces.
+
+    The parallel engine calls this as each cell ends when a disk cache
+    is installed, so a worker holds only the traces of the cell it is
+    running; tests call it too.
+    """
     _TRACE_CACHE.clear()

@@ -523,9 +523,7 @@ class TestSweep:
             (out_dir / "run_table.json").read_text()
         ) == payload
 
-    def test_no_batch_flag_produces_identical_run_table(
-        self, tmp_path, capsys
-    ):
+    def test_warm_rerun_reproduces_run_table(self, tmp_path, capsys):
         # A warm re-run serves every row from the cache and reproduces
         # the cold run's deterministic artifacts byte for byte.
         path = self.write_suite(tmp_path)

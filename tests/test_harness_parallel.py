@@ -34,7 +34,12 @@ from repro.harness.parallel import (
     run_cells,
 )
 from repro.harness.runall import generate_report
-from repro.workloads import clear_trace_cache, validate_benchmarks, workload
+from repro.workloads import (
+    clear_trace_cache,
+    registry,
+    validate_benchmarks,
+    workload,
+)
 
 
 class TestSuiteValidation:
@@ -155,6 +160,45 @@ class TestTraceCache:
             clear_trace_cache()
         assert cache.stats.stores == 1 and cache.stats.hits == 1
         assert len(first) == len(second) == 1_000
+
+
+class TestTraceMemoEviction:
+    """With a disk cache installed, the engine empties the per-process
+    trace memo as each cell ends and the disk serves the next cell;
+    without one, the process keeps its traces for later cells."""
+
+    # Figures 5 and 6 replay the same gzip trace.
+    CELLS = [
+        TaskCell("fig5", "164.gzip", 1_200),
+        TaskCell("fig6", "164.gzip", 1_200),
+    ]
+
+    def test_disk_cache_serves_the_next_cell(self, tmp_path):
+        clear_trace_cache()
+        try:
+            first, second = run_cells(
+                self.CELLS, EngineOptions(jobs=1, cache_dir=str(tmp_path))
+            )
+            assert first.ok and second.ok
+            assert registry._TRACE_CACHE == {}
+        finally:
+            clear_trace_cache()
+        assert first.phases["counters"].get("trace_cache_misses") == 1
+        assert second.phases["counters"].get("trace_cache_hits") == 1
+
+    def test_without_disk_cache_the_memo_keeps_the_trace(self):
+        work = workload("gzip")
+        clear_trace_cache()
+        try:
+            outcomes = run_cells(
+                self.CELLS, EngineOptions(jobs=1, cache_dir=None)
+            )
+            assert all(outcome.ok for outcome in outcomes)
+            assert list(registry._TRACE_CACHE) == [
+                (work.name, work.input_name, 0, 1_200)
+            ]
+        finally:
+            clear_trace_cache()
 
 
 class TestEngine:

@@ -160,9 +160,7 @@ def test_batch_engine_failure_falls_back_sequentially(
     assert result.ok and len(result.rows) == 2
 
 
-def test_no_batch_option_and_gate_produce_plain_cells(
-    tmp_path, submitted_sections
-):
+def test_one_row_groups_submit_plain_cells(tmp_path, submitted_sections):
     # One design point per workload: every group has one row, and a
     # one-row group is submitted as its plain cell.
     spec = timing_suite(grid={"svf_ports": [1]})

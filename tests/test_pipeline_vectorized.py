@@ -11,14 +11,17 @@ rows for the 4- and 8-wide machines, ``agu_depth``, ``no_addr_calc``,
 context-switching stack cache, an IFQ and an LSQ that bind, and the
 :data:`SP_INTERLOCK` rows were added at commit 079fba0, from the walk
 before its fetch stage was folded into dispatch; every older row came
-out unchanged in that recording.
+out unchanged in that recording.  The :data:`PENDING_STORE` rows were
+added at commit 8c46b6d, recorded from that commit's walk, with every
+older row unchanged.
 
 The fixture stores the :class:`SimStats` field names once and one row
 of values per (trace, config) pair:
 
 * ``shapes`` -- gzip and eon under every config in :data:`CONFIGS`,
-  plus crafty, mcf and perlbmk under base/svf/ideal/gshare and the
-  :data:`SP_INTERLOCK` loop under six configs, at an
+  plus crafty, mcf and perlbmk under base/svf/ideal/gshare, the
+  :data:`SP_INTERLOCK` loop under six configs and the
+  :data:`PENDING_STORE` loop under svf/no_squash, at an
   8,000-instruction window;
 * ``grid`` -- every registry workload under the 12-config ``GRID`` of
   ``tests/test_pipeline_batch.py`` at a 2,000-instruction window.
@@ -119,6 +122,33 @@ main$loop:
     ret
 """
 
+#: A fast-path load of a stack word whose rerouted gpr-store (through
+#: a copy of $sp) is still waiting on a multiply.  Without
+#: ``no_squash`` the load squashes; with it, the load waits until one
+#: cycle after the store completes, and this loop pins that wait.
+PENDING_STORE = "asm.pending_gpr_store"
+_PENDING_STORE_SOURCE = """
+.text
+main:
+    lda   t1, 300(zero)
+    lda   t8, 3(zero)
+    lda   t3, 0(sp)
+main$loop:
+    mulq  t8, t8, t2
+    stq   t2, 0(t3)
+    ldq   t4, 0(sp)
+    addq  t4, t1, t8
+    lda   t1, -1(t1)
+    bne   t1, main$loop
+    ret
+"""
+
+#: The hand-written loops among the shapes, by name.
+_ASM_SHAPES = {
+    SP_INTERLOCK: _SP_INTERLOCK_SOURCE,
+    PENDING_STORE: _PENDING_STORE_SOURCE,
+}
+
 #: Three very different reference structures beside gzip: deep
 #: recursion (crafty), pointer chasing (mcf), and an interpreter loop
 #: (perlbmk) -- between them they exercise rerouting, out-of-range
@@ -131,15 +161,16 @@ SHAPES = {
     "mcf": ["base", "svf", "ideal", "gshare"],
     "perlbmk": ["base", "svf", "ideal", "gshare"],
     SP_INTERLOCK: ["base", "svf", "ideal", "no_squash", "ifq8", "lsq8"],
+    PENDING_STORE: ["svf", "no_squash"],
 }
 
 FIELDS = [field.name for field in dataclasses.fields(SimStats)]
 
 
 def _shape_trace(bench: str) -> ColumnarTrace:
-    if bench == SP_INTERLOCK:
+    if bench in _ASM_SHAPES:
         trace = ColumnarTrace()
-        Machine(assemble(_SP_INTERLOCK_SOURCE)).run(
+        Machine(assemble(_ASM_SHAPES[bench])).run(
             max_instructions=SHAPES_WINDOW, trace_sink=trace
         )
         return trace

@@ -1,14 +1,22 @@
 """Tests for binary trace serialization."""
 
-import pytest
+import struct
+import tracemalloc
+import zlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.isa.encoding import OPCODE_NAMES
 from repro.trace.serialization import (
+    MAGIC,
     TraceFormatError,
     load_trace,
     save_trace,
 )
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate
+from repro.workloads import workload
 
 
 FIELDS = (
@@ -56,10 +64,80 @@ class TestErrors:
         save_trace(gzip_trace[:10], str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
-        with pytest.raises(TraceFormatError, match="truncated"):
+        with pytest.raises(TraceFormatError, match="checksum mismatch"):
             load_trace(str(path))
 
     def test_empty_trace_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.svft")
         assert save_trace([], path) == 0
         assert load_trace(path) == []
+
+    def test_huge_count_fails_before_allocating(self, tmp_path):
+        # A header whose CRC is valid but whose count promises 2**40
+        # records: the length check must fail before any column of
+        # that size is allocated.
+        count = struct.pack("<Q", 2**40)
+        path = tmp_path / "huge.svft"
+        path.write_bytes(
+            MAGIC + struct.pack("<I", zlib.crc32(count)) + count
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError):
+                load_trace(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_invalid_opcode_byte_rejected(self, tmp_path):
+        trace = workload("gzip").trace(max_instructions=50)
+        bad = next(n for n in range(256) if n not in OPCODE_NAMES)
+        trace.opcode[20] = bad
+        path = str(tmp_path / "bad-opcode.svft")
+        save_trace(trace, path)  # a valid CRC over the bad byte
+        with pytest.raises(TraceFormatError, match=rf"bad opcode {bad} "):
+            load_trace(path)
+
+
+@pytest.fixture(scope="module")
+def small_saved(tmp_path_factory):
+    """(trace, file bytes, temporary path) for the damage property."""
+    trace = workload("gzip").trace(max_instructions=40)
+    path = tmp_path_factory.mktemp("damage") / "trace.svft"
+    save_trace(trace, str(path))
+    return trace, path.read_bytes(), path
+
+
+_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0),
+              st.integers(0, 255)),
+)
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    kind = damage[0]
+    if kind == "truncate":
+        return blob[: damage[1] % len(blob)]
+    if kind == "append":
+        return blob + damage[1]
+    _, offset, value = damage
+    offset %= len(blob)
+    return blob[:offset] + bytes([value]) + blob[offset + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=_DAMAGE)
+def test_damaged_file_loads_equal_or_raises_format_error(small_saved,
+                                                         damage):
+    # Any damage either leaves the trace intact (an overwrite with the
+    # same byte) or is a TraceFormatError -- never another exception.
+    trace, blob, path = small_saved
+    path.write_bytes(_damaged(blob, damage))
+    try:
+        loaded = load_trace(str(path))
+    except TraceFormatError:
+        return
+    assert loaded == trace
