@@ -71,6 +71,49 @@ def _no_benchmarks_table(headers: Sequence[str], title: str) -> str:
     return render_table(headers, [row], title=title)
 
 
+def _speedup_row(labels: Sequence[str], pairs: Sequence, shared=False):
+    """(machine list, row read-out) of a figure whose columns are
+    (baseline, variant) pairs: the list is every pair in turn, or, when
+    the columns share one baseline, that baseline and then each variant.
+    """
+    if shared:
+        configs = [pairs[0][0]] + [variant for _, variant in pairs]
+        slots = [(0, 1 + column) for column in range(len(pairs))]
+    else:
+        configs = [config for pair in pairs for config in pair]
+        slots = [(2 * column, 2 * column + 1) for column in range(len(pairs))]
+
+    def row(stats) -> Dict[str, float]:
+        return {
+            label: stats[variant].speedup_over(stats[base])
+            for label, (base, variant) in zip(labels, slots)
+        }
+
+    return configs, row
+
+
+def _batch_rows(benchmark: str, max_instructions: int, plans) -> list:
+    """One benchmark's row of each (machine list, read-out) plan, from
+    one :func:`simulate_batch` call over all the plans' machines."""
+    stats = simulate_batch(
+        _trace_for(benchmark, max_instructions),
+        [config for configs, _ in plans for config in configs],
+    )
+    rows = []
+    for configs, row in plans:
+        rows.append(row(stats[:len(configs)]))
+        stats = stats[len(configs):]
+    return rows
+
+
+def _rows(plan, benchmarks: Optional[Sequence[str]], max_instructions: int):
+    """benchmark -> row of one timing figure, one batch per benchmark."""
+    return {
+        name: _batch_rows(name, max_instructions, [plan])[0]
+        for name in _suite(benchmarks)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Table 1 / Table 2 — inventories
 # ---------------------------------------------------------------------------
@@ -266,6 +309,14 @@ class Fig5Result:
         return render_table(["Benchmark", *columns], rows, title=title)
 
 
+def _fig5_row(widths: Sequence[int] = (4, 8, 16), include_gshare: bool = True):
+    """Figure 5's machine list and the read-out of one row from its stats."""
+    labels = [f"{width}-wide" for width in widths]
+    if include_gshare:
+        labels.append("16-wide gshare")
+    return _speedup_row(labels, [fig5_machine_pair(label) for label in labels])
+
+
 def fig5_ideal_morphing(
     benchmarks: Optional[Sequence[str]] = None,
     max_instructions: int = DEFAULT_TIMING_WINDOW,
@@ -277,19 +328,9 @@ def fig5_ideal_morphing(
     All of one benchmark's (baseline, ideal) pairs go through a single
     :func:`simulate_batch` call, which shares one column precompute.
     """
-    result = Fig5Result()
-    labels = [f"{width}-wide" for width in widths]
-    if include_gshare:
-        labels.append("16-wide gshare")
-    configs = [c for label in labels for c in fig5_machine_pair(label)]
-    for name in _suite(benchmarks):
-        trace = _trace_for(name, max_instructions)
-        stats = simulate_batch(trace, configs)
-        result.speedups[name] = {
-            label: stats[2 * slot + 1].speedup_over(stats[2 * slot])
-            for slot, label in enumerate(labels)
-        }
-    return result
+    return Fig5Result(speedups=_rows(
+        _fig5_row(widths, include_gshare), benchmarks, max_instructions
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +392,12 @@ class Fig6Result:
         return render_table(["Benchmark", *FIG6_STEPS], rows, title=title)
 
 
+def _fig6_row():
+    """Figure 6's machine list and the read-out of one row from its stats."""
+    pairs = [fig6_machine_pair(step) for step in FIG6_STEPS]
+    return _speedup_row(FIG6_STEPS, pairs, shared=True)
+
+
 def fig6_progressive(
     benchmarks: Optional[Sequence[str]] = None,
     max_instructions: int = DEFAULT_TIMING_WINDOW,
@@ -360,18 +407,9 @@ def fig6_progressive(
     The shared baseline and all five relaxations run as one batched
     call per benchmark.
     """
-    result = Fig6Result()
-    pairs = [fig6_machine_pair(step) for step in FIG6_STEPS]
-    configs = [pairs[0][0]] + [variant for _, variant in pairs]
-    for name in _suite(benchmarks):
-        trace = _trace_for(name, max_instructions)
-        stats = simulate_batch(trace, configs)
-        baseline = stats[0]
-        result.speedups[name] = {
-            step: run.speedup_over(baseline)
-            for step, run in zip(FIG6_STEPS, stats[1:])
-        }
-    return result
+    return Fig6Result(
+        speedups=_rows(_fig6_row(), benchmarks, max_instructions)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +520,17 @@ class Fig7Result:
         )
 
 
+def _fig7_row(capacity_bytes: int = 8192):
+    """Figure 7's machine list and the read-out of one row (its
+    speedups plus the (2+2) SVF run's stats for Figure 8)."""
+    pairs = [fig7_machine_pair(c, capacity_bytes) for c in FIG7_CONFIGS]
+    configs, speedups = _speedup_row(FIG7_CONFIGS, pairs, shared=True)
+    svf_slot = 1 + FIG7_CONFIGS.index("(2+2)svf")
+    return configs, lambda stats: {
+        "speedups": speedups(stats), "svf_stats": stats[svf_slot],
+    }
+
+
 def fig7_svf_vs_stack_cache(
     benchmarks: Optional[Sequence[str]] = None,
     max_instructions: int = DEFAULT_TIMING_WINDOW,
@@ -493,22 +542,11 @@ def fig7_svf_vs_stack_cache(
     (4+0) configuration pays one extra cycle of DL1 latency for its
     extra ports, as in the paper.
     """
-    result = Fig7Result()
-    pairs = [
-        fig7_machine_pair(config, capacity_bytes) for config in FIG7_CONFIGS
-    ]
-    configs = [pairs[0][0]] + [variant for _, variant in pairs]
-    svf_slot = 1 + FIG7_CONFIGS.index("(2+2)svf")
-    for name in _suite(benchmarks):
-        trace = _trace_for(name, max_instructions)
-        stats = simulate_batch(trace, configs)
-        baseline = stats[0]
-        result.speedups[name] = {
-            config: run.speedup_over(baseline)
-            for config, run in zip(FIG7_CONFIGS, stats[1:])
-        }
-        result.svf_stats[name] = stats[svf_slot]
-    return result
+    rows = _rows(_fig7_row(capacity_bytes), benchmarks, max_instructions)
+    return Fig7Result(
+        speedups={name: row["speedups"] for name, row in rows.items()},
+        svf_stats={name: row["svf_stats"] for name, row in rows.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +711,12 @@ class Fig9Result:
         return render_table(["Benchmark", *FIG9_CONFIGS], rows, title=title)
 
 
+def _fig9_row(capacity_bytes: int = 8192):
+    """Figure 9's machine list and the read-out of one row from its stats."""
+    pairs = [fig9_machine_pair(c, capacity_bytes) for c in FIG9_CONFIGS]
+    return _speedup_row(FIG9_CONFIGS, pairs)
+
+
 def fig9_svf_speedup(
     benchmarks: Optional[Sequence[str]] = None,
     max_instructions: int = DEFAULT_TIMING_WINDOW,
@@ -684,16 +728,23 @@ def fig9_svf_speedup(
     it, so one benchmark costs 6 walks instead of 8 separate
     simulations.
     """
-    result = Fig9Result()
-    configs = [
-        c for config in FIG9_CONFIGS
-        for c in fig9_machine_pair(config, capacity_bytes)
-    ]
-    for name in _suite(benchmarks):
-        trace = _trace_for(name, max_instructions)
-        stats = simulate_batch(trace, configs)
-        result.speedups[name] = {
-            label: stats[2 * slot + 1].speedup_over(stats[2 * slot])
-            for slot, label in enumerate(FIG9_CONFIGS)
-        }
-    return result
+    return Fig9Result(speedups=_rows(
+        _fig9_row(capacity_bytes), benchmarks, max_instructions
+    ))
+
+
+#: Each timing figure's (machine list, row read-out) at its defaults.
+_TIMING_ROWS = dict(
+    fig5=_fig5_row, fig6=_fig6_row, fig7=_fig7_row, fig9=_fig9_row
+)
+
+
+def timing_rows(
+    benchmark: str, max_instructions: int, figures: Sequence[str]
+) -> Dict[str, object]:
+    """One benchmark's row of each named timing figure, from one batch:
+    a machine several figures share (the 16-wide (2+0) baseline, the
+    2-port 8 KB SVF) is walked once.  Each row equals the one the
+    figure's own driver returns."""
+    plans = [_TIMING_ROWS[figure]() for figure in figures]
+    return dict(zip(figures, _batch_rows(benchmark, max_instructions, plans)))

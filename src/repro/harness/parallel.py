@@ -342,44 +342,13 @@ def _cell_characterize(cell: TaskCell) -> Dict[str, Any]:
     }
 
 
-def _cell_fig5(cell: TaskCell) -> Dict[str, float]:
-    """Fig 5: one benchmark's whole row, all columns in one batch."""
-    from repro.harness.experiments import fig5_ideal_morphing
+def _cell_timing(cell: TaskCell) -> Dict[str, Any]:
+    """One benchmark's row of each timing figure the cell names, from
+    one batch (see :func:`repro.harness.experiments.timing_rows`)."""
+    from repro.harness.experiments import timing_rows
 
-    result = fig5_ideal_morphing(
-        [cell.benchmark], max_instructions=cell.window
-    )
-    return result.speedups[cell.benchmark]
-
-
-def _cell_fig6(cell: TaskCell) -> Dict[str, float]:
-    from repro.harness.experiments import fig6_progressive
-
-    result = fig6_progressive(
-        [cell.benchmark], max_instructions=cell.window
-    )
-    return result.speedups[cell.benchmark]
-
-
-def _cell_fig7(cell: TaskCell) -> Dict[str, Any]:
-    from repro.harness.experiments import fig7_svf_vs_stack_cache
-
-    result = fig7_svf_vs_stack_cache(
-        [cell.benchmark], max_instructions=cell.window
-    )
-    return {
-        "speedups": result.speedups[cell.benchmark],
-        "svf_stats": result.svf_stats[cell.benchmark],
-    }
-
-
-def _cell_fig9(cell: TaskCell) -> Dict[str, float]:
-    from repro.harness.experiments import fig9_svf_speedup
-
-    result = fig9_svf_speedup(
-        [cell.benchmark], max_instructions=cell.window
-    )
-    return result.speedups[cell.benchmark]
+    figures = cell.param("figures").split("+")
+    return timing_rows(cell.benchmark, cell.window, figures)
 
 
 def _cell_table3(cell: TaskCell) -> Dict[str, Dict[int, Any]]:
@@ -446,10 +415,7 @@ _CELL_RUNNERS: Dict[str, Callable[[TaskCell], Any]] = {
     "lint": _cell_lint,
     "sweep": _cell_sweep,
     "sweep-batch": _cell_sweep_batch,
-    "fig5": _cell_fig5,
-    "fig6": _cell_fig6,
-    "fig7": _cell_fig7,
-    "fig9": _cell_fig9,
+    "timing": _cell_timing,
     "table3": _cell_table3,
     "table4": _cell_table4,
     "prediction": _cell_prediction,

@@ -63,13 +63,14 @@ _SECTION_PLAN: Tuple[Tuple[str, str], ...] = (
     ("fig9", "timing"),
 )
 
-#: Column labels of each timing figure, in table order; the section
-#: content key hashes every column's (baseline, variant) machine pair.
-_SECTION_CONFIGS: Dict[str, Tuple[str, ...]] = {
-    "fig5": FIG5_CONFIGS,
-    "fig6": FIG6_STEPS,
-    "fig7": FIG7_CONFIGS,
-    "fig9": FIG9_CONFIGS,
+#: Column labels of each timing figure, in table order, and its
+#: (baseline, variant) machine pair per column; the section content key
+#: hashes every column's pair.
+_SECTION_CONFIGS: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
+    "fig5": (FIG5_CONFIGS, fig5_machine_pair),
+    "fig6": (FIG6_STEPS, fig6_machine_pair),
+    "fig7": (FIG7_CONFIGS, fig7_machine_pair),
+    "fig9": (FIG9_CONFIGS, fig9_machine_pair),
 }
 
 #: (document title, compute section, payload part) in document order.
@@ -112,13 +113,6 @@ _SECTION_VERSIONS: Dict[str, int] = {
     "table3": 1,
     "table4": 1,
     "fig9": 1,
-}
-
-_MACHINE_PAIRS: Dict[str, Callable[[str], Tuple]] = {
-    "fig5": fig5_machine_pair,
-    "fig6": fig6_machine_pair,
-    "fig7": fig7_machine_pair,
-    "fig9": fig9_machine_pair,
 }
 
 
@@ -166,9 +160,9 @@ def section_content_key(
             work = workload(benchmark, input_name)
             feed(f"workload={work.full_name}")
             feed(work.source())
-    pair_fn = _MACHINE_PAIRS.get(section)
-    if pair_fn is not None:
-        for config in _SECTION_CONFIGS[section]:
+    if section in _SECTION_CONFIGS:
+        labels, pair_fn = _SECTION_CONFIGS[section]
+        for config in labels:
             base, variant = pair_fn(config)
             feed(f"config={config}")
             feed(repr(base))
@@ -185,22 +179,27 @@ def _plan_cells(
 ) -> List[TaskCell]:
     """Section-major cell order: workers hit distinct benchmarks first,
     so cold-cache runs compute each trace once instead of racing on it.
-    Timing figures plan one whole-row cell per benchmark — the drivers
-    push every column of the row through one
-    :func:`repro.uarch.pipeline.simulate_batch` call, which shares the
-    column precompute and walks a shared baseline once, so splitting
-    per config would repeat that work.  ``sections``
-    restricts planning to a subset (the incremental mode plans only
-    sections whose content keys changed)."""
+    The timing figures plan one ``timing`` cell per benchmark whose
+    ``figures`` param names them all (``fig5+fig6+fig7+fig9``): its
+    runner times their machines in one batch, walking a machine several
+    figures share once.  ``sections`` restricts planning to a subset
+    (the incremental mode plans only sections whose keys changed)."""
     windows = {"timing": timing_window, "functional": functional_window}
+    planned = [
+        (section, windows[window_kind])
+        for section, window_kind in _SECTION_PLAN
+        if sections is None or section in sections
+    ]
+    figures = [name for name, _ in planned if name in _SECTION_CONFIGS]
     cells = []
-    for section, window_kind in _SECTION_PLAN:
-        if sections is not None and section not in sections:
-            continue
-        window = windows[window_kind]
+    for section, window in planned:
         params: Tuple = ()
         if section == "table4":
             params = (("period", period),)
+        elif section in figures:
+            if section != figures[0]:
+                continue
+            section, params = "timing", (("figures", "+".join(figures)),)
         for benchmark in suite:
             cells.append(TaskCell(section, benchmark, window, params))
     return cells
@@ -213,10 +212,10 @@ def _merge(
 ) -> Dict[str, object]:
     """Fold per-cell payloads into result objects, in suite order.
 
-    Timing figures arrive as whole-row payloads (one batched cell per
-    benchmark).  A benchmark with a missing/failed cell drops out of
-    that figure entirely, with the specific cell named in the
-    degraded annotation.
+    A benchmark's timing figures arrive together, as the ``timing``
+    cell's payload of one whole row per figure it names.  A benchmark
+    with a missing/failed cell drops out of every figure that cell
+    serves, with the specific cell named in the degraded annotation.
     """
     by_cell = {
         (outcome.cell.section, outcome.cell.benchmark): outcome
@@ -241,15 +240,14 @@ def _merge(
             characterization.depth_profiles[benchmark] = char["depth"]
             characterization.localities[benchmark] = char["locality"]
             characterization.first_touch[benchmark] = char["first_touch"]
+        rows = payload("timing", benchmark) or {}
         for result, section in ((fig5, "fig5"), (fig6, "fig6"),
                                 (fig9, "fig9")):
-            row = payload(section, benchmark)
-            if row is not None:
-                result.speedups[benchmark] = row
-        seven = payload("fig7", benchmark)
-        if seven is not None:
-            fig7.speedups[benchmark] = seven["speedups"]
-            fig7.svf_stats[benchmark] = seven["svf_stats"]
+            if section in rows:
+                result.speedups[benchmark] = rows[section]
+        if "fig7" in rows:
+            fig7.speedups[benchmark] = rows["fig7"]["speedups"]
+            fig7.svf_stats[benchmark] = rows["fig7"]["svf_stats"]
         traffic = payload("table3", benchmark)
         if traffic is not None:
             table3.traffic.update(traffic)
@@ -411,9 +409,12 @@ def generate_report(
     outcomes = run_cells(cells, options, progress=progress)
     for outcome in outcomes:
         if not outcome.ok:
-            failures_by_section.setdefault(
-                outcome.cell.section, []
-            ).append(outcome)
+            # A failed timing cell gaps every figure it served.
+            served = outcome.cell.param("figures", outcome.cell.section)
+            for section_name in served.split("+"):
+                failures_by_section.setdefault(
+                    section_name, []
+                ).append(outcome)
         if profiler is not None:
             profiler.merge(outcome.phases)
     render_started = time.perf_counter()

@@ -33,13 +33,21 @@ from repro.harness.parallel import (
     TraceCache,
     run_cells,
 )
-from repro.harness.runall import generate_report
+from repro.harness.runall import _plan_cells, generate_report
 from repro.workloads import (
     clear_trace_cache,
     registry,
     validate_benchmarks,
     workload,
 )
+
+
+def _report_cell(section: str, benchmark: str, window: int) -> TaskCell:
+    """The cell a report plans for ``section`` × ``benchmark``."""
+    return next(
+        cell for cell in _plan_cells([benchmark], window, window, 1_000)
+        if cell.section == section
+    )
 
 
 class TestSuiteValidation:
@@ -133,12 +141,12 @@ class TestTraceCache:
     def test_warm_engine_run_skips_recompute(self, tmp_path, monkeypatch):
         from repro.harness import parallel as parallel_module
 
-        cell = TaskCell("fig5", "164.gzip", 1_000)
+        cell = _report_cell("timing", "164.gzip", 1_000)
         options = EngineOptions(jobs=1, cache_dir=str(tmp_path))
         first = run_cells([cell], options)[0]
         calls = []
         monkeypatch.setitem(
-            parallel_module._CELL_RUNNERS, "fig5",
+            parallel_module._CELL_RUNNERS, "timing",
             lambda c: calls.append(c) or {},
         )
         second = run_cells([cell], options)[0]
@@ -167,10 +175,10 @@ class TestTraceMemoEviction:
     trace memo as each cell ends and the disk serves the next cell;
     without one, the process keeps its traces for later cells."""
 
-    # Figures 5 and 6 replay the same gzip trace.
+    # Figures 1-3 and Table 4 replay the same gzip trace.
     CELLS = [
-        TaskCell("fig5", "164.gzip", 1_200),
-        TaskCell("fig6", "164.gzip", 1_200),
+        _report_cell("characterize", "164.gzip", 1_200),
+        _report_cell("table4", "164.gzip", 1_200),
     ]
 
     def test_disk_cache_serves_the_next_cell(self, tmp_path):
@@ -202,14 +210,14 @@ class TestTraceMemoEviction:
 
 
 class TestEngine:
-    CELL = TaskCell("fig5", "164.gzip", 1_500)
+    CELL = _report_cell("timing", "164.gzip", 1_500)
 
     def test_serial_and_pool_payloads_match(self, tmp_path):
         serial = run_cells(
             [self.CELL], EngineOptions(jobs=1, cache_dir=str(tmp_path))
         )
         pooled = run_cells(
-            [self.CELL, TaskCell("fig6", "164.gzip", 1_500)],
+            [self.CELL, _report_cell("characterize", "164.gzip", 1_500)],
             EngineOptions(jobs=2, cache_dir=str(tmp_path)),
         )
         assert serial[0].ok and pooled[0].ok and pooled[1].ok
@@ -217,8 +225,8 @@ class TestEngine:
 
     def test_outcomes_keep_submission_order(self):
         cells = [
-            TaskCell("fig5", "164.gzip", 1_000),
-            TaskCell("fig5", "181.mcf", 1_000),
+            _report_cell("timing", "164.gzip", 1_000),
+            _report_cell("timing", "181.mcf", 1_000),
         ]
         outcomes = run_cells(cells, EngineOptions(jobs=2))
         assert [o.cell.benchmark for o in outcomes] == [
@@ -235,7 +243,7 @@ class TestEngine:
     def test_failed_cell_degrades_in_pool(self):
         cells = [
             TaskCell("no_such_section", "164.gzip", 1_000),
-            TaskCell("fig5", "164.gzip", 1_000),
+            _report_cell("timing", "164.gzip", 1_000),
         ]
         outcomes = run_cells(cells, EngineOptions(jobs=2))
         assert not outcomes[0].ok and outcomes[0].attempts == 2
@@ -244,11 +252,11 @@ class TestEngine:
     def test_progress_reports_each_cell(self):
         notes = []
         run_cells(
-            [TaskCell("fig5", "164.gzip", 1_000)],
+            [_report_cell("timing", "164.gzip", 1_000)],
             EngineOptions(jobs=1),
             progress=notes.append,
         )
-        assert any("fig5×164.gzip" in note and "ok" in note
+        assert any("timing×164.gzip" in note and "ok" in note
                    for note in notes)
 
 
@@ -329,23 +337,48 @@ class TestSubsetConsistency:
 
 
 class TestReportDegradation:
-    def test_failed_cell_renders_annotated_gap(self, monkeypatch):
+    TIMING_SECTIONS = ("Figure 5", "Figure 6", "Figure 7", "Figure 8",
+                       "Figure 9")
+    OTHER_SECTIONS = ("Figure 1", "Figure 2", "Figure 3", "Table 3",
+                      "Table 4")
+
+    def test_failed_cell_renders_annotated_gap(self, monkeypatch, tmp_path):
         from repro.harness import parallel as parallel_module
+        from repro.profiling import PhaseProfiler
 
         def explode(cell):
             raise RuntimeError("injected fault")
 
         monkeypatch.setitem(
-            parallel_module._CELL_RUNNERS, "fig5", explode
+            parallel_module._CELL_RUNNERS, "timing", explode
         )
-        text = generate_report(
+        report = dict(
             timing_window=1_200, functional_window=1_200,
-            benchmarks=["gzip"], jobs=1,
+            benchmarks=["gzip"], jobs=1, cache_dir=str(tmp_path),
+            incremental=True,
         )
-        assert "degraded: cell fig5×164.gzip" in text
+        text = generate_report(**report)
+        sections = {
+            segment.split("\n", 1)[0]: segment
+            for segment in text.split("## ")[1:]
+        }
+        # The one timing cell served Figures 5-9, so each shows the gap.
+        timing = [t for t in sections if t.startswith(self.TIMING_SECTIONS)]
+        assert len(timing) == 5
+        for title, body in sections.items():
+            degraded = "degraded: cell timing×164.gzip" in body
+            assert degraded == title.startswith(self.TIMING_SECTIONS), title
+            if title.startswith(self.OTHER_SECTIONS):
+                assert "degraded" not in body, title
         assert "injected fault" in text
-        # Other sections are intact.
-        assert "Figure 6" in text and "Table 4" in text
+        # A clean re-run recomputes the four timing sections and reuses
+        # the three the failure left intact.
+        monkeypatch.undo()
+        profiler = PhaseProfiler()
+        healed = generate_report(**report, profiler=profiler)
+        assert "degraded" not in healed
+        assert profiler.counters["sections_rendered"] == 4
+        assert profiler.counters["sections_reused"] == 3
 
 
 class TestPredictionParallel:

@@ -1,6 +1,14 @@
 """Tests for the all-in-one report generator."""
 
-from repro.harness.runall import generate_report
+from repro.harness.experiments import (
+    fig5_ideal_morphing,
+    fig6_progressive,
+    fig7_svf_vs_stack_cache,
+    fig9_svf_speedup,
+    timing_rows,
+)
+from repro.harness.runall import _plan_cells, generate_report
+from repro.profiling import PhaseProfiler
 
 
 class TestGenerateReport:
@@ -38,3 +46,43 @@ class TestGenerateReport:
         )
         assert text.startswith("# ")
         assert text.count("```") % 2 == 0
+
+
+class TestTimingCell:
+    """Figures 5, 6, 7 and 9 share one timing cell per benchmark, which
+    walks each distinct machine once."""
+
+    def test_one_timing_cell_per_benchmark(self):
+        cells = _plan_cells(["164.gzip"], 1_500, 1_500, 1_000)
+        assert [cell.section for cell in cells] == [
+            "characterize", "timing", "table3", "table4",
+        ]
+        assert cells[1].param("figures") == "fig5+fig6+fig7+fig9"
+
+    def test_each_distinct_machine_is_walked_once(self):
+        profiler = PhaseProfiler()
+        generate_report(
+            benchmarks=["gzip"], jobs=1, timing_window=1_500,
+            functional_window=1_500, profiler=profiler,
+        )
+        timing = profiler.phases["timing"]
+        # 27 machines over the four figures, 19 of them distinct.
+        assert (timing.calls, timing.items) == (1, 19 * 1_500)
+        assert profiler.counters["batch_configs"] == 27
+
+    def test_rows_match_each_figure_driver(self):
+        rows = timing_rows(
+            "181.mcf", 1_500, ["fig5", "fig6", "fig7", "fig9"]
+        )
+        mcf = ["181.mcf"]
+        fig7 = fig7_svf_vs_stack_cache(mcf, 1_500)
+        assert rows == {
+            "fig5": fig5_ideal_morphing(mcf, 1_500).speedups["181.mcf"],
+            "fig6": fig6_progressive(mcf, 1_500).speedups["181.mcf"],
+            "fig7": {
+                "speedups": fig7.speedups["181.mcf"],
+                "svf_stats": fig7.svf_stats["181.mcf"],
+            },
+            "fig9": fig9_svf_speedup(mcf, 1_500).speedups["181.mcf"],
+        }
+        assert list(timing_rows("181.mcf", 1_500, ["fig9"])) == ["fig9"]

@@ -91,6 +91,40 @@ class TestSectionReuse:
         assert profiler.counters["sections_reused"] == 3
 
 
+class TestPartialTimingCell:
+    def test_changed_figure_plans_a_timing_cell_naming_only_it(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.harness.runall as runall
+
+        bench = ("164.gzip", "181.mcf")
+        options = ReportOptions(
+            benchmarks=bench, jobs=1, cache_dir=str(tmp_path / "cache"),
+            incremental=True, **WINDOWS,
+        )
+        generate_report(options)  # fills every section's cache entry
+        monkeypatch.setitem(
+            _SECTION_VERSIONS, "fig6", _SECTION_VERSIONS["fig6"] + 1
+        )
+        planned = []
+
+        def spy(cells, *args, **kwargs):
+            planned.extend(cells)
+            return parallel.run_cells(cells, *args, **kwargs)
+
+        monkeypatch.setattr(runall, "run_cells", spy)
+        profiler = PhaseProfiler()
+        text = generate_report(options, profiler=profiler)
+        assert [(c.section, c.benchmark, c.params) for c in planned] == [
+            ("timing", name, (("figures", "fig6"),)) for name in bench
+        ]
+        assert profiler.counters["sections_reused"] == 6
+        assert profiler.counters["sections_rendered"] == 1
+        assert text == generate_report(ReportOptions(
+            benchmarks=bench, jobs=1, use_cache=False, **WINDOWS,
+        ))
+
+
 class TestWarmRunsNoCells:
     def test_exploding_runners_never_fire_when_warm(
         self, tmp_path, monkeypatch
