@@ -92,9 +92,7 @@ def lint_all(options=None, jobs: Optional[int] = None) -> List[LintReport]:
                  params=params)
         for benchmark in ALL_BENCHMARKS
     ]
-    outcomes = run_cells(
-        cells, EngineOptions(jobs=jobs, cache_dir=None)
-    )
+    outcomes = run_cells(cells, EngineOptions(jobs=jobs))
     reports: List[LintReport] = []
     for outcome in outcomes:
         if not outcome.ok:

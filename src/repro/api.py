@@ -232,13 +232,16 @@ class ReportOptions:
     ``os.cpu_count()``, ``1`` runs inline); the report text is
     byte-identical for every value.  ``use_cache`` gates the shared
     on-disk trace cache — ``cache_dir=None`` with ``use_cache=True``
-    resolves to the default per-user cache directory.
+    resolves to the default per-user cache directory; with it off the
+    run goes over a temporary cache that nothing reads before or after
+    the run.  ``task_timeout`` is each cell's per-attempt deadline in
+    seconds (> 0).
 
     ``incremental`` re-renders only report sections whose content keys
     (workload sources × compile options × machine specs × analysis
-    version × window) changed since the cached run; it needs the disk
-    cache, so it is ignored when ``use_cache`` is off.  The document
-    stays byte-identical to a full run.
+    version × window) changed since the cached run; it needs the
+    persistent cache, so it is ignored when ``use_cache`` is off.  The
+    document stays byte-identical to a full run.
     """
 
     timing_window: int = 40_000
@@ -257,9 +260,14 @@ class ReportOptions:
             object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
+        if not self.task_timeout > 0:
+            raise ValueError(
+                f"task_timeout must be > 0, not {self.task_timeout!r}"
+            )
 
     def resolved_cache_dir(self) -> Optional[str]:
-        """The effective cache root, or ``None`` when caching is off."""
+        """The persistent cache root, or ``None`` when caching is off
+        (the engine then runs over a cache that lasts only the run)."""
         if not self.use_cache:
             return None
         if self.cache_dir is not None:

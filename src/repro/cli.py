@@ -44,12 +44,12 @@ Commands:
     grid × opt levels × repetitions) into task cells over the
     parallel engine and write a run-table artifact plus a rendered
     summary.  The run table is byte-identical across ``--jobs``
-    values and warm re-runs; cached cells are skipped, so sweeps are
-    resumable.  Timing rows sharing a workload run as one fused cell
-    that fetches the trace once and times the whole grid through one
-    ``simulate_batch`` call.  ``--dry-run`` validates and prints the
-    expansion plan without running anything; exit 1 when any cell
-    degraded to a gap row.
+    values and warm re-runs; cached rows are skipped, so sweeps are
+    resumable.  Rows sharing a (workload, opt level, repetition) run
+    as one group cell that fetches the trace once; timing rows time
+    the whole grid through one ``simulate_batch`` call.  ``--dry-run``
+    validates and prints the expansion plan without running anything;
+    exit 1 when any row degraded to a gap.
 ``chaos [--suite FILE] [--kill N] [--hang N] [--corrupt N] [--seed S]``
     drive a real report (or sweep) under a seeded fault plan — worker
     SIGKILLs, hangs, injected failures, cache corruption, concurrent
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the on-disk cache (sweeps stop being resumable)",
+        help="use a temporary cache that lasts only this run "
+             "(sweeps stop being resumable)",
     )
     sweep_parser.add_argument(
         "--format", default="table", choices=("table", "json"),
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the on-disk trace cache for this run",
+        help="use a temporary cache that lasts only this run",
     )
     report_parser.add_argument(
         "--profile", action="store_true",
@@ -884,6 +885,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             return _fail(f"{args.command}: {flag} must be >= 1, not {value}")
+    timeout = getattr(args, "task_timeout", None)
+    if timeout is not None and not timeout > 0:  # NaN fails too
+        return _fail(
+            f"{args.command}: --task-timeout must be > 0, not {timeout}"
+        )
     handlers = {
         "list": cmd_list,
         "run": cmd_run,

@@ -342,7 +342,8 @@ class ChaosOptions:
     planned cells); ``corrupt`` picks how many cache entries the
     corruption round truncates/bit-flips.  ``work_dir`` hosts the
     cache directories and the claim ledger (``None`` = a fresh
-    temporary directory).
+    temporary directory).  ``task_timeout`` is the per-attempt cell
+    deadline in seconds (> 0).
     """
 
     benchmarks: Tuple[str, ...] = ("gzip",)
@@ -363,6 +364,10 @@ class ChaosOptions:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
+        if not self.task_timeout > 0:
+            raise ValueError(
+                f"task_timeout must be > 0, not {self.task_timeout!r}"
+            )
         if self.benchmarks is not None and not isinstance(
             self.benchmarks, tuple
         ):
@@ -690,11 +695,12 @@ class _SweepTarget:
         self._spec = load_suite(options.suite)
 
     def planned_keys(self) -> List[str]:
-        """Keys of the cells the sweep submits: fused groups included."""
+        """Keys of the cells the sweep submits: one group cell per
+        (workload, opt, rep)."""
         from repro.harness.sweep import _fuse_cells, plan_cells
 
         _points, cells = plan_cells(self._spec)
-        submit, _batch_of = _fuse_cells(self._spec, cells)
+        submit, _group_of = _fuse_cells(self._spec, cells)
         return [cell_key(cell) for cell in submit]
 
     def run(self, cache_dir: str, plan: Optional[FaultPlan] = None,

@@ -23,6 +23,7 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.first_touch import FirstTouchProfile
 from repro.trace.regions import AccessMethod
 from repro.core.traffic import simulate_traffic
@@ -53,7 +54,7 @@ def _suite(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return validate_benchmarks(benchmarks)
 
 
-def _trace_for(benchmark: str, max_instructions: int) -> list:
+def _trace_for(benchmark: str, max_instructions: int) -> ColumnarTrace:
     return cached_trace(workload(benchmark), max_instructions)
 
 
@@ -276,21 +277,26 @@ def fig5_machine_pair(config: str):
     return base, base.with_svf(mode="ideal")
 
 
-@dataclass
-class Fig5Result:
-    """Speedups of an infinite, fully-ported SVF (paper Figure 5)."""
+class _ColumnAverages:
+    """``averages()`` of the speedup figures: the mean of each column
+    of ``speedups`` (benchmark -> column -> speedup) over benchmarks."""
 
-    #: benchmark -> {"4-wide": speedup, ..., "16-wide gshare": speedup}
-    speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    speedups: Dict[str, Dict[str, float]]
 
     def averages(self) -> Dict[str, float]:
         columns: Dict[str, List[float]] = {}
         for per_bench in self.speedups.values():
             for column, value in per_bench.items():
                 columns.setdefault(column, []).append(value)
-        return {
-            column: sum(vals) / len(vals) for column, vals in columns.items()
-        }
+        return {c: sum(v) / len(v) for c, v in columns.items()}
+
+
+@dataclass
+class Fig5Result(_ColumnAverages):
+    """Speedups of an infinite, fully-ported SVF (paper Figure 5)."""
+
+    #: benchmark -> {"4-wide": speedup, ..., "16-wide gshare": speedup}
+    speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def render(self) -> str:
         title = (
@@ -367,17 +373,10 @@ def fig6_machine_pair(config: str):
 
 
 @dataclass
-class Fig6Result:
+class Fig6Result(_ColumnAverages):
     """Progressive relaxations on the 16-wide machine (paper Figure 6)."""
 
     speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def averages(self) -> Dict[str, float]:
-        columns: Dict[str, List[float]] = {}
-        for per_bench in self.speedups.values():
-            for column, value in per_bench.items():
-                columns.setdefault(column, []).append(value)
-        return {c: sum(v) / len(v) for c, v in columns.items()}
 
     def render(self) -> str:
         title = "Figure 6: Progressive Performance Analysis (16-wide)"
@@ -456,20 +455,13 @@ def fig7_machine_pair(config: str, capacity_bytes: int = 8192):
 
 
 @dataclass
-class Fig7Result:
+class Fig7Result(_ColumnAverages):
     """SVF vs stack cache vs widened baseline (paper Figure 7)."""
 
     #: benchmark -> config label -> speedup over the (2+0) baseline
     speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: benchmark -> SimStats of the (2+2) SVF run (for Figure 8)
     svf_stats: Dict[str, SimStats] = field(default_factory=dict)
-
-    def averages(self) -> Dict[str, float]:
-        columns: Dict[str, List[float]] = {}
-        for per_bench in self.speedups.values():
-            for column, value in per_bench.items():
-                columns.setdefault(column, []).append(value)
-        return {c: sum(v) / len(v) for c, v in columns.items()}
 
     def render(self) -> str:
         title = (
@@ -680,18 +672,11 @@ def fig9_machine_pair(config: str, capacity_bytes: int = 8192):
 
 
 @dataclass
-class Fig9Result:
+class Fig9Result(_ColumnAverages):
     """Speedups of adding an SVF to 1-/2-ported baselines (Figure 9)."""
 
     #: benchmark -> config label -> speedup over the matching baseline
     speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def averages(self) -> Dict[str, float]:
-        columns: Dict[str, List[float]] = {}
-        for per_bench in self.speedups.values():
-            for column, value in per_bench.items():
-                columns.setdefault(column, []).append(value)
-        return {c: sum(v) / len(v) for c, v in columns.items()}
 
     def render(self) -> str:
         title = (

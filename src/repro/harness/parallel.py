@@ -22,26 +22,29 @@ pool slot hostage, and ``elapsed`` always reports real wall time.
 fault plan in every worker, which is how the chaos harness proves all
 of the above deterministically.
 
-The engine is backed by :class:`TraceCache`, a shared on-disk
-compile/trace cache keyed by (benchmark, input, opt level, window) and
-versioned by :data:`repro.api.SCHEMA_VERSION`: worker processes and
-repeated invocations reuse each functional trace instead of
-re-emulating it.  It is the only way a trace crosses processes.  The
-cache installs itself as the second level behind the per-process cache
-of :func:`repro.workloads.cached_trace`, which the engine empties as
-each cell ends, so a worker holds only the traces of its current cell.
-The cache also memoizes finished cell payloads, so a warm re-run skips
-the timing model as well.  Without a disk cache (``cache_dir=None``)
-each worker emulates the traces it needs and keeps them for its later
-cells.
+Every run is backed by :class:`TraceCache`, an on-disk compile/trace
+cache keyed by (benchmark, input, opt level, window) and versioned by
+:data:`repro.api.SCHEMA_VERSION`: worker processes reuse each
+functional trace instead of re-emulating it.  It is the only way a
+trace crosses processes.  The cache installs itself as the second
+level behind the per-process cache of
+:func:`repro.workloads.cached_trace`, which the engine empties as each
+cell ends, so a worker holds only the traces of its current cell.  The
+cache also memoizes finished cell payloads, so a warm re-run skips the
+timing model as well.  A persistent ``cache_dir`` shares all of this
+across invocations; without one (``cache_dir=None``) the run goes over
+a run-scoped temporary directory that :func:`run_cells` removes when
+it returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pickle
 import tempfile
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -396,15 +399,8 @@ def _cell_lint(cell: TaskCell):
     return lint_workload(cell.benchmark, options=options)
 
 
-def _cell_sweep(cell: TaskCell):
-    """One declarative-sweep run-table row (see repro.harness.sweep)."""
-    from repro.harness.sweep import run_sweep_cell
-
-    return run_sweep_cell(cell)
-
-
 def _cell_sweep_batch(cell: TaskCell):
-    """One fused group of timing sweep rows (see repro.harness.sweep)."""
+    """One group of sweep rows (see repro.harness.sweep)."""
     from repro.harness.sweep import run_sweep_batch_cell
 
     return run_sweep_batch_cell(cell)
@@ -413,7 +409,6 @@ def _cell_sweep_batch(cell: TaskCell):
 _CELL_RUNNERS: Dict[str, Callable[[TaskCell], Any]] = {
     "characterize": _cell_characterize,
     "lint": _cell_lint,
-    "sweep": _cell_sweep,
     "sweep-batch": _cell_sweep_batch,
     "timing": _cell_timing,
     "table3": _cell_table3,
@@ -421,12 +416,12 @@ _CELL_RUNNERS: Dict[str, Callable[[TaskCell], Any]] = {
     "prediction": _cell_prediction,
 }
 
-#: Sections whose runners manage the cell cache themselves, per
-#: member: a fused cell's identity enumerates every member, so an
-#: engine-level entry would duplicate the members' entries under an
-#: unbounded key (and defeat per-member warm resume).  The engine
-#: skips its own load/store for these and lets the runner count the
-#: per-member hits and misses.
+#: Sections whose runners manage the cell cache themselves, per row:
+#: a group cell's identity lists every row's full machine, so an
+#: engine-level entry would duplicate the rows' entries under an
+#: unbounded key (and defeat per-row warm resume).  The engine skips
+#: its own load/store for these and lets the runner count the per-row
+#: hits and misses.
 _SELF_CACHING_SECTIONS = frozenset({"sweep-batch"})
 
 
@@ -445,21 +440,24 @@ def _execute_cell(
     profiler = profiling.PhaseProfiler()
     previous = profiling.swap(profiler)
     cache = get_disk_trace_cache()
-    corrupt_before = cache.stats.corrupt_dropped if cache is not None else 0
-    transient_before = (
-        cache.stats.transient_errors if cache is not None else 0
-    )
+    stats = cache.stats
+    corrupt_before = stats.corrupt_dropped
+    transient_before = stats.transient_errors
+    trace_hits, trace_misses = stats.hits, stats.misses
 
-    def _cache_health_counters() -> None:
-        if cache is None:
-            return
+    def _finish(status: str, payload: Any):
         profiler.count(
-            "cache_corrupt_dropped",
-            cache.stats.corrupt_dropped - corrupt_before,
+            "cache_corrupt_dropped", stats.corrupt_dropped - corrupt_before
         )
         profiler.count(
             "cache_transient_errors",
-            cache.stats.transient_errors - transient_before,
+            stats.transient_errors - transient_before,
+        )
+        return (
+            status,
+            payload,
+            time.perf_counter() - started,
+            profiler.snapshot(),
         )
 
     try:
@@ -469,61 +467,35 @@ def _execute_cell(
         # exercises the full lookup-or-compute path.
         chaos.on_cell_start(cell)
         self_caching = cell.section in _SELF_CACHING_SECTIONS
-        if cache is not None and not self_caching:
+        if not self_caching:
             payload = cache.load_cell(cell)
             if payload is not _MISS:
                 profiler.count("cell_cache_hits")
-                _cache_health_counters()
-                return (
-                    "ok",
-                    payload,
-                    time.perf_counter() - started,
-                    profiler.snapshot(),
-                )
+                return _finish("ok", payload)
             profiler.count("cell_cache_misses")
         runner = _CELL_RUNNERS.get(cell.section)
         if runner is None:
             raise KeyError(f"unknown cell section {cell.section!r}")
-        trace_hits = cache.stats.hits if cache is not None else 0
-        trace_misses = cache.stats.misses if cache is not None else 0
         payload = runner(cell)
-        if cache is not None:
-            if not self_caching:
-                cache.store_cell(cell, payload)
-            profiler.count("trace_cache_hits", cache.stats.hits - trace_hits)
-            profiler.count(
-                "trace_cache_misses", cache.stats.misses - trace_misses
-            )
-        _cache_health_counters()
-        return (
-            "ok",
-            payload,
-            time.perf_counter() - started,
-            profiler.snapshot(),
-        )
+        if not self_caching:
+            cache.store_cell(cell, payload)
+        profiler.count("trace_cache_hits", stats.hits - trace_hits)
+        profiler.count("trace_cache_misses", stats.misses - trace_misses)
+        return _finish("ok", payload)
     except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        _cache_health_counters()
-        return (
-            "error",
-            message,
-            time.perf_counter() - started,
-            profiler.snapshot(),
-        )
+        return _finish("error", f"{type(exc).__name__}: {exc}")
     finally:
-        if cache is not None:
-            # The disk cache serves the next cell, so a worker holds
-            # only the traces of the cell it is running.
-            clear_trace_cache()
+        # The disk cache serves the next cell, so a worker holds only
+        # the traces of the cell it is running.
+        clear_trace_cache()
         profiling.swap(previous)
 
 
 def _init_worker(
-    cache_dir: Optional[str],
+    cache_dir: str,
     fault_plan: Optional[chaos.FaultPlan] = None,
 ) -> None:
-    if cache_dir:
-        set_disk_trace_cache(TraceCache(cache_dir))
+    set_disk_trace_cache(TraceCache(cache_dir))
     if fault_plan is not None:
         # Real workers take real SIGKILLs — the engine must survive
         # losing the process, not a polite exception.
@@ -541,7 +513,8 @@ class EngineOptions:
 
     #: worker processes; None means ``os.cpu_count()``; 1 runs inline.
     jobs: Optional[int] = None
-    #: on-disk trace cache root; None disables the disk level entirely.
+    #: on-disk cache root; None runs over a run-scoped temporary
+    #: directory that :func:`run_cells` removes when it returns.
     cache_dir: Optional[str] = None
     #: per-attempt deadline in seconds, measured from submission.
     task_timeout: float = 600.0
@@ -636,8 +609,17 @@ def run_cells(
 
     ``jobs == 1`` (or a single cell) runs inline in this process —
     the exact code path the workers run, so parallel and serial sweeps
-    produce identical payloads.
+    produce identical payloads.  Without a ``cache_dir`` the run goes
+    over a ``repro-run-*`` temporary directory, removed when this
+    returns: workers still share traces through it, but nothing is
+    read from or left in a persistent cache.
     """
+    if not options.cache_dir:
+        with tempfile.TemporaryDirectory(prefix="repro-run-") as run_dir:
+            return run_cells(
+                cells, dataclasses.replace(options, cache_dir=run_dir),
+                progress,
+            )
     cells = list(cells)
     note = progress if progress is not None else (lambda message: None)
     if options.effective_jobs() == 1 or len(cells) <= 1:
@@ -663,8 +645,7 @@ def _run_serial(
 ) -> List[CellOutcome]:
     global _LAST_REPORT
     previous_cache = get_disk_trace_cache()
-    if options.cache_dir:
-        set_disk_trace_cache(TraceCache(options.cache_dir))
+    set_disk_trace_cache(TraceCache(options.cache_dir))
     previous_plan = None
     if options.fault_plan is not None:
         # Inline runs can't SIGKILL the caller's own process, so
@@ -695,8 +676,7 @@ def _run_serial(
         _LAST_REPORT = EngineReport()
         return outcomes
     finally:
-        if options.cache_dir:
-            set_disk_trace_cache(previous_cache)
+        set_disk_trace_cache(previous_cache)
         if options.fault_plan is not None:
             chaos.install(previous_plan)
 
@@ -814,7 +794,9 @@ def _run_pool(
             slack = min(slot.deadline for slot in busy) - time.monotonic()
             completed, _ = wait(
                 {slot.future for slot in busy},
-                timeout=max(0.0, slack),
+                # An infinite deadline waits in TIMEOUT_MAX-second
+                # steps: a longer wait overflows the platform's time_t.
+                timeout=min(max(0.0, slack), threading.TIMEOUT_MAX),
                 return_when=FIRST_COMPLETED,
             )
             now = time.monotonic()

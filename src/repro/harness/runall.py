@@ -8,8 +8,9 @@ returns a single markdown document — the programmatic equivalent of
 
 The sweep is decomposed into (benchmark × experiment × window) cells
 and executed by :mod:`repro.harness.parallel` — ``jobs`` workers over
-a process pool, backed by the shared on-disk trace cache when
-``cache_dir`` is set.  Results merge in suite order, so the document
+a process pool, backed by the shared on-disk trace cache at
+``cache_dir`` (or, without one, a cache that lasts only the run).
+Results merge in suite order, so the document
 is byte-identical for any ``jobs`` value; a cell that fails after its
 retry renders as an annotated gap inside its section instead of
 crashing the report.
@@ -311,8 +312,9 @@ def generate_report(
     ``progress``, if given, is called with a status string before each
     stage and after each finished cell (e.g. ``print``).  ``jobs``
     picks the worker count (None → ``os.cpu_count()``, 1 → inline);
-    ``cache_dir`` enables the shared on-disk trace cache.  The output
-    is byte-identical across ``jobs`` values.
+    ``cache_dir`` names the persistent on-disk cache (None → a cache
+    that lasts only this run).  The output is byte-identical across
+    ``jobs`` values.
 
     ``profiler``, if given, accumulates the per-phase breakdown of the
     whole sweep: every cell's worker-side phase snapshot is merged in,

@@ -1,14 +1,17 @@
 """Declarative sweep engine: suite descriptors → run table.
 
 ``run_sweep`` expands a validated :class:`repro.sweepspec.SweepSpec`
-into ``"sweep"``-section :class:`TaskCell` units — one per run-table
-row — and fans them over the existing parallel engine
-(:mod:`repro.harness.parallel`).  Because each cell's identity bakes
-in every resolved machine field, the opt level, the window and the
-repetition, finished cells land in the shared cell-payload cache: a
-re-run of the same suite (or any suite that crosses the same design
-points) skips straight to the cached metrics, which is what makes
-sweeps resumable.
+into run-table rows and submits one ``"sweep-batch"`` :class:`TaskCell`
+per (workload, opt level, repetition) group to the parallel engine
+(:mod:`repro.harness.parallel`).  The group cell attaches its trace
+once: timing rows share one
+:func:`~repro.uarch.pipeline.simulate_batch` call, and traffic rows
+walk the trace columns once per row.  Each row's metrics are cached
+under its own ``"sweep"`` key, which bakes in every resolved machine
+field, the opt level, the window and the repetition: a re-run of the
+same suite (or any suite that crosses the same design points) loads
+those rows instead of simulating them, which is what makes sweeps
+resumable.
 
 Determinism contract: the *run table* (``run_table_json``) and the
 rendered summary depend only on the descriptor and the simulated
@@ -18,9 +21,10 @@ across warm re-runs.  Provenance that legitimately varies between
 runs (per-row cache hits, wall times, attempt counts, worker count)
 is quarantined in the separate ``meta`` payload.
 
-A cell that fails after its retry degrades to an annotated gap row —
-``error`` set, ``metrics`` null — exactly like report sections do;
-the sweep still completes and the summary names every degraded row.
+A group cell that fails after its retry degrades every row of its
+group to an annotated gap — ``error`` set, ``metrics`` null — the way
+a failed report cell gaps every section it serves; the sweep still
+completes and the summary names every degraded row.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from typing import (
     Tuple,
 )
 
+from repro import profiling
 from repro.errors import UsageError
 from repro.harness import chaos
 from repro.harness.parallel import (
+    _MISS,
     CellOutcome,
     EngineOptions,
     TaskCell,
@@ -67,52 +73,26 @@ def metric_names(kind: str) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Per-cell execution (runs inside engine workers)
+# Group execution (runs inside engine workers)
 # ---------------------------------------------------------------------------
 
 
-def run_sweep_cell(cell: TaskCell) -> Dict[str, Any]:
-    """Compute one run-table row's metrics (the ``"sweep"`` runner).
-
-    The cell's params carry the sweep kind, the opt level, the
-    repetition and every resolved MachineSpec field; the benchmark and
-    window live on the cell itself.  Returns a plain metrics dict —
-    picklable, cacheable, and deterministic for a given identity.
-    """
-    from repro.lang.codegen import CodegenOptions
-    from repro.workloads import cached_trace, workload
-
-    params = dict(cell.params)
-    kind = params.pop("kind")
-    opt_level = params.pop("opt", 0)
-    params.pop("rep", None)
-    options = CodegenOptions(opt_level=opt_level)
-    trace = cached_trace(
-        workload(cell.benchmark), cell.window, options=options
-    )
-    if kind == "traffic":
-        return _traffic_metrics(trace, params)
-    return _timing_metrics(trace, params)
+def _machine_fields(params: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
+    """A row key's resolved machine fields: its params minus kind/opt/rep."""
+    return {
+        name: value for name, value in params
+        if name not in ("kind", "opt", "rep")
+    }
 
 
-def _timing_metrics(trace, machine_fields: Mapping[str, Any]) -> Dict:
-    """Simulate variant and svf-less baseline; report the comparison.
+def _timing_config_pair(machine_fields: Mapping[str, Any]):
+    """(svf-less baseline, variant) MachineConfigs for one timing row.
 
     The baseline is the same machine with the stack unit detached, so
     machine-level axes (width, AGU depth, ports) move both runs while
     ``svf_*`` axes move only the variant — the comparison every
     ablation in ``benchmarks/`` makes by hand.
     """
-    from repro.uarch.pipeline import simulate
-
-    baseline_config, config = _timing_config_pair(machine_fields)
-    baseline = simulate(trace, baseline_config)
-    run = simulate(trace, config)
-    return _metrics_from_stats(baseline, run)
-
-
-def _timing_config_pair(machine_fields: Mapping[str, Any]):
-    """(svf-less baseline, variant) MachineConfigs for one row."""
     import dataclasses
 
     from repro.api import MachineSpec
@@ -123,11 +103,7 @@ def _timing_config_pair(machine_fields: Mapping[str, Any]):
 
 
 def _metrics_from_stats(baseline, run) -> Dict[str, Any]:
-    """The run-table metrics dict for one (baseline, variant) pair.
-
-    Shared verbatim between the per-cell and the batched runners so
-    fused and unfused rows are byte-identical, rounding included.
-    """
+    """The run-table metrics dict for one (baseline, variant) pair."""
     return {
         "instructions": run.instructions,
         "baseline_cycles": baseline.cycles,
@@ -172,160 +148,62 @@ def _traffic_metrics(trace, machine_fields: Mapping[str, Any]) -> Dict:
 
 
 def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
-    """Compute one fused group of timing rows (``"sweep-batch"``).
+    """Compute one (workload, opt, rep) group of rows (``"sweep-batch"``).
 
-    The cell's ``members`` param enumerates the params tuples of the
-    plain ``"sweep"`` cells it fuses — all sharing this cell's
-    (benchmark, window, opt, rep), differing only in machine fields.
-    The runner attaches the trace once, loads warm members straight
-    from the per-member cell cache (counting ``cell_cache_hits`` /
-    ``cell_cache_misses`` exactly as the engine would), simulates all
-    cold members' (baseline, variant) config pairs through one
-    :func:`repro.uarch.pipeline.simulate_batch` call, and stores each
-    cold member's metrics back under its own cell key — so a fused
-    group and its unfused members are interchangeable in the cache.
+    The cell's ``members`` param lists the params of the group's row
+    keys (see :func:`point_cell`), which differ only in machine
+    fields.  Warm rows load from their own ``"sweep"`` cell-cache
+    keys, counting ``cell_cache_hits`` / ``cell_cache_misses`` as the
+    engine would.  The cold rows share one trace attach: timing rows
+    time every (svf-less baseline, variant) pair in one
+    :func:`repro.uarch.pipeline.simulate_batch` call, and traffic rows
+    walk the trace once each.  Each cold row's metrics are then stored
+    under its own key, so a partially warm group recomputes only its
+    cold rows.  Any exception fails the whole cell: the engine retries
+    it and then degrades every row of the group.
 
-    Failures stay per-member: a member whose spec or simulation fails
-    degrades to an error entry (same ``Type: message`` format the
-    engine uses) without touching its group-mates; if the batched call
-    itself fails, cold members fall back to sequential per-member
-    execution through the registered ``"sweep"`` runner.  That same
-    registry lookup is the interposition seam: when the ``"sweep"``
-    runner has been replaced (tests and tooling interpose on per-cell
-    execution), every cold member runs through the replacement
-    instead of the fused path.
-
-    Returns ``{member_params: entry}`` where each entry carries
-    ``ok``/``metrics``-or-``error`` plus ``cache_hit`` provenance;
+    Returns ``{row params: {"metrics": ..., "cache_hit": bool}}``;
     :func:`run_sweep` fans the entries back out to run-table rows.
     """
-    from repro import profiling
-    from repro.harness import parallel
     from repro.lang.codegen import CodegenOptions
     from repro.uarch.pipeline import simulate_batch
     from repro.workloads import cached_trace, get_disk_trace_cache, workload
 
-    params = dict(cell.params)
-    members: Sequence[Tuple] = params["members"]
-    opt_level = params.get("opt", 0)
-    member_cells = [
-        TaskCell("sweep", cell.benchmark, cell.window, member)
-        for member in members
-    ]
-
     cache = get_disk_trace_cache()
-    profiler = profiling.active()
-
-    def _count(name: str, n: int = 1) -> None:
-        if profiler is not None:
-            profiler.count(name, n)
-
     entries: Dict[Tuple, Dict[str, Any]] = {}
     cold: List[TaskCell] = []
-    for member in member_cells:
-        if member.params in entries:
-            continue
-        payload = (
-            cache.load_cell(member) if cache is not None
-            else parallel._MISS
-        )
-        if payload is not parallel._MISS:
-            _count("cell_cache_hits")
-            entries[member.params] = {
-                "ok": True, "metrics": payload, "cache_hit": True,
-            }
+    for params in dict.fromkeys(cell.param("members")):
+        row = TaskCell("sweep", cell.benchmark, cell.window, params)
+        metrics = cache.load_cell(row)
+        if metrics is _MISS:
+            profiling.note_counter("cell_cache_misses")
+            cold.append(row)
         else:
-            _count("cell_cache_misses")
-            cold.append(member)
-
+            profiling.note_counter("cell_cache_hits")
+            entries[params] = {"metrics": metrics, "cache_hit": True}
     if not cold:
-        return entries
-
-    # Mirror the engine's retry policy so a member that degrades here
-    # reports the same attempt count (the summary annotates it) as the
-    # plain cell it replaces.
-    retries = parallel.EngineOptions().retries
-
-    def _fail(member: TaskCell, exc: Exception, attempts: int) -> None:
-        entries[member.params] = {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "cache_hit": False,
-            "attempts": attempts,
-        }
-
-    def _done(
-        member: TaskCell, metrics: Dict[str, Any], attempts: int = 1
-    ) -> None:
-        if cache is not None:
-            cache.store_cell(member, metrics)
-        entries[member.params] = {
-            "ok": True, "metrics": metrics, "cache_hit": False,
-            "attempts": attempts,
-        }
-
-    runner = parallel._CELL_RUNNERS.get("sweep", run_sweep_cell)
-
-    def _run_members_sequentially(pending: Sequence[TaskCell]) -> None:
-        for member in pending:
-            for attempt in range(1, retries + 2):
-                try:
-                    metrics = runner(member)
-                except Exception as exc:
-                    if attempt > retries:
-                        _fail(member, exc, attempt)
-                else:
-                    _done(member, metrics, attempt)
-                    break
-
-    if runner is not parallel._cell_sweep:
-        # Someone interposed on per-cell sweep execution; fusion
-        # defers to per-cell execution so the interposition sees
-        # every member.
-        _run_members_sequentially(cold)
         return entries
 
     trace = cached_trace(
         workload(cell.benchmark), cell.window,
-        options=CodegenOptions(opt_level=opt_level),
+        options=CodegenOptions(opt_level=cell.param("opt", 0)),
     )
-    paired: List[Tuple[TaskCell, Any, Any]] = []
-    for member in cold:
-        fields = dict(member.params)
-        fields.pop("kind", None)
-        fields.pop("opt", None)
-        fields.pop("rep", None)
-        try:
-            baseline_config, config = _timing_config_pair(fields)
-        except Exception as exc:
-            # Deterministic construction failure: the engine would have
-            # retried and failed identically, so report its count.
-            _fail(member, exc, 1 + retries)
-            continue
-        paired.append((member, baseline_config, config))
-
-    if paired:
-        configs: List[Any] = []
-        for _member, baseline_config, config in paired:
-            configs.append(baseline_config)
-            configs.append(config)
-        try:
-            results = simulate_batch(trace, configs)
-        except Exception:
-            # The batched call failed as a whole (it cannot tell which
-            # config is at fault) — recompute members one by one so
-            # only the offender degrades.
-            _run_members_sequentially([member for member, _, _ in paired])
-        else:
-            for slot, (member, _, _) in enumerate(paired):
-                baseline = results[2 * slot]
-                run = results[2 * slot + 1]
-                try:
-                    metrics = _metrics_from_stats(baseline, run)
-                except Exception as exc:
-                    _fail(member, exc, 1 + retries)
-                else:
-                    _done(member, metrics)
+    machines = [_machine_fields(row.params) for row in cold]
+    if cell.param("kind") == "traffic":
+        computed = [_traffic_metrics(trace, machine) for machine in machines]
+    else:
+        stats = simulate_batch(trace, [
+            config
+            for machine in machines
+            for config in _timing_config_pair(machine)
+        ])
+        computed = [
+            _metrics_from_stats(stats[2 * slot], stats[2 * slot + 1])
+            for slot in range(len(cold))
+        ]
+    for row, metrics in zip(cold, computed):
+        cache.store_cell(row, metrics)
+        entries[row.params] = {"metrics": metrics, "cache_hit": False}
     return entries
 
 
@@ -335,12 +213,12 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
 
 
 def point_cell(spec: SweepSpec, point: SweepPoint) -> TaskCell:
-    """The engine cell for one run-table row.
+    """The cell-cache key for one run-table row.
 
     Params spell out the full resolved machine (not just the swept
-    axes) plus kind/opt/rep, so the cell-cache key is the complete
-    design-point identity: suites with different bases never collide,
-    and suites crossing the same point share cached metrics.
+    axes) plus kind/opt/rep, so the key is the complete design-point
+    identity: suites with different bases never collide, and suites
+    crossing the same point share cached metrics.
     """
     if spec.kind == "traffic":
         machine = tuple(
@@ -377,41 +255,24 @@ def plan_cells(spec: SweepSpec) -> Tuple[List[SweepPoint], List[TaskCell]]:
 def _fuse_cells(
     spec: SweepSpec, cells: Sequence[TaskCell]
 ) -> Tuple[List[TaskCell], Dict[TaskCell, TaskCell]]:
-    """Group timing cells that share (workload, opt, rep) into fused
-    ``"sweep-batch"`` cells — one trace attach and one
-    :func:`~repro.uarch.pipeline.simulate_batch` call per group instead
-    of two simulations per row.
+    """Group the row keys that share (workload, opt, rep) into one
+    ``"sweep-batch"`` cell each — the only cell a sweep submits.
 
-    Fusion is submission-shape only: the per-member cell-cache keys,
-    row identities and row bytes are untouched (the batch runner fans
-    results back out per member).  Traffic sweeps and groups of one
-    stay plain cells.  Returns the submission list (group order
-    follows the first member, preserving :func:`plan_cells`'s
-    cache-friendly ordering) and the member-cell → batch-cell map the
-    fan-in uses.  Chaos runs plan their faults over this submission.
+    Grouping is submission shape only: every row keeps its own
+    cell-cache key and its row bytes (the group runner fans results
+    back out per row).  Returns the submission list, in the order of
+    each group's first row (preserving :func:`plan_cells`'s
+    cache-friendly ordering), and the row → group map the fan-in
+    uses.  Chaos runs plan their faults over this submission.
     """
-    if spec.kind != "timing":
-        return list(cells), {}
     groups: Dict[Tuple, List[TaskCell]] = {}
     for cell in cells:
-        params = dict(cell.params)
-        key = (cell.benchmark, params.get("opt", 0), params.get("rep", 0))
+        key = (cell.benchmark, cell.param("opt", 0), cell.param("rep", 0))
         groups.setdefault(key, []).append(cell)
     submit: List[TaskCell] = []
-    batch_of: Dict[TaskCell, TaskCell] = {}
-    emitted = set()
-    for cell in cells:
-        params = dict(cell.params)
-        key = (cell.benchmark, params.get("opt", 0), params.get("rep", 0))
-        if key in emitted:
-            continue
-        emitted.add(key)
-        members = groups[key]
-        if len(members) == 1:
-            submit.append(cell)
-            continue
-        benchmark, opt_level, repetition = key
-        batch = TaskCell(
+    group_of: Dict[TaskCell, TaskCell] = {}
+    for (benchmark, opt_level, repetition), members in groups.items():
+        group = TaskCell(
             "sweep-batch", benchmark, spec.window,
             (
                 ("kind", spec.kind),
@@ -420,10 +281,9 @@ def _fuse_cells(
                 ("members", tuple(member.params for member in members)),
             ),
         )
-        submit.append(batch)
-        for member in members:
-            batch_of[member] = batch
-    return submit, batch_of
+        submit.append(group)
+        group_of.update((member, group) for member in members)
+    return submit, group_of
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +376,12 @@ class SweepOptions:
     ``jobs`` is the parallel-engine worker count (``None`` means
     ``os.cpu_count()``, ``1`` runs inline); the run table is
     byte-identical for every value.  ``use_cache`` gates the shared
-    on-disk cache — with it on, completed cells of an interrupted or
+    on-disk cache — with it on, completed rows of an interrupted or
     repeated sweep are skipped (resumability); ``cache_dir=None`` with
     ``use_cache=True`` resolves to the default per-user directory.
+    With it off the run goes over a run-scoped temporary cache that
+    nothing reads before or after the run.  ``task_timeout`` is the
+    per-attempt deadline of each group cell, in seconds (> 0).
     ``out_dir`` is where artifacts land (``None`` writes nothing —
     callers consume the :class:`SweepResult` directly).
     """
@@ -534,9 +397,14 @@ class SweepOptions:
     def __post_init__(self):
         if self.jobs is not None and self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, not {self.jobs!r}")
+        if not self.task_timeout > 0:
+            raise UsageError(
+                f"task_timeout must be > 0, not {self.task_timeout!r}"
+            )
 
     def resolved_cache_dir(self) -> Optional[str]:
-        """The effective cache root, or ``None`` when caching is off."""
+        """The persistent cache root, or ``None`` when caching is off
+        (the engine then runs over a cache that lasts only the run)."""
         if not self.use_cache:
             return None
         if self.cache_dir is not None:
@@ -709,11 +577,6 @@ def _outcome_counters(outcome: CellOutcome) -> Mapping[str, int]:
     return counters if isinstance(counters, dict) else {}
 
 
-def _cache_hit(outcome: CellOutcome) -> bool:
-    """Did this cell's payload come from the cell cache?"""
-    return bool(_outcome_counters(outcome).get("cell_cache_hits", 0))
-
-
 def _corrupt_dropped(outcomes: Sequence[CellOutcome]) -> int:
     """Corrupt cache entries the run's workers detected and unlinked."""
     return sum(
@@ -730,18 +593,15 @@ def run_sweep(
     """Execute a validated suite descriptor; returns the run table.
 
     Rows come back in canonical expansion order regardless of worker
-    scheduling; a cell that fails after its retry degrades to a gap
-    row (``error`` set) instead of aborting the sweep.  With the disk
-    cache enabled, completed cells of a previous identical run are
-    reused — an interrupted sweep resumes where it left off.
+    scheduling; a group cell that fails after its retry degrades each
+    of its rows to a gap row (``error`` set) instead of aborting the
+    sweep.  With the disk cache enabled, completed rows of a previous
+    run are reused — an interrupted sweep resumes where it left off.
     """
     options = options if options is not None else SweepOptions()
     started = time.perf_counter()
     points, cells = plan_cells(spec)
-    # Fuse timing groups into batched cells: a submission-shape
-    # optimization only (row identities, cache keys and run-table
-    # bytes are invariant).
-    submit, batch_of = _fuse_cells(spec, cells)
+    submit, group_of = _fuse_cells(spec, cells)
     engine = EngineOptions(
         jobs=options.jobs,
         cache_dir=options.resolved_cache_dir(),
@@ -749,82 +609,37 @@ def run_sweep(
         fault_plan=options.fault_plan,
     )
     if progress is not None:
-        fused_note = (
-            f" fused into {len(submit)}" if len(submit) != len(cells)
-            else ""
-        )
         progress(
-            f"sweep {spec.name}: {len(cells)} cells{fused_note} over "
-            f"{len(spec.workloads)} workloads "
+            f"sweep {spec.name}: {len(cells)} rows in {len(submit)} "
+            f"group cells over {len(spec.workloads)} workloads "
             f"({engine.effective_jobs()} jobs, cache "
             f"{engine.cache_dir if engine.cache_dir else 'off'})"
         )
     outcomes = run_cells(submit, engine, progress=progress)
-    by_cell = {outcome.cell: outcome for outcome in outcomes}
+    by_group = {outcome.cell: outcome for outcome in outcomes}
 
     rows = []
     for point in points:
         cell = point_cell(spec, point)
-        batch_cell = batch_of.get(cell)
-        outcome = by_cell.get(batch_cell if batch_cell is not None
-                              else cell)
+        group = group_of[cell]
+        outcome = by_group.get(group)
         if outcome is None:
             raise RuntimeError(
                 f"engine invariant violated: no outcome for planned "
-                f"cell {cell.label} — every submitted cell must come "
+                f"cell {group.label} — every submitted cell must come "
                 f"back as a payload or an annotated gap"
             )
-        if batch_cell is None:
-            rows.append(SweepRow(
-                workload=point.workload,
-                opt_level=point.opt_level,
-                repetition=point.repetition,
-                levels=point.levels,
-                metrics=outcome.payload if outcome.ok else None,
-                error=outcome.error,
-                cache_hit=_cache_hit(outcome),
-                elapsed=outcome.elapsed,
-                attempts=outcome.attempts,
-            ))
-            continue
-        group_size = max(1, len(dict(batch_cell.params)["members"]))
-        attempts = outcome.attempts
-        if not outcome.ok:
-            # The whole fused cell died at the engine level (timeout,
-            # lost worker): every member degrades with that error.
-            metrics, error, cache_hit = None, outcome.error, False
-        else:
-            entry = (
-                outcome.payload.get(cell.params)
-                if isinstance(outcome.payload, Mapping) else None
-            )
-            if entry is None:
-                metrics = None
-                error = (
-                    "batch invariant violated: fused cell returned no "
-                    f"entry for member {cell.label}"
-                )
-                cache_hit = False
-            elif entry.get("ok"):
-                metrics = entry.get("metrics")
-                error = None
-                cache_hit = bool(entry.get("cache_hit", False))
-                attempts = int(entry.get("attempts", 1))
-            else:
-                metrics = None
-                error = entry.get("error", "unknown batch member error")
-                cache_hit = False
-                attempts = int(entry.get("attempts", outcome.attempts))
+        entry = outcome.payload[cell.params] if outcome.ok else {}
         rows.append(SweepRow(
             workload=point.workload,
             opt_level=point.opt_level,
             repetition=point.repetition,
             levels=point.levels,
-            metrics=metrics,
-            error=error,
-            cache_hit=cache_hit,
-            elapsed=outcome.elapsed / group_size,
-            attempts=attempts,
+            metrics=entry.get("metrics"),
+            error=outcome.error,
+            cache_hit=entry.get("cache_hit", False),
+            elapsed=outcome.elapsed / len(group.param("members")),
+            attempts=outcome.attempts,
         ))
 
     result = SweepResult(
@@ -861,5 +676,4 @@ __all__ = [
     "point_cell",
     "run_sweep",
     "run_sweep_batch_cell",
-    "run_sweep_cell",
 ]

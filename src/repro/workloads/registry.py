@@ -251,9 +251,9 @@ def _resolve(benchmark: str) -> Tuple[object, str]:
 # ---------------------------------------------------------------------------
 # Trace cache: experiments re-simulate the same workloads under many
 # machine configurations; the functional trace only needs producing once.
-# An optional second, on-disk level (installed by the parallel engine's
-# TraceCache via set_disk_trace_cache) shares traces across worker
-# processes and across invocations.
+# A second, on-disk level (the parallel engine installs a TraceCache
+# via set_disk_trace_cache for every run) shares traces across worker
+# processes and, with a persistent cache directory, across invocations.
 # ---------------------------------------------------------------------------
 
 TraceKey = Tuple[str, str, int, Optional[int]]
@@ -262,7 +262,7 @@ _TRACE_CACHE: Dict[TraceKey, ColumnarTrace] = {}
 
 #: Optional on-disk cache: any object with
 #: load(key) -> Optional[ColumnarTrace] and store(key, trace).  None
-#: disables the disk level.
+#: (outside the engine) means no disk level.
 _DISK_CACHE = None
 
 
@@ -305,8 +305,8 @@ def cached_trace(
 def clear_trace_cache() -> None:
     """Drop all in-memory cached traces.
 
-    The parallel engine calls this as each cell ends when a disk cache
-    is installed, so a worker holds only the traces of the cell it is
-    running; tests call it too.
+    The parallel engine calls this as each cell ends, so a worker
+    holds only the traces of the cell it is running; tests call it
+    too.
     """
     _TRACE_CACHE.clear()

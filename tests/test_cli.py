@@ -84,6 +84,35 @@ class TestUsageErrors:
         assert main(argv) == 2
         self._assert_one_line_error(capsys, fragment)
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["sweep", "{suite}", "--jobs", "2", "--no-cache",
+          "--out", "{tmp}/out", "--task-timeout", "0"],
+         "sweep: --task-timeout must be > 0, not 0.0"),
+        (["sweep", "{suite}", "--jobs", "1", "--out", "{tmp}/out",
+          "--cache-dir", "{tmp}/cache", "--task-timeout", "-5"],
+         "sweep: --task-timeout must be > 0, not -5.0"),
+        (["sweep", "{suite}", "--jobs", "1", "--out", "{tmp}/out",
+          "--cache-dir", "{tmp}/cache", "--task-timeout", "nan"],
+         "sweep: --task-timeout must be > 0, not nan"),
+        (["chaos", "--suite", "{tmp}/missing.yaml", "--work-dir",
+          "{tmp}/work", "--task-timeout", "0"],
+         "chaos: --task-timeout must be > 0, not 0.0"),
+        (["chaos", "--suite", "{tmp}/missing.yaml", "--work-dir",
+          "{tmp}/work", "--task-timeout", "nan"],
+         "chaos: --task-timeout must be > 0, not nan"),
+    ], ids=["sweep-task-timeout-0", "sweep-task-timeout-negative",
+            "sweep-task-timeout-nan", "chaos-task-timeout-0",
+            "chaos-task-timeout-nan"])
+    def test_task_timeout_must_be_positive(self, argv, fragment, capsys,
+                                           tmp_path):
+        # Rejected before any cell runs: nothing is written.
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(TestSweep.SUITE))
+        names = {"suite": suite, "tmp": tmp_path}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        self._assert_one_line_error(capsys, fragment)
+        assert [path.name for path in tmp_path.iterdir()] == ["suite.json"]
+
     def test_characterize_unknown_workload(self, capsys):
         assert main(["characterize", "doom"]) == 2
         self._assert_one_line_error(capsys, "unknown benchmark")

@@ -171,9 +171,9 @@ class TestTraceCache:
 
 
 class TestTraceMemoEviction:
-    """With a disk cache installed, the engine empties the per-process
-    trace memo as each cell ends and the disk serves the next cell;
-    without one, the process keeps its traces for later cells."""
+    """The engine empties the per-process trace memo as each cell ends
+    and the disk level serves the next cell — a persistent cache
+    directory or, without one, a run-scoped one."""
 
     # Figures 1-3 and Table 4 replay the same gzip trace.
     CELLS = [
@@ -194,19 +194,35 @@ class TestTraceMemoEviction:
         assert first.phases["counters"].get("trace_cache_misses") == 1
         assert second.phases["counters"].get("trace_cache_hits") == 1
 
-    def test_without_disk_cache_the_memo_keeps_the_trace(self):
-        work = workload("gzip")
+    def test_without_disk_cache_a_run_scoped_cache_serves_the_next_cell(
+        self, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         clear_trace_cache()
         try:
-            outcomes = run_cells(
+            first, second = run_cells(
                 self.CELLS, EngineOptions(jobs=1, cache_dir=None)
             )
-            assert all(outcome.ok for outcome in outcomes)
-            assert list(registry._TRACE_CACHE) == [
-                (work.name, work.input_name, 0, 1_200)
-            ]
+            assert first.ok and second.ok
+            assert registry._TRACE_CACHE == {}
         finally:
             clear_trace_cache()
+        assert second.phases["counters"].get("trace_cache_hits") == 1
+        assert list(tmp_path.glob("repro-run-*")) == []
+
+        # The directory goes when a cell fails, and when an exception
+        # escapes the run.
+        bad = TaskCell("no_such_section", "164.gzip", 1_000)
+        assert not run_cells([bad], EngineOptions(jobs=1))[0].ok
+
+        def interrupt(message):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(self.CELLS, EngineOptions(jobs=1), progress=interrupt)
+        assert list(tmp_path.glob("repro-run-*")) == []
 
 
 class TestEngine:
@@ -248,6 +264,18 @@ class TestEngine:
         outcomes = run_cells(cells, EngineOptions(jobs=2))
         assert not outcomes[0].ok and outcomes[0].attempts == 2
         assert outcomes[1].ok
+
+    def test_infinite_deadline_runs_the_pool(self):
+        # No deadline at all: the pool waits in bounded steps instead
+        # of overflowing the platform's time_t.
+        cells = [
+            _report_cell("timing", "164.gzip", 1_000),
+            _report_cell("timing", "181.mcf", 1_000),
+        ]
+        outcomes = run_cells(
+            cells, EngineOptions(jobs=2, task_timeout=float("inf"))
+        )
+        assert [outcome.ok for outcome in outcomes] == [True, True]
 
     def test_progress_reports_each_cell(self):
         notes = []

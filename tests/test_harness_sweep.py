@@ -6,8 +6,8 @@ The contract under test (see :mod:`repro.harness.sweep`):
   and across warm re-runs — scheduling and caching never leak in;
 * with the disk cache on, a second identical run skips every cell
   (resumability), visible as ``cache_hits == len(rows)``;
-* a cell that fails degrades to an annotated gap row instead of
-  aborting the sweep.
+* a group cell that fails degrades its rows to annotated gap rows
+  instead of aborting the sweep.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.harness.sweep import (
     SweepOptions,
     plan_cells,
     run_sweep,
-    run_sweep_cell,
+    run_sweep_batch_cell,
 )
 from repro.sweepspec import parse_suite
 
@@ -113,26 +113,29 @@ def test_second_run_resumes_from_cell_cache(tmp_path):
 
 
 def test_failed_cell_degrades_to_annotated_gap(monkeypatch):
-    spec = timing_suite(workloads=["gzip"])
-    original = run_sweep_cell
+    spec = timing_suite()
 
     def flaky(cell):
-        if dict(cell.params).get("svf_ports") == 2:
+        if cell.benchmark == "181.mcf":
             raise RuntimeError("injected cell failure")
-        return original(cell)
+        return run_sweep_batch_cell(cell)
 
-    monkeypatch.setitem(parallel._CELL_RUNNERS, "sweep", flaky)
+    monkeypatch.setitem(parallel._CELL_RUNNERS, "sweep-batch", flaky)
     result = run_sweep(spec, SweepOptions(jobs=1, use_cache=False))
-    assert not result.ok
-    gap = next(row for row in result.rows if not row.ok)
-    assert gap.level("svf_ports") == 2
-    assert gap.metrics is None
-    assert "injected cell failure" in gap.error
-    # The healthy row still carries metrics, and the summary names
-    # the gap the way report sections annotate failed cells.
-    assert any(row.ok for row in result.rows)
+    assert not result.ok and len(result.rows) == 4
+    # The failed group cell gaps both of mcf's rows; gzip's group
+    # keeps its metrics.
+    for row in result.rows:
+        if row.workload == "181.mcf":
+            assert row.metrics is None
+            assert row.error == "RuntimeError: injected cell failure"
+        else:
+            assert row.ok and row.metrics["speedup"] > 0
+    # The summary names each gap the way report sections annotate
+    # failed cells.
     summary = result.render_summary()
-    assert "--" in summary and "degraded" in summary
+    assert "--" in summary
+    assert summary.count("(degraded: row 181.mcf") == 2
     payload = json.loads(result.run_table_json())
     assert payload["ok"] is False
 

@@ -132,6 +132,21 @@ def test_option_objects_are_frozen_with_stable_defaults():
         api.CompileOptions(opt_level=7)
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["SweepOptions", "ReportOptions",
+                                  "ChaosOptions"])
+def test_run_options_reject_non_positive_task_timeout(name, timeout):
+    # Each class raises what its jobs check raises.
+    from repro import api
+    from repro.errors import UsageError
+
+    error = UsageError if name == "SweepOptions" else ValueError
+    with pytest.raises(error, match="task_timeout must be > 0"):
+        getattr(api, name)(task_timeout=timeout)
+    with pytest.raises(error, match="jobs must be >= 1"):
+        getattr(api, name)(jobs=0)
+
+
 def test_machine_spec_materializes_table2_config():
     from repro import api
 
