@@ -32,7 +32,7 @@ The older explicit form (``table2_config(16)`` /
 :func:`repro.api.simulate` accepts a raw :class:`MachineConfig` too.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 from repro.analysis import LintReport, Severity, lint_all, lint_program
 from repro.api import (

@@ -632,10 +632,14 @@ def chaos_check(
     the invariants the harness documents: output byte-identical or
     explicitly annotated, the cache never poisoned, no orphan worker
     processes.  Returns a :class:`repro.harness.chaos.ChaosResult`;
-    ``result.ok`` is the verdict the CLI maps to its exit code.
+    ``result.ok`` is the verdict the CLI maps to its exit code.  A
+    ``work_dir`` that cannot be created raises :class:`UsageError`
+    before anything runs.
     """
     from repro.harness.chaos import run_chaos
 
+    if options is not None:
+        _make_dir(options.work_dir, "work directory")
     return run_chaos(options, progress=progress)
 
 

@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_parser.add_argument(
         "--work-dir", default=None,
-        help="directory for caches and the fault ledger (default: temp)",
+        help="directory for caches and the fault ledger (default: a "
+             "temporary directory, removed when the run ends)",
     )
     chaos_parser.add_argument(
         "--format", default="text", choices=("text", "json"),

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, List, Optional
 
+import numpy as np
+
 from repro import profiling
 from repro.core.stack_cache import StackCache
 from repro.core.svf import StackValueFile
@@ -116,12 +118,12 @@ class TrafficSimulator:
     ) -> None:
         """Drain ``trace[lo:hi)`` (same semantics as ``append``).
 
-        Reads the flag/address columns by index instead of
-        materializing records; the model-call sequence is identical to
-        feeding the records one by one.  When the numpy backend is on,
-        the candidate indices (stack references, ``$sp`` updates and
-        context-switch points) are found with one vectorized scan and
-        only those instructions are visited.
+        One vectorized scan over the column views finds the candidate
+        indices (stack references, ``$sp`` updates and context-switch
+        points), and only those instructions are visited, reading the
+        columns by index instead of materializing records; the
+        model-call sequence is identical to feeding the records one by
+        one.
         """
         hi = len(trace) if hi is None else hi
         col_flags = trace.flags
@@ -140,43 +142,18 @@ class TrafficSimulator:
             update_sp(col_sp[lo])
             self._sp_seen = True
         arrays = trace.as_arrays()
-        if arrays is not None:
-            import numpy as np
-
-            flags_view = arrays.flags[lo:hi]
-            addr_view = arrays.addr[lo:hi]
-            interesting = (
-                ((flags_view & 3) != 0) & (addr_view >= stack_floor)
-            ) | ((flags_view & 32) != 0)
-            candidates = np.nonzero(interesting)[0]
-            if period:
-                first_switch = period - (instructions % period) - 1
-                switch_points = np.arange(first_switch, hi - lo, period)
-                candidates = np.union1d(candidates, switch_points)
-            for relative in candidates.tolist():
-                index = relative + lo
-                flags = col_flags[index]
-                if flags & 3:
-                    addr = col_addr[index]
-                    if addr >= stack_floor:
-                        stack_references += 1
-                        is_store = bool(flags & 2)
-                        size = col_size[index]
-                        svf_access(addr, size, is_store)
-                        sc_access(addr, size, is_store)
-                if flags & 32:
-                    update_sp(col_sp[index])
-                if period and (instructions + relative + 1) % period == 0:
-                    self._switches += 1
-                    self._svf_switch_bytes += svf.context_switch()
-                    self._stack_cache_switch_bytes += (
-                        self.stack_cache.context_switch()
-                    )
-            self._instructions = instructions + (hi - lo)
-            self._stack_references = stack_references
-            return
-        for index in range(lo, hi):
-            instructions += 1
+        flags_view = arrays.flags[lo:hi]
+        addr_view = arrays.addr[lo:hi]
+        interesting = (
+            ((flags_view & 3) != 0) & (addr_view >= stack_floor)
+        ) | ((flags_view & 32) != 0)
+        candidates = np.nonzero(interesting)[0]
+        if period:
+            first_switch = period - (instructions % period) - 1
+            switch_points = np.arange(first_switch, hi - lo, period)
+            candidates = np.union1d(candidates, switch_points)
+        for relative in candidates.tolist():
+            index = relative + lo
             flags = col_flags[index]
             if flags & 3:  # load or store
                 addr = col_addr[index]
@@ -188,13 +165,13 @@ class TrafficSimulator:
                     sc_access(addr, size, is_store)
             if flags & 32:  # sp_update
                 update_sp(col_sp[index])
-            if period and instructions % period == 0:
+            if period and (instructions + relative + 1) % period == 0:
                 self._switches += 1
                 self._svf_switch_bytes += svf.context_switch()
                 self._stack_cache_switch_bytes += (
                     self.stack_cache.context_switch()
                 )
-        self._instructions = instructions
+        self._instructions = instructions + (hi - lo)
         self._stack_references = stack_references
 
     def result(self) -> TrafficResult:

@@ -27,6 +27,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.certify import ProgramCertificate, certify_program
 from repro.emulator.memory import STACK_BASE, TEXT_BASE
 from repro.trace.columnar import FLAG_LOAD, FLAG_STORE, ColumnarTrace
@@ -104,35 +106,14 @@ def _observed_gpr_functions(trace: ColumnarTrace,
     starts, names = _function_table(certificate)
     if not starts:
         return set()
-    observed: Set[str] = set()
-
     arrays = trace.as_arrays()
-    if arrays is not None:
-        import numpy as np
-
-        is_mem = (arrays.flags & (FLAG_LOAD | FLAG_STORE)) != 0
-        computed = (arrays.base != SP) & (arrays.base != FP) & is_mem
-        in_stack = (arrays.addr >= floor) & (arrays.addr < STACK_BASE)
-        hits = np.flatnonzero(computed & in_stack)
-        if len(hits):
-            pcs = np.unique(arrays.pc[hits])
-            for pc in pcs.tolist():
-                slot = bisect.bisect_right(starts, pc) - 1
-                if slot >= 0:
-                    observed.add(names[slot])
-        return observed
-
-    for index in range(len(trace)):
-        flags = trace.flags[index]
-        if not flags & (FLAG_LOAD | FLAG_STORE):
-            continue
-        base = trace.base[index]
-        if base == SP or base == FP:
-            continue
-        addr = trace.addr[index]
-        if not floor <= addr < STACK_BASE:
-            continue
-        slot = bisect.bisect_right(starts, trace.pc[index]) - 1
+    is_mem = (arrays.flags & (FLAG_LOAD | FLAG_STORE)) != 0
+    computed = (arrays.base != SP) & (arrays.base != FP) & is_mem
+    in_stack = (arrays.addr >= floor) & (arrays.addr < STACK_BASE)
+    hits = np.flatnonzero(computed & in_stack)
+    observed: Set[str] = set()
+    for pc in np.unique(arrays.pc[hits]).tolist():
+        slot = bisect.bisect_right(starts, pc) - 1
         if slot >= 0:
             observed.add(names[slot])
     return observed

@@ -40,7 +40,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -341,9 +341,10 @@ class ChaosOptions:
     how many distinct cells each fault hits (seeded choice over the
     planned cells); ``corrupt`` picks how many cache entries the
     corruption round truncates/bit-flips.  ``work_dir`` hosts the
-    cache directories and the claim ledger (``None`` = a fresh
-    temporary directory).  ``task_timeout`` is the per-attempt cell
-    deadline in seconds (> 0).
+    cache directories and the claim ledger (``None`` = a
+    ``repro-chaos-*`` temporary directory, removed when the run
+    returns).  ``task_timeout`` is the per-attempt cell deadline in
+    seconds (> 0).
     """
 
     benchmarks: Tuple[str, ...] = ("gzip",)
@@ -518,15 +519,16 @@ def run_chaos(options: Optional[ChaosOptions] = None,
     """
     import tempfile
 
+    options = options if options is not None else ChaosOptions()
+    if options.work_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as work_dir:
+            return run_chaos(replace(options, work_dir=work_dir), progress)
+
     from repro.harness import parallel as engine
 
-    options = options if options is not None else ChaosOptions()
     note = progress if progress is not None else (lambda message: None)
     started = time.perf_counter()
-    work_root = Path(
-        options.work_dir if options.work_dir is not None
-        else tempfile.mkdtemp(prefix="repro-chaos-")
-    )
+    work_root = Path(options.work_dir)
     work_root.mkdir(parents=True, exist_ok=True)
 
     target = _SweepTarget(options) if options.suite else (

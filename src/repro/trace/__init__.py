@@ -6,11 +6,7 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
-from repro.trace.columnar import (
-    ColumnarTrace,
-    numpy_available,
-    set_numpy_enabled,
-)
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import TraceRecord
 from repro.trace.serialization import (
     TraceFormatError,
@@ -42,8 +38,6 @@ __all__ = [
     "consume_trace",
     "is_stack_address",
     "load_trace",
-    "numpy_available",
     "save_trace",
-    "set_numpy_enabled",
     "write_trace",
 ]

@@ -1,19 +1,16 @@
 """Trace analyses reproducing the paper's Figures 1-3.
 
 Each analysis consumes a :class:`~repro.trace.columnar.ColumnarTrace`
-window through ``consume_columns(trace, lo, hi)``, walking the flat
-columns without materializing a :class:`TraceRecord` per instruction.
-When the optional numpy backend is enabled
-(:meth:`ColumnarTrace.as_arrays`), region classification and histogram
-accumulation run as vectorized reductions over the column views;
-otherwise a pure-python index walk over the packed columns is used.
+window through ``consume_columns(trace, lo, hi)``: region
+classification and histogram accumulation run as vectorized numpy
+reductions over the column views (:meth:`ColumnarTrace.as_arrays`),
+without materializing a :class:`TraceRecord` per instruction.
 
 Each analysis also keeps a record-at-a-time ``append`` method.  It is
 not a trace protocol — the emulator emits only columns — but the
 plain reference the column walks are held to:
-``tests/test_analysis_columnar.py`` gates all three paths (append /
-python columns / numpy columns) field-for-field on the whole workload
-suite plus fuzzed traces.
+``tests/test_analysis_columnar.py`` gates both paths field-for-field
+on the whole workload suite plus fuzzed traces.
 
 :func:`consume_trace` is the dispatcher the harness uses: it feeds one
 trace window to many analyses and notes the ``analysis`` phase into
@@ -26,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import profiling
 from repro.emulator.memory import DATA_BASE, HEAP_BASE
@@ -65,61 +64,14 @@ class AccessDistribution:
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Batched form of ``append`` over ``trace[lo:hi)``."""
+        """Batched form of ``append`` over ``trace[lo:hi)``.
+
+        The TEXT region folds into OTHER in
+        :func:`repro.trace.regions.classify_access`, so OTHER is every
+        non-stack reference below ``DATA_BASE``.
+        """
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
-        if arrays is not None:
-            self._consume_arrays(arrays, lo, hi)
-        else:
-            self._consume_python(trace, lo, hi)
-
-    def _consume_python(self, trace: ColumnarTrace, lo: int, hi: int) -> None:
-        """Reference batched path: index walk over the packed columns.
-
-        Region classification is inlined from
-        :func:`repro.trace.regions.classify_access` (the TEXT region
-        folds into OTHER there, so ``addr < DATA_BASE`` covers both).
-        """
-        col_flags = trace.flags
-        col_addr = trace.addr
-        col_base = trace.base
-        stack_floor = STACK_REGION_FLOOR
-        heap_base = HEAP_BASE
-        data_base = DATA_BASE
-        sp_count = fp_count = gpr_count = 0
-        global_count = heap_count = other_count = 0
-        memory = 0
-        for index in range(lo, hi):
-            if not col_flags[index] & 3:  # neither load nor store
-                continue
-            memory += 1
-            addr = col_addr[index]
-            if addr >= stack_floor:
-                base = col_base[index]
-                if base == SP:
-                    sp_count += 1
-                elif base == FP:
-                    fp_count += 1
-                else:
-                    gpr_count += 1
-            elif addr >= heap_base:
-                heap_count += 1
-            elif addr >= data_base:
-                global_count += 1
-            else:
-                other_count += 1
-        self.total_instructions += hi - lo
-        self.memory_references += memory
-        counts = self.counts
-        counts[AccessMethod.STACK_SP] += sp_count
-        counts[AccessMethod.STACK_FP] += fp_count
-        counts[AccessMethod.STACK_GPR] += gpr_count
-        counts[AccessMethod.GLOBAL] += global_count
-        counts[AccessMethod.HEAP] += heap_count
-        counts[AccessMethod.OTHER] += other_count
-
-    def _consume_arrays(self, arrays, lo: int, hi: int) -> None:
-        """Vectorized batched path over the numpy column views."""
         flags = arrays.flags[lo:hi]
         addr = arrays.addr[lo:hi]
         base = arrays.base[lo:hi]
@@ -212,29 +164,6 @@ class StackDepthProfile:
         """
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
-        if arrays is not None:
-            self._consume_arrays(arrays, lo, hi)
-        else:
-            self._consume_python(trace, lo, hi)
-
-    def _consume_python(self, trace: ColumnarTrace, lo: int, hi: int) -> None:
-        col_flags = trace.flags
-        col_sp = trace.sp
-        stack_base = self.stack_base
-        samples_append = self.samples.append
-        max_depth = self.max_depth
-        for index in range(lo, hi):
-            if not col_flags[index] & 32:  # not an sp_update
-                continue
-            depth = (stack_base - col_sp[index]) // 8
-            samples_append((index, depth))
-            if depth > max_depth:
-                max_depth = depth
-        self.max_depth = max_depth
-
-    def _consume_arrays(self, arrays, lo: int, hi: int) -> None:
-        import numpy as np
-
         flags = arrays.flags[lo:hi]
         updates = np.nonzero((flags & 32) != 0)[0]
         if not updates.size:
@@ -309,40 +238,6 @@ class OffsetLocality:
         """Batched form of ``append`` over ``trace[lo:hi)``."""
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
-        if arrays is not None:
-            self._consume_arrays(arrays, lo, hi)
-        else:
-            self._consume_python(trace, lo, hi)
-
-    def _consume_python(self, trace: ColumnarTrace, lo: int, hi: int) -> None:
-        col_flags = trace.flags
-        col_addr = trace.addr
-        col_sp = trace.sp
-        stack_floor = STACK_REGION_FLOOR
-        histogram = self.histogram
-        total = 0
-        sum_offsets = 0
-        beyond = 0
-        for index in range(lo, hi):
-            if not col_flags[index] & 3:
-                continue
-            addr = col_addr[index]
-            if addr < stack_floor:
-                continue
-            offset = addr - col_sp[index]
-            if offset < 0:
-                beyond += 1
-                continue
-            total += 1
-            sum_offsets += offset
-            histogram[offset] = histogram.get(offset, 0) + 1
-        self.total += total
-        self.sum_offsets += sum_offsets
-        self.beyond_tos += beyond
-
-    def _consume_arrays(self, arrays, lo: int, hi: int) -> None:
-        import numpy as np
-
         flags = arrays.flags[lo:hi]
         addr = arrays.addr[lo:hi]
         stack = np.nonzero(
@@ -422,10 +317,9 @@ def consume_trace(
 ) -> int:
     """Feed ``trace[lo:hi)`` to every sink; returns instructions fed.
 
-    Each sink walks the window through its ``consume_columns``
-    (vectorized when the numpy backend is on).  Wall time and
-    instruction count are noted as the ``analysis`` phase of the
-    active :mod:`repro.profiling` profiler.
+    Each sink walks the window through its ``consume_columns``.  Wall
+    time and instruction count are noted as the ``analysis`` phase of
+    the active :mod:`repro.profiling` profiler.
     """
     profiler = profiling.active()
     started = perf_counter() if profiler is not None else 0.0

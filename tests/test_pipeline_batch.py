@@ -5,8 +5,11 @@ distinct config over it; sequential per-config ``simulate`` calls are
 the reference.  The two must agree bit-for-bit on every statistic,
 across every workload, every ablation axis the committed suites sweep,
 fuzzed programs, odd batch sizes, duplicate configs and windows that
-stop mid-trace — under both settings of the numpy switch
-(``set_numpy_enabled``), which the timing walk must not read.
+stop mid-trace.
+
+Each parametrized check keeps a ``reference`` and a ``numpy`` leg,
+named after a numpy switch that no longer exists: both legs run the
+same code.
 """
 
 import dataclasses
@@ -17,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import profiling
 from repro.emulator import Machine
 from repro.isa import assemble
-from repro.trace.columnar import ColumnarTrace, set_numpy_enabled
-from repro.trace.columnar import _np as _numpy
+from repro.trace.columnar import ColumnarTrace
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate, simulate_batch
 from repro.workloads import ALL_BENCHMARKS, workload
@@ -50,17 +52,11 @@ GRID = [
     ),
 ]
 
-#: The numpy switch selects the analysis and traffic backends;
-#: running each check under both settings keeps the timing walk
-#: independent of it.
+#: Their test IDs stay until ROADMAP's "Fold the stale timing test
+#: legs" item folds them.
 LEGS = [
     pytest.param(False, id="reference"),
-    pytest.param(
-        True, id="numpy",
-        marks=pytest.mark.skipif(
-            _numpy is None, reason="numpy unavailable"
-        ),
-    ),
+    pytest.param(True, id="numpy"),
 ]
 
 
@@ -74,13 +70,9 @@ def _assert_stats_equal(reference, batched, label):
         )
 
 
-def _seq_vs_batch(trace, configs, numpy_leg, label):
-    previous = set_numpy_enabled(numpy_leg)
-    try:
-        sequential = [simulate(trace, config) for config in configs]
-        batched = simulate_batch(trace, configs)
-    finally:
-        set_numpy_enabled(previous)
+def _seq_vs_batch(trace, configs, label):
+    sequential = [simulate(trace, config) for config in configs]
+    batched = simulate_batch(trace, configs)
     assert len(batched) == len(configs)
     for i, (ref, bat) in enumerate(zip(sequential, batched)):
         _assert_stats_equal(ref, bat, f"{label}[{i}]")
@@ -91,39 +83,38 @@ def gzip_trace():
     return workload("gzip").trace(max_instructions=WINDOW)
 
 
-@pytest.mark.parametrize("numpy_leg", LEGS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("bench", ALL_BENCHMARKS)
-def test_batch_matches_sequential_on_every_workload(bench, numpy_leg):
+def test_batch_matches_sequential_on_every_workload(bench, leg):
     trace = workload(bench).trace(max_instructions=WINDOW)
-    _seq_vs_batch(trace, GRID, numpy_leg, bench)
+    _seq_vs_batch(trace, GRID, bench)
 
 
-@pytest.mark.parametrize("numpy_leg", LEGS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("size", [1, 2, 7, len(GRID)])
-def test_batch_sizes(gzip_trace, size, numpy_leg):
-    _seq_vs_batch(gzip_trace, GRID[:size], numpy_leg, f"size{size}")
+def test_batch_sizes(gzip_trace, size, leg):
+    _seq_vs_batch(gzip_trace, GRID[:size], f"size{size}")
 
 
-@pytest.mark.parametrize("numpy_leg", LEGS)
-def test_small_chunks_interleave_mid_trace(gzip_trace, numpy_leg):
+@pytest.mark.parametrize("leg", LEGS)
+def test_small_chunks_interleave_mid_trace(gzip_trace, leg):
     # A mixed batch whose duplicates are not adjacent: every slot must
     # get the stats of its own config, through the copy-per-slot
     # fan-out, exactly as a sequential run would.
     configs = [GRID[0], GRID[4], GRID[0], GRID[9], GRID[4]]
-    _seq_vs_batch(gzip_trace, configs, numpy_leg, "mixed-duplicates")
+    _seq_vs_batch(gzip_trace, configs, "mixed-duplicates")
 
 
-@pytest.mark.parametrize("numpy_leg", LEGS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("window", [1, 17, 63, 500])
-def test_mid_trace_window_stops(window, numpy_leg):
+def test_mid_trace_window_stops(window, leg):
     trace = workload("gzip").trace(max_instructions=window)
-    _seq_vs_batch(trace, [GRID[0], GRID[4], GRID[8]], numpy_leg,
-                  f"window{window}")
+    _seq_vs_batch(trace, [GRID[0], GRID[4], GRID[8]], f"window{window}")
 
 
-@pytest.mark.parametrize("numpy_leg", LEGS)
-def test_empty_trace(numpy_leg):
-    _seq_vs_batch(ColumnarTrace(), GRID[:3], numpy_leg, "empty")
+@pytest.mark.parametrize("leg", LEGS)
+def test_empty_trace(leg):
+    _seq_vs_batch(ColumnarTrace(), GRID[:3], "empty")
 
 
 def test_duplicate_configs_return_independent_copies(gzip_trace):
@@ -211,7 +202,4 @@ class TestFuzzedDifferential:
         program = assemble(_fuzz_source(steps))
         trace = ColumnarTrace()
         Machine(program).run(trace_sink=trace)
-        for numpy_leg in (False, True):
-            if numpy_leg and _numpy is None:
-                continue
-            _seq_vs_batch(trace, _FUZZ_CONFIGS, numpy_leg, "fuzz")
+        _seq_vs_batch(trace, _FUZZ_CONFIGS, "fuzz")
