@@ -236,12 +236,6 @@ class ReportOptions:
     run goes over a temporary cache that nothing reads before or after
     the run.  ``task_timeout`` is each cell's per-attempt deadline in
     seconds (> 0).
-
-    ``incremental`` re-renders only report sections whose content keys
-    (workload sources × compile options × machine specs × analysis
-    version × window) changed since the cached run; it needs the
-    persistent cache, so it is ignored when ``use_cache`` is off.  The
-    document stays byte-identical to a full run.
     """
 
     timing_window: int = 40_000
@@ -251,7 +245,6 @@ class ReportOptions:
     cache_dir: Optional[str] = None
     use_cache: bool = True
     task_timeout: float = 600.0
-    incremental: bool = False
 
     def __post_init__(self):
         if self.benchmarks is not None and not isinstance(
@@ -317,7 +310,6 @@ def generate_report(
         cache_dir=_make_dir(options.resolved_cache_dir(), "cache directory"),
         task_timeout=options.task_timeout,
         profiler=profiler,
-        incremental=options.incremental,
     )
 
 

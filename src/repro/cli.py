@@ -23,9 +23,10 @@ Commands:
     count) and the output is byte-identical for every value.
     ``--profile`` additionally prints the sweep's per-phase wall-time
     breakdown (compile/emulate/timing/traffic/analysis/render) and the
-    cache hit/miss counters to stdout.  ``--incremental`` re-renders
-    only sections whose content keys changed, reusing cached section
-    payloads for the rest (same bytes either way).
+    cache hit/miss counters to stdout.  A warm cache re-runs no cell
+    whose payload it holds, and only ``SCHEMA_VERSION`` invalidates
+    it: after editing workloads or simulator code, delete the cache
+    directory or pass ``--no-cache``.
 ``profile <workload> [--max-instructions N]``
     run one workload end to end (compile, emulate, time, traffic,
     characterization analyses) under the phase profiler and print the
@@ -350,10 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--profile", action="store_true",
         help="print the per-phase wall-time breakdown after the report",
-    )
-    report_parser.add_argument(
-        "--incremental", action="store_true",
-        help="re-render only sections whose cached content keys changed",
     )
 
     profile_parser = commands.add_parser(
@@ -742,7 +739,6 @@ def cmd_report(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        incremental=args.incremental,
     )
     _check_output_file("report", args.output)
     profiler = PhaseProfiler() if args.profile else None
@@ -786,8 +782,8 @@ def cmd_profile(args) -> int:
         )
         base = table2_config(16)
         svf_config = base.with_svf(mode="svf", ports=2)
-        # One batch: the profile shows the batch counters
-        # (batch_configs, batch_walks_saved) alongside the phases.
+        # One batch of two distinct machines: the profile shows
+        # batch_configs alongside the phases (no walk is saved).
         baseline, svf = simulate_batch(trace, [base, svf_config])
         simulate_traffic(trace)
         # The Figure 1-3 characterization pass, so "analysis" shows up

@@ -53,7 +53,7 @@ from repro import profiling
 FAULT_KINDS = ("kill", "hang", "slow", "fail", "truncate", "bitflip")
 
 #: Cache-entry suffixes :func:`inject_cache_faults` may touch.
-CACHE_SUFFIXES = (".trace.bin", ".cell.pkl", ".section.pkl")
+CACHE_SUFFIXES = (".trace.bin", ".cell.pkl")
 
 
 class ChaosFault(RuntimeError):

@@ -79,15 +79,14 @@ def default_cache_dir() -> str:
 
 @dataclass
 class CacheStats:
-    """Per-namespace cache traffic.
+    """Cache traffic.
 
-    ``hits``/``misses``/``stores`` count functional-trace operations
-    (the historical meaning); cell payloads and report sections have
-    their own counters so ``--profile`` can attribute a warm run to
-    the level that actually absorbed it.
+    ``hits``/``misses``/``stores`` count functional-trace operations;
+    the engine counts cell-payload hits and misses into the cell's
+    profiler instead (``cell_cache_hits`` / ``cell_cache_misses``).
 
     ``corrupt_dropped`` and ``transient_errors`` split the two ways a
-    read can go wrong, across all namespaces: a **corrupt** entry
+    read can go wrong, in both namespaces: a **corrupt** entry
     (truncated/bit-flipped payload) is unlinked so it can never be
     served, while a **transient** I/O error (EINTR, a permission blip,
     a reader racing a writer) leaves the entry on disk — it may be
@@ -97,12 +96,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    cell_hits: int = 0
-    cell_misses: int = 0
-    cell_stores: int = 0
-    section_hits: int = 0
-    section_misses: int = 0
-    section_stores: int = 0
     corrupt_dropped: int = 0
     transient_errors: int = 0
 
@@ -130,20 +123,16 @@ def _escape_key_part(value: Any) -> str:
 
 
 class TraceCache:
-    """On-disk store under ``<root>/v<SCHEMA_VERSION>/``, three namespaces:
+    """On-disk store under ``<root>/v<SCHEMA_VERSION>/``, two namespaces:
 
     * functional traces, one ``.trace.bin`` file per (benchmark,
       input, opt level, window) key in the columnar binary format of
       :mod:`repro.trace.serialization` — shared by every section that
       replays the same trace, and loaded straight into the packed
       columns the hot loops consume (no per-record unpickling);
-    * finished cell payloads (pickled) under ``cells/`` — a warm
-      report skips the timing model entirely, not just emulation;
-    * rendered report sections (pickled) under ``sections/``, keyed by
-      a content digest of everything that feeds the section (see
-      :func:`repro.harness.runall.section_content_key`) — the
-      ``--incremental`` report mode reuses these without touching the
-      cells at all.
+    * finished cell payloads (pickled) under ``cells/``, keyed by the
+      cell's identity — a warm report skips the timing model
+      entirely, not just emulation.
 
     Writes are atomic (temp file + ``os.replace``) so concurrent
     workers can race on the same key safely — worst case both compute
@@ -162,7 +151,6 @@ class TraceCache:
         self.root = Path(root) / f"v{SCHEMA_VERSION}"
         self.root.mkdir(parents=True, exist_ok=True)
         self.cells_root = self.root / "cells"
-        self.sections_root = self.root / "sections"
         self.stats = CacheStats()
 
     def path_for(self, key) -> Path:
@@ -181,18 +169,18 @@ class TraceCache:
         ]
         return self.cells_root / (".".join(parts) + ".cell.pkl")
 
-    def _read(self, path: Path, kind: str) -> Any:
+    def load_cell(self, cell: "TaskCell") -> Any:
+        """Finished payload for ``cell``, or the ``_MISS`` sentinel."""
+        path = self.cell_path_for(cell)
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
-            self._bump(kind, "misses")
             return _MISS
         except OSError:
             # Transient I/O error (EINTR, permission blip, reader
             # racing a writer): the entry may be perfectly valid, so
             # it must survive for the next reader.
             self.stats.transient_errors += 1
-            self._bump(kind, "misses")
             return _MISS
         try:
             # The digest prefix catches what unpickling alone cannot:
@@ -210,18 +198,17 @@ class TraceCache:
                 path.unlink()
             except OSError:
                 pass
-            self._bump(kind, "misses")
             return _MISS
-        self._bump(kind, "hits")
         return value
 
-    def _write(self, path: Path, value: Any, kind: str) -> None:
+    def store_cell(self, cell: "TaskCell", payload: Any) -> None:
+        path = self.cell_path_for(cell)
         path.parent.mkdir(parents=True, exist_ok=True)
         descriptor, temp_path = tempfile.mkstemp(
             dir=str(path.parent), suffix=".tmp"
         )
         try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(hashlib.sha256(blob).digest())
                 handle.write(blob)
@@ -231,15 +218,6 @@ class TraceCache:
                 os.unlink(temp_path)
             except OSError:
                 pass
-            return
-        self._bump(kind, "stores")
-
-    def _bump(self, kind: str, event: str) -> None:
-        setattr(
-            self.stats,
-            f"{kind}_{event}",
-            getattr(self.stats, f"{kind}_{event}") + 1,
-        )
 
     def load(self, key):
         """Columnar trace for ``key``, or None on miss/corruption."""
@@ -284,29 +262,6 @@ class TraceCache:
                 pass
             return
         self.stats.stores += 1
-
-    def load_cell(self, cell: "TaskCell") -> Any:
-        """Finished payload for ``cell``, or the ``_MISS`` sentinel."""
-        return self._read(self.cell_path_for(cell), "cell")
-
-    def store_cell(self, cell: "TaskCell", payload: Any) -> None:
-        self._write(self.cell_path_for(cell), payload, "cell")
-
-    def section_path_for(self, section: str, key: str) -> Path:
-        return self.sections_root / f"{section}.{key}.section.pkl"
-
-    def load_section(self, section: str, key: str) -> Any:
-        """Rendered payload for a section content key, or ``_MISS``.
-
-        The content key bakes in every input of the section (workload
-        sources, compile options, machine specs, windows, analysis
-        version), so a stale entry is simply never addressed — there
-        is no in-place invalidation to get wrong.
-        """
-        return self._read(self.section_path_for(section, key), "section")
-
-    def store_section(self, section: str, key: str, payload: Any) -> None:
-        self._write(self.section_path_for(section, key), payload, "section")
 
 
 # ---------------------------------------------------------------------------

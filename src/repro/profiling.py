@@ -18,8 +18,8 @@ them into one suite-wide breakdown.  ``repro report --profile`` and
 ``repro profile <benchmark>`` render that breakdown; it never enters
 the report document itself, which stays byte-comparable across runs.
 
-Besides timed phases the profiler carries named *counters* — cache
-hit/miss/section-reuse tallies from :mod:`repro.harness.parallel` —
+Besides timed phases the profiler carries named *counters* — cell
+and trace cache hit/miss tallies from :mod:`repro.harness.parallel` —
 so a ``--profile`` run explains *why* a warm report was fast, not
 just that it was.
 """
@@ -78,7 +78,7 @@ class PhaseProfiler:
         stat.items += items
 
     def count(self, name: str, n: int = 1) -> None:
-        """Bump a named event counter (cache hits, sections reused...)."""
+        """Bump a named event counter (cache hits, batch configs...)."""
         if n:
             self.counters[name] = self.counters.get(name, 0) + n
 

@@ -147,9 +147,11 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
             "timing", perf_counter() - profile_started,
             columns.n * len(results),
         )
-        # Every config past the first reuses the shared precompute.
+        # Duplicate configs are the walks deduplication saves.  The
+        # precomputes saved are batch_configs minus the number of
+        # batches (each batch notes one "timing" call).
         profiler.count("batch_configs", len(configs))
-        profiler.count("batch_walks_saved", len(configs) - 1)
+        profiler.count("batch_walks_saved", len(configs) - len(slots))
 
     out: List[SimStats] = []
     claimed = set()

@@ -384,8 +384,7 @@ class TestReport:
         # Cold run against a private cache: every trace and cell is a
         # miss, and the counter block names them.
         assert "cache counters:" in out
-        for counter in ("cell_cache_misses", "trace_cache_misses",
-                        "sections_rendered"):
+        for counter in ("cell_cache_misses", "trace_cache_misses"):
             assert counter in out, counter
         # The breakdown goes to stdout only: the document stays
         # byte-comparable with and without --profile.
@@ -395,15 +394,15 @@ class TestReport:
         output = str(tmp_path / "report.md")
         argv = ["report", "--output", output,
                 "--timing-window", "3000", "--functional-window", "3000",
-                "--benchmarks", "mcf", "--profile", "--incremental",
+                "--benchmarks", "mcf", "--profile",
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         cold = open(output).read()
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "sections_reused" in out
-        assert "section_cache_hits" in out
+        assert "cell_cache_hits" in out
+        assert "cell_cache_misses" not in out
         assert open(output).read() == cold
 
 
@@ -430,11 +429,12 @@ class TestProfile:
 
     def test_renders_batch_counters(self, capsys):
         # The baseline and SVF runs share one simulate_batch call, so
-        # the batch counters show up in the "cache counters:" block.
+        # batch_configs shows up in the "cache counters:" block.
         assert main(["profile", "gzip", "--max-instructions", "3000"]) == 0
         out = capsys.readouterr().out
         assert "batch_configs" in out
-        assert "batch_walks_saved" in out
+        # Two distinct machines: deduplication saves no walk.
+        assert "batch_walks_saved" not in out
 
     def test_unknown_workload(self, capsys):
         assert main(["profile", "doom"]) == 2

@@ -383,7 +383,6 @@ class TestReportDegradation:
         report = dict(
             timing_window=1_200, functional_window=1_200,
             benchmarks=["gzip"], jobs=1, cache_dir=str(tmp_path),
-            incremental=True,
         )
         text = generate_report(**report)
         sections = {
@@ -399,14 +398,14 @@ class TestReportDegradation:
             if title.startswith(self.OTHER_SECTIONS):
                 assert "degraded" not in body, title
         assert "injected fault" in text
-        # A clean re-run recomputes the four timing sections and reuses
-        # the three the failure left intact.
+        # The failed cell was never cached: a clean re-run recomputes
+        # the timing cell and reuses the three the failure left intact.
         monkeypatch.undo()
         profiler = PhaseProfiler()
         healed = generate_report(**report, profiler=profiler)
         assert "degraded" not in healed
-        assert profiler.counters["sections_rendered"] == 4
-        assert profiler.counters["sections_reused"] == 3
+        assert profiler.counters["cell_cache_misses"] == 1
+        assert profiler.counters["cell_cache_hits"] == 3
 
 
 class TestPredictionParallel:

@@ -69,6 +69,7 @@ class TestTimingCell:
         # 27 machines over the four figures, 19 of them distinct.
         assert (timing.calls, timing.items) == (1, 19 * 1_500)
         assert profiler.counters["batch_configs"] == 27
+        assert profiler.counters["batch_walks_saved"] == 8
 
     def test_rows_match_each_figure_driver(self):
         rows = timing_rows(

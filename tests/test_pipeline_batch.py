@@ -132,7 +132,7 @@ def test_batch_counters_note_saved_walks(gzip_trace):
     with profiling.profiled() as profiler:
         simulate_batch(gzip_trace, configs)
     assert profiler.counters["batch_configs"] == 3
-    assert profiler.counters["batch_walks_saved"] == 2
+    assert profiler.counters["batch_walks_saved"] == 1
 
 
 # --- fuzzed programs: same step grammar as the columnar gate ---------
