@@ -62,34 +62,23 @@ from repro.uarch.pipeline import (
 from repro.workloads.registry import workload as _workload
 
 #: Version stamped into every machine-readable (JSON) payload the
-#: toolkit emits, and pinned into the on-disk trace-cache directory
-#: name (``<cache>/v<SCHEMA_VERSION>/``).  Bump on any breaking change
-#: to a payload shape or persisted trace format.  v2: columnar binary
-#: trace files replaced pickled record lists — v1 caches are stale and
-#: are simply never read again.  v3: the declarative sweep engine —
-#: every JSON envelope (lint/certify/experiment/characterize/sweep)
-#: now uniformly carries ``kind`` + ``schema_version``, sweep
-#: run-table artifacts joined the payload family, and ``MachineSpec``
-#: grew the ablation knobs (banks, granularity, adaptive, AGU depth)
-#: that feed sweep cell-cache keys.  Migration: there is nothing to
-#: convert — v2 caches live under ``v2/`` and are simply never read
-#: again (delete the directory to reclaim disk); consumers of v2 JSON
-#: payloads only need to accept the new ``kind`` field on payloads
-#: that previously lacked it.  v4: the chaos-hardening pass — cached
-#: traces gained a CRC32 (``SVFT\\x04`` header) so a bit-flipped
-#: ``.trace.bin`` is rejected instead of silently timed, and cell
-#: cache keys escape param separators so values containing ``.``/``-``
-#: can no longer collide.  Migration: nothing to convert — v3 caches
-#: live under ``v3/`` and are never read again; JSON payload shapes
-#: are unchanged apart from the version field.  v5: the batched timing
-#: engine — report timing figures cache one whole-row payload per
-#: (figure, benchmark) cell instead of one scalar per machine config,
-#: and pickled cell/section cache entries gained a SHA-256 integrity
-#: prefix (a bit flip inside a pickled payload used to be served when
-#: it still unpickled; traces already carried a CRC since v4).
-#: Migration: nothing to convert — v4 caches live under ``v4/`` and
-#: are never read again; JSON payload shapes are unchanged apart from
-#: the version field.
+#: toolkit emits.  Bump on any breaking change to a payload shape.
+#: v2: columnar binary trace files replaced pickled record lists.  v3:
+#: the declarative sweep engine — every JSON envelope
+#: (lint/certify/experiment/characterize/sweep) uniformly carries
+#: ``kind`` + ``schema_version``, sweep run-table artifacts joined the
+#: payload family, and ``MachineSpec`` grew the ablation knobs (banks,
+#: granularity, adaptive, AGU depth); consumers of v2 JSON payloads
+#: only need to accept the new ``kind`` field on payloads that
+#: previously lacked it.  v4: cached traces gained a CRC32
+#: (``SVFT\\x04`` header), so a bit-flipped ``.trace.bin`` is rejected
+#: instead of silently timed.  v5: the batched timing engine, and a
+#: SHA-256 integrity prefix on pickled cache entries.  JSON payload
+#: shapes are unchanged since v3 apart from the version field.  Up to
+#: v5 this number also named the on-disk cache directory (``v5/``);
+#: the cache is now named by a digest of the code
+#: (:func:`repro.harness.parallel.code_digest`), and those directories
+#: are never read again.
 SCHEMA_VERSION = 5
 
 #: Valid ``experiment`` names (paper tables and figures).
@@ -662,15 +651,20 @@ def predict(
     """Static-vs-dynamic SVF traffic bounds (``repro predict``).
 
     Returns a :class:`repro.harness.prediction.PredictionReport`;
-    unknown benchmark names raise :class:`UsageError` before any run
-    starts, and ``jobs`` fans the measurement over the parallel
-    engine.
+    unknown benchmark names and a capacity the traffic model rejects
+    raise :class:`UsageError` before any run starts, and ``jobs`` fans
+    the measurement over the parallel engine.
     """
+    from repro.core.traffic import TrafficSimulator
     from repro.harness.prediction import traffic_prediction_report
     from repro.workloads import validate_benchmarks
 
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be >= 1, not {jobs!r}")
+    try:
+        TrafficSimulator(capacity_bytes=capacity_bytes)
+    except ValueError as exc:
+        raise UsageError(f"{exc}, not {capacity_bytes!r}") from None
     resolved = validate_benchmarks(benchmarks) if benchmarks else None
     return traffic_prediction_report(
         benchmarks=resolved,

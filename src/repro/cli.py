@@ -24,9 +24,8 @@ Commands:
     ``--profile`` additionally prints the sweep's per-phase wall-time
     breakdown (compile/emulate/timing/traffic/analysis/render) and the
     cache hit/miss counters to stdout.  A warm cache re-runs no cell
-    whose payload it holds, and only ``SCHEMA_VERSION`` invalidates
-    it: after editing workloads or simulator code, delete the cache
-    directory or pass ``--no-cache``.
+    whose payload it holds; its directory is named by a digest of the
+    source code, so the first run after any edit starts a fresh one.
 ``profile <workload> [--max-instructions N]``
     run one workload end to end (compile, emulate, time, traffic,
     characterization analyses) under the phase profiler and print the

@@ -724,12 +724,12 @@ _TIMING_ROWS = dict(
 )
 
 
-def timing_rows(
-    benchmark: str, max_instructions: int, figures: Sequence[str]
-) -> Dict[str, object]:
-    """One benchmark's row of each named timing figure, from one batch:
-    a machine several figures share (the 16-wide (2+0) baseline, the
+def timing_rows(benchmark: str, max_instructions: int) -> Dict[str, object]:
+    """One benchmark's row of every timing figure, from one batch: a
+    machine several figures share (the 16-wide (2+0) baseline, the
     2-port 8 KB SVF) is walked once.  Each row equals the one the
     figure's own driver returns."""
-    plans = [_TIMING_ROWS[figure]() for figure in figures]
-    return dict(zip(figures, _batch_rows(benchmark, max_instructions, plans)))
+    plans = [make_plan() for make_plan in _TIMING_ROWS.values()]
+    return dict(
+        zip(_TIMING_ROWS, _batch_rows(benchmark, max_instructions, plans))
+    )

@@ -9,7 +9,7 @@ byte-identical to a serial (``jobs=1``) run — worker scheduling can
 reorder execution but never the merge.
 
 Failure semantics: a cell that raises inside a worker is retried once
-(``EngineOptions.retries``); a cell that exhausts its retries or its
+(``_RETRIES``); a cell that exhausts its retries or its
 per-cell timeout degrades to a :class:`CellOutcome` with ``error`` set,
 which the report renders as an annotated gap instead of crashing the
 whole sweep.  ``task_timeout`` is a **per-attempt deadline measured
@@ -22,10 +22,11 @@ pool slot hostage, and ``elapsed`` always reports real wall time.
 fault plan in every worker, which is how the chaos harness proves all
 of the above deterministically.
 
-Every run is backed by :class:`TraceCache`, an on-disk compile/trace
-cache keyed by (benchmark, input, opt level, window) and versioned by
-:data:`repro.api.SCHEMA_VERSION`: worker processes reuse each
-functional trace instead of re-emulating it.  It is the only way a
+Every run is backed by :class:`TraceCache`, an on-disk trace cache
+whose directory is named by a digest of the code (:func:`code_digest`)
+and whose entries are named by a digest of their keys: worker
+processes reuse each functional trace instead of re-emulating it, and
+no run reads an entry that other code computed.  It is the only way a
 trace crosses processes.  The cache installs itself as the second
 level behind the per-process cache of
 :func:`repro.workloads.cached_trace`, which the engine empties as each
@@ -40,6 +41,7 @@ it returns.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -50,11 +52,13 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, BinaryIO, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import profiling
 from repro.harness import chaos
-from repro.trace.serialization import TraceFormatError, load_trace, write_trace
+from repro.trace.serialization import load_trace, write_trace
 from repro.workloads import (
     clear_trace_cache,
     get_disk_trace_cache,
@@ -65,7 +69,7 @@ from repro.workloads import (
 
 
 # ---------------------------------------------------------------------------
-# Shared on-disk trace cache
+# Shared on-disk cache
 # ---------------------------------------------------------------------------
 
 
@@ -77,141 +81,118 @@ def default_cache_dir() -> str:
     return os.path.join(base, "repro-svf")
 
 
-@dataclass
-class CacheStats:
-    """Cache traffic.
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package.
 
-    ``hits``/``misses``/``stores`` count functional-trace operations;
-    the engine counts cell-payload hits and misses into the cell's
-    profiler instead (``cell_cache_hits`` / ``cell_cache_misses``).
-
-    ``corrupt_dropped`` and ``transient_errors`` split the two ways a
-    read can go wrong, in both namespaces: a **corrupt** entry
-    (truncated/bit-flipped payload) is unlinked so it can never be
-    served, while a **transient** I/O error (EINTR, a permission blip,
-    a reader racing a writer) leaves the entry on disk — it may be
-    perfectly valid for the next reader.  Both degrade to a miss.
+    It names the cache root, so the first run after any source edit
+    starts in a fresh directory and never reads an entry that other
+    code computed.
     """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt_dropped: int = 0
-    transient_errors: int = 0
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        name = path.relative_to(package).as_posix()
+        digest.update(f"{name} {content}\n".encode())
+    return digest.hexdigest()
 
 
 #: distinguishes "entry absent" from a legitimately-None payload.
 _MISS = object()
 
 
-def _escape_key_part(value: Any) -> str:
-    """Escape the structural separators of cell-cache file names.
+def _read_payload(path: Path) -> Any:
+    blob = path.read_bytes()
+    # The digest prefix catches what unpickling alone cannot: a flipped
+    # bit inside a pickled str/int often still unpickles — to the
+    # wrong value.
+    digest, payload = blob[:32], blob[32:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError("cache entry digest mismatch")
+    return pickle.loads(payload)
 
-    Cell keys join parts with ``.`` and bind names to values with
-    ``-``; a param value containing either (a float machine field, a
-    dotted label) could otherwise make two distinct cells share one
-    path and serve each other's payloads.  Escaping only the three
-    special characters keeps every existing key for plain values
-    byte-identical, so warm caches stay warm.
-    """
-    return (
-        str(value)
-        .replace("%", "%25")
-        .replace(".", "%2E")
-        .replace("-", "%2D")
-    )
+
+def _write_payload(handle: BinaryIO, payload: Any) -> None:
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    handle.write(hashlib.sha256(blob).digest())
+    handle.write(blob)
 
 
 class TraceCache:
-    """On-disk store under ``<root>/v<SCHEMA_VERSION>/``, two namespaces:
+    """On-disk store under ``<root>/<code digest>/`` (:func:`code_digest`).
 
-    * functional traces, one ``.trace.bin`` file per (benchmark,
-      input, opt level, window) key in the columnar binary format of
-      :mod:`repro.trace.serialization` — shared by every section that
-      replays the same trace, and loaded straight into the packed
-      columns the hot loops consume (no per-record unpickling);
-    * finished cell payloads (pickled) under ``cells/``, keyed by the
-      cell's identity — a warm report skips the timing model
-      entirely, not just emulation.
+    Each entry is named by the SHA-256 of its key's ``repr`` plus one
+    of two suffixes:
 
-    Writes are atomic (temp file + ``os.replace``) so concurrent
-    workers can race on the same key safely — worst case both compute
-    and one wins.  A corrupt or truncated entry is dropped and treated
-    as a miss.  Invalidation is by schema version only: the directory
-    name pins ``SCHEMA_VERSION``, which any payload- or
-    trace-affecting change must bump (the columnar format itself
-    bumped it to 2, so stale pickled caches are simply never seen).
+    * ``.trace.bin`` — a functional trace, keyed by (benchmark, input,
+      opt level, window), in the CRC-checked columnar format of
+      :mod:`repro.trace.serialization`: shared by every cell that
+      replays it, and loaded straight into the packed columns the hot
+      loops consume;
+    * ``.cell.pkl`` — a finished cell payload, keyed by the
+      :class:`TaskCell`, pickled behind a SHA-256 of the pickle: a
+      warm report skips the timing model, not just emulation.
+
+    Traces and payloads share one read path and one write path.
+    Writes are atomic (temp file + ``os.replace``), so racing workers
+    both compute and one wins.  A read degrades every failure to a
+    miss: an ``OSError`` is transient and leaves the entry for the
+    next reader; anything else is corruption and unlinks the entry so
+    it is never served.  Hits, misses, corrupt drops and transient
+    errors count into the active profiler.
     """
 
     def __init__(self, root: str):
-        # Imported lazily: repro.api imports the harness package, so a
-        # module-level import here would be circular.
-        from repro.api import SCHEMA_VERSION
-
-        self.root = Path(root) / f"v{SCHEMA_VERSION}"
+        self.root = Path(root) / code_digest()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.cells_root = self.root / "cells"
-        self.stats = CacheStats()
 
-    def path_for(self, key) -> Path:
-        benchmark, input_name, opt_level, window = key
-        window_tag = "full" if window is None else str(window)
+    def _path(self, key: Any, suffix: str) -> Path:
         return self.root / (
-            f"{benchmark}.{input_name}.O{opt_level}.w{window_tag}.trace.bin"
+            hashlib.sha256(repr(key).encode()).hexdigest() + suffix
         )
 
-    def cell_path_for(self, cell: "TaskCell") -> Path:
-        window_tag = "full" if cell.window is None else str(cell.window)
-        parts = [cell.section, cell.benchmark, f"w{window_tag}"]
-        parts += [
-            f"{_escape_key_part(name)}-{_escape_key_part(value)}"
-            for name, value in cell.params
-        ]
-        return self.cells_root / (".".join(parts) + ".cell.pkl")
+    def path_for(self, key) -> Path:
+        return self._path(key, ".trace.bin")
 
-    def load_cell(self, cell: "TaskCell") -> Any:
-        """Finished payload for ``cell``, or the ``_MISS`` sentinel."""
-        path = self.cell_path_for(cell)
+    def cell_path_for(self, cell: "TaskCell") -> Path:
+        return self._path(cell, ".cell.pkl")
+
+    def _read(self, path: Path, read: Callable[[Path], Any],
+              counter: str) -> Any:
+        """``read(path)``, or ``_MISS``; counts ``<counter>_hits`` or
+        ``<counter>_misses``."""
         try:
-            blob = path.read_bytes()
+            value = read(path)
         except FileNotFoundError:
-            return _MISS
+            value = _MISS
         except OSError:
-            # Transient I/O error (EINTR, permission blip, reader
-            # racing a writer): the entry may be perfectly valid, so
-            # it must survive for the next reader.
-            self.stats.transient_errors += 1
-            return _MISS
-        try:
-            # The digest prefix catches what unpickling alone cannot:
-            # a flipped bit inside a pickled str/int often still
-            # unpickles — to the wrong value.
-            digest, payload = blob[:32], blob[32:]
-            if hashlib.sha256(payload).digest() != digest:
-                raise ValueError("cache entry digest mismatch")
-            value = pickle.loads(payload)
+            # Transient (EINTR, a permission blip, a reader racing a
+            # writer): the entry may be valid, so it stays.
+            profiling.note_counter("cache_transient_errors")
+            value = _MISS
         except Exception:
-            # Genuine corruption (truncated/bit-flipped payload): drop
-            # the entry so it can never be served.
-            self.stats.corrupt_dropped += 1
+            # Corrupt (truncated, bit-flipped): drop the entry so it
+            # is never served.
+            profiling.note_counter("cache_corrupt_dropped")
             try:
                 path.unlink()
             except OSError:
                 pass
-            return _MISS
+            value = _MISS
+        profiling.note_counter(
+            counter + ("_misses" if value is _MISS else "_hits")
+        )
         return value
 
-    def store_cell(self, cell: "TaskCell", payload: Any) -> None:
-        path = self.cell_path_for(cell)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def _write(self, path: Path, write: Callable[[BinaryIO, Any], Any],
+               value: Any) -> None:
         descriptor, temp_path = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
+            dir=str(self.root), suffix=".tmp"
         )
         try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(descriptor, "wb") as handle:
-                handle.write(hashlib.sha256(blob).digest())
-                handle.write(blob)
+                write(handle, value)
             os.replace(temp_path, path)
         except Exception:
             try:
@@ -220,48 +201,20 @@ class TraceCache:
                 pass
 
     def load(self, key):
-        """Columnar trace for ``key``, or None on miss/corruption."""
-        path = self.path_for(key)
-        try:
-            trace = load_trace(str(path))
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (TraceFormatError, ValueError):
-            # Corrupt format: unlink so the entry is never served.
-            self.stats.corrupt_dropped += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.stats.misses += 1
-            return None
-        except OSError:
-            # Transient I/O error: a valid entry must not be lost.
-            self.stats.transient_errors += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return trace
+        """Columnar trace for ``key``, or None on a miss."""
+        trace = self._read(self.path_for(key), load_trace, "trace_cache")
+        return None if trace is _MISS else trace
 
     def store(self, key, trace) -> None:
-        """Atomically persist a trace in the columnar binary format."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                write_trace(handle, trace)
-            os.replace(temp_path, path)
-        except Exception:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            return
-        self.stats.stores += 1
+        self._write(self.path_for(key), write_trace, trace)
+
+    def load_cell(self, cell: "TaskCell") -> Any:
+        """Finished payload for ``cell``, or the ``_MISS`` sentinel."""
+        return self._read(self.cell_path_for(cell), _read_payload,
+                          "cell_cache")
+
+    def store_cell(self, cell: "TaskCell", payload: Any) -> None:
+        self._write(self.cell_path_for(cell), _write_payload, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +254,11 @@ def _cell_characterize(cell: TaskCell) -> Dict[str, Any]:
 
 
 def _cell_timing(cell: TaskCell) -> Dict[str, Any]:
-    """One benchmark's row of each timing figure the cell names, from
-    one batch (see :func:`repro.harness.experiments.timing_rows`)."""
+    """One benchmark's row of every timing figure, from one batch (see
+    :func:`repro.harness.experiments.timing_rows`)."""
     from repro.harness.experiments import timing_rows
 
-    figures = cell.param("figures").split("+")
-    return timing_rows(cell.benchmark, cell.window, figures)
+    return timing_rows(cell.benchmark, cell.window)
 
 
 def _cell_table3(cell: TaskCell) -> Dict[str, Dict[int, Any]]:
@@ -375,8 +327,7 @@ _CELL_RUNNERS: Dict[str, Callable[[TaskCell], Any]] = {
 #: a group cell's identity lists every row's full machine, so an
 #: engine-level entry would duplicate the rows' entries under an
 #: unbounded key (and defeat per-row warm resume).  The engine skips
-#: its own load/store for these and lets the runner count the per-row
-#: hits and misses.
+#: its own load/store for these.
 _SELF_CACHING_SECTIONS = frozenset({"sweep-batch"})
 
 
@@ -387,34 +338,15 @@ def _execute_cell(
 
     Each cell runs under its own phase profiler (saved/restored, so
     inline runs nest inside any caller-scoped profiler) and ships the
-    picklable snapshot back as the fourth tuple element; a cache hit
-    ships no phases (none ran), only the hit counter, so warm-run
-    breakdowns explain themselves without inventing wall time.
+    picklable snapshot back as the fourth tuple element, with the
+    cache's counters in it; a cache hit ships no phases (none ran),
+    so warm-run breakdowns explain themselves without inventing wall
+    time.
     """
     started = time.perf_counter()
     profiler = profiling.PhaseProfiler()
     previous = profiling.swap(profiler)
     cache = get_disk_trace_cache()
-    stats = cache.stats
-    corrupt_before = stats.corrupt_dropped
-    transient_before = stats.transient_errors
-    trace_hits, trace_misses = stats.hits, stats.misses
-
-    def _finish(status: str, payload: Any):
-        profiler.count(
-            "cache_corrupt_dropped", stats.corrupt_dropped - corrupt_before
-        )
-        profiler.count(
-            "cache_transient_errors",
-            stats.transient_errors - transient_before,
-        )
-        return (
-            status,
-            payload,
-            time.perf_counter() - started,
-            profiler.snapshot(),
-        )
-
     try:
         # The chaos hook may sleep, raise, or SIGKILL this process —
         # after the profiler swap so fault counters ship back in the
@@ -422,28 +354,23 @@ def _execute_cell(
         # exercises the full lookup-or-compute path.
         chaos.on_cell_start(cell)
         self_caching = cell.section in _SELF_CACHING_SECTIONS
-        if not self_caching:
-            payload = cache.load_cell(cell)
-            if payload is not _MISS:
-                profiler.count("cell_cache_hits")
-                return _finish("ok", payload)
-            profiler.count("cell_cache_misses")
-        runner = _CELL_RUNNERS.get(cell.section)
-        if runner is None:
-            raise KeyError(f"unknown cell section {cell.section!r}")
-        payload = runner(cell)
-        if not self_caching:
-            cache.store_cell(cell, payload)
-        profiler.count("trace_cache_hits", stats.hits - trace_hits)
-        profiler.count("trace_cache_misses", stats.misses - trace_misses)
-        return _finish("ok", payload)
+        payload = _MISS if self_caching else cache.load_cell(cell)
+        if payload is _MISS:
+            runner = _CELL_RUNNERS.get(cell.section)
+            if runner is None:
+                raise KeyError(f"unknown cell section {cell.section!r}")
+            payload = runner(cell)
+            if not self_caching:
+                cache.store_cell(cell, payload)
+        status = "ok"
     except Exception as exc:
-        return _finish("error", f"{type(exc).__name__}: {exc}")
+        status, payload = "error", f"{type(exc).__name__}: {exc}"
     finally:
         # The disk cache serves the next cell, so a worker holds only
         # the traces of the cell it is running.
         clear_trace_cache()
         profiling.swap(previous)
+    return status, payload, time.perf_counter() - started, profiler.snapshot()
 
 
 def _init_worker(
@@ -461,6 +388,9 @@ def _init_worker(
 # The engine
 # ---------------------------------------------------------------------------
 
+#: extra attempts after the first failure/timeout of a cell.
+_RETRIES = 1
+
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -473,8 +403,6 @@ class EngineOptions:
     cache_dir: Optional[str] = None
     #: per-attempt deadline in seconds, measured from submission.
     task_timeout: float = 600.0
-    #: extra attempts after the first failure/timeout of a cell.
-    retries: int = 1
     #: deterministic fault plan installed in every worker (chaos runs).
     fault_plan: Optional[chaos.FaultPlan] = None
 
@@ -615,7 +543,7 @@ def _run_serial(
             while True:
                 attempts += 1
                 status, payload, elapsed, phases = _execute_cell(cell)
-                if status == "ok" or attempts > options.retries:
+                if status == "ok" or attempts > _RETRIES:
                     break
                 note(f"retrying {cell.label} ({payload})")
             outcome = CellOutcome(
@@ -717,7 +645,7 @@ def _run_pool(
     def finish(index: int, attempt: int, status: str, payload: Any,
                elapsed: float, phases: profiling.Snapshot) -> None:
         nonlocal done
-        if status != "ok" and attempt <= options.retries:
+        if status != "ok" and attempt <= _RETRIES:
             note(f"retrying {cells[index].label} ({payload})")
             pending.append((index, attempt + 1))
             return
@@ -799,12 +727,12 @@ def _run_pool(
 
 
 __all__ = [
-    "CacheStats",
     "CellOutcome",
     "EngineOptions",
     "EngineReport",
     "TaskCell",
     "TraceCache",
+    "code_digest",
     "default_cache_dir",
     "last_engine_report",
     "run_cells",

@@ -135,6 +135,8 @@ class PredictionRow:
 class PredictionReport:
     rows: List[PredictionRow] = field(default_factory=list)
     capacity_bytes: int = 8192
+    #: workload -> error of each workload that failed after its retry.
+    dropped: Dict[str, str] = field(default_factory=dict)
 
     @property
     def workloads_reduced(self) -> int:
@@ -146,7 +148,8 @@ class PredictionReport:
 
     @property
     def all_bounds_hold(self) -> bool:
-        return all(row.bounds_hold for row in self.rows)
+        """Every workload was measured and every bound holds."""
+        return not self.dropped and all(row.bounds_hold for row in self.rows)
 
     def render(self) -> str:
         lines = [
@@ -193,11 +196,19 @@ class PredictionReport:
                     f"{'holds' if m.bounds_hold else 'VIOLATED'}"
                 )
         lines.append("")
-        verdict = (
-            "every bound holds (predicted >= measured)"
-            if self.all_bounds_hold
-            else "BOUND VIOLATION: the static predictor is unsound"
-        )
+        if self.dropped:
+            for name, error in self.dropped.items():
+                lines.append(f"dropped {name}: {error}")
+            lines.append("")
+        if not all(row.bounds_hold for row in self.rows):
+            verdict = "BOUND VIOLATION: the static predictor is unsound"
+        elif self.dropped:
+            verdict = (
+                f"UNCHECKED: {len(self.dropped)} of "
+                f"{len(self.dropped) + len(self.rows)} workloads not measured"
+            )
+        else:
+            verdict = "every bound holds (predicted >= measured)"
         lines.append(verdict)
         return "\n".join(lines)
 
@@ -273,9 +284,10 @@ def traffic_prediction_report(
 
     ``jobs`` fans the per-workload measurement out over the parallel
     engine (1 = inline); rows always merge back in suite order.  A
-    workload that fails after its retry is dropped from the report and
-    noted through ``progress`` — the full-run measurements are
-    independent, so one bad workload no longer aborts the artifact.
+    workload that fails after its retry is recorded in
+    ``report.dropped``, which fails the verdict — the full-run
+    measurements are independent, so one bad workload does not abort
+    the others.
     """
     from repro.harness.parallel import EngineOptions, TaskCell, run_cells
 
@@ -296,8 +308,6 @@ def traffic_prediction_report(
     for outcome in outcomes:
         if outcome.ok:
             report.rows.append(outcome.payload)
-        elif progress is not None:
-            progress(
-                f"dropped {outcome.cell.benchmark}: {outcome.error}"
-            )
+        else:
+            report.dropped[outcome.cell.benchmark] = outcome.error
     return report

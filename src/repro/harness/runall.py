@@ -12,7 +12,9 @@ a process pool, backed by the shared on-disk trace cache at
 ``cache_dir`` (or, without one, a cache that lasts only the run).
 The cache also keeps each finished cell's payload under the cell's
 identity, so a warm re-run executes no cells; every section is still
-rendered from the merged payloads on each run.  Results merge in
+rendered from the merged payloads on each run.  The cache directory
+is named by a digest of the code, so the first run after a source
+edit recomputes every cell.  Results merge in
 suite order, so the document is byte-identical for any ``jobs``
 value; a cell that fails after its retry renders as an annotated gap
 inside its section instead of crashing the report.
@@ -44,15 +46,12 @@ from repro.harness.parallel import (
 )
 from repro.profiling import PhaseProfiler
 
-#: (compute section, which window it uses) in report order.
+#: (cell section, which window it uses) in plan order.
 _SECTION_PLAN: Tuple[Tuple[str, str], ...] = (
     ("characterize", "functional"),
-    ("fig5", "timing"),
-    ("fig6", "timing"),
-    ("fig7", "timing"),
+    ("timing", "timing"),
     ("table3", "functional"),
     ("table4", "functional"),
-    ("fig9", "timing"),
 )
 
 #: The timing figures, in report order; one ``timing`` cell per
@@ -90,21 +89,13 @@ def _plan_cells(
 ) -> List[TaskCell]:
     """Section-major cell order: workers hit distinct benchmarks first,
     so cold-cache runs compute each trace once instead of racing on it.
-    The timing figures plan one ``timing`` cell per benchmark whose
-    ``figures`` param names them all (``fig5+fig6+fig7+fig9``): its
-    runner times their machines in one batch, walking a machine several
-    figures share once."""
+    One ``timing`` cell per benchmark times the machines of all four
+    timing figures in one batch, walking a machine several figures
+    share once."""
     windows = {"timing": timing_window, "functional": functional_window}
     cells = []
     for section, window_kind in _SECTION_PLAN:
-        params: Tuple = ()
-        if section == "table4":
-            params = (("period", period),)
-        elif section in _SECTION_CONFIGS:
-            if section != _SECTION_CONFIGS[0]:
-                continue
-            section = "timing"
-            params = (("figures", "+".join(_SECTION_CONFIGS)),)
+        params = (("period", period),) if section == "table4" else ()
         for benchmark in suite:
             cells.append(
                 TaskCell(section, benchmark, windows[window_kind], params)
@@ -120,7 +111,7 @@ def _merge(
     """Fold per-cell payloads into result objects, in suite order.
 
     A benchmark's timing figures arrive together, as the ``timing``
-    cell's payload of one whole row per figure it names.  A benchmark
+    cell's payload of one whole row per figure.  A benchmark
     with a missing/failed cell drops out of every figure that cell
     serves, with the specific cell named in the degraded annotation.
     """
@@ -147,14 +138,13 @@ def _merge(
             characterization.depth_profiles[benchmark] = char["depth"]
             characterization.localities[benchmark] = char["locality"]
             characterization.first_touch[benchmark] = char["first_touch"]
-        rows = payload("timing", benchmark) or {}
-        for result, section in ((fig5, "fig5"), (fig6, "fig6"),
-                                (fig9, "fig9")):
-            if section in rows:
-                result.speedups[benchmark] = rows[section]
-        if "fig7" in rows:
+        rows = payload("timing", benchmark)
+        if rows is not None:
+            fig5.speedups[benchmark] = rows["fig5"]
+            fig6.speedups[benchmark] = rows["fig6"]
             fig7.speedups[benchmark] = rows["fig7"]["speedups"]
             fig7.svf_stats[benchmark] = rows["fig7"]["svf_stats"]
+            fig9.speedups[benchmark] = rows["fig9"]
         traffic = payload("table3", benchmark)
         if traffic is not None:
             table3.traffic.update(traffic)
@@ -251,8 +241,11 @@ def generate_report(
     for outcome in outcomes:
         if not outcome.ok:
             # A failed timing cell gaps every figure it served.
-            served = outcome.cell.param("figures", outcome.cell.section)
-            for section_name in served.split("+"):
+            served = (
+                _SECTION_CONFIGS if outcome.cell.section == "timing"
+                else (outcome.cell.section,)
+            )
+            for section_name in served:
                 failures_by_section.setdefault(
                     section_name, []
                 ).append(outcome)

@@ -45,7 +45,6 @@ from typing import (
     Tuple,
 )
 
-from repro import profiling
 from repro.errors import UsageError
 from repro.harness import chaos
 from repro.harness.parallel import (
@@ -153,8 +152,8 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
     The cell's ``members`` param lists the params of the group's row
     keys (see :func:`point_cell`), which differ only in machine
     fields.  Warm rows load from their own ``"sweep"`` cell-cache
-    keys, counting ``cell_cache_hits`` / ``cell_cache_misses`` as the
-    engine would.  The cold rows share one trace attach: timing rows
+    keys, which count ``cell_cache_hits`` / ``cell_cache_misses`` as
+    the engine's do.  The cold rows share one trace attach: timing rows
     time every (svf-less baseline, variant) pair in one
     :func:`repro.uarch.pipeline.simulate_batch` call, and traffic rows
     walk the trace once each.  Each cold row's metrics are then stored
@@ -176,10 +175,8 @@ def run_sweep_batch_cell(cell: TaskCell) -> Dict[Tuple, Dict[str, Any]]:
         row = TaskCell("sweep", cell.benchmark, cell.window, params)
         metrics = cache.load_cell(row)
         if metrics is _MISS:
-            profiling.note_counter("cell_cache_misses")
             cold.append(row)
         else:
-            profiling.note_counter("cell_cache_hits")
             entries[params] = {"metrics": metrics, "cache_hit": True}
     if not cold:
         return entries

@@ -284,8 +284,10 @@ def cached_trace(
 ) -> ColumnarTrace:
     """Trace for a workload, cached per process (and on disk when enabled).
 
-    The key is (benchmark, input, opt level, window) — everything that
-    determines the record stream.
+    The key is (benchmark, input, opt level, window): with the source
+    code, everything that determines the record stream.  The disk
+    level lives in a directory named by a digest of that code, so an
+    edit never reads a trace the old code emitted.
     """
     opt_level = options.opt_level if options is not None else 0
     key: TraceKey = (work.name, work.input_name, opt_level, max_instructions)

@@ -76,10 +76,13 @@ class TestUsageErrors:
         (["run", "gzip", "--max-instructions", "0"],
          "run: --max-instructions must be >= 1, not 0"),
         (["chaos", "--jobs", "0"], "chaos: --jobs must be >= 1, not 0"),
+        (["predict", "--benchmarks", "gzip", "--capacity", "0",
+          "--jobs", "1"],
+         "capacity must be a positive multiple of the granularity, not 0"),
     ], ids=["unknown-workload", "dl1-ports-0", "ports-0", "capacity-0",
             "replay-ports-0", "simulate-max-instructions-negative",
             "profile-max-instructions-negative", "experiment-window-negative",
-            "run-max-instructions-0", "chaos-jobs-0"])
+            "run-max-instructions-0", "chaos-jobs-0", "predict-capacity-0"])
     def test_timing_usage_errors(self, argv, fragment, capsys):
         assert main(argv) == 2
         self._assert_one_line_error(capsys, fragment)
@@ -469,6 +472,21 @@ class TestPredict:
     def test_unknown_benchmark(self, capsys):
         assert main(["predict", "--benchmarks", "doom"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
+
+    def test_dropped_workload_fails_the_verdict(self, capsys, monkeypatch):
+        # With every workload dropped the bound check ran over nothing,
+        # which used to read "every bound holds" and exit 0.
+        from repro.harness import parallel
+
+        def fail(cell):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setitem(parallel._CELL_RUNNERS, "prediction", fail)
+        assert main(["predict", "--benchmarks", "gzip",
+                     "--max-instructions", "2000", "--jobs", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "dropped 164.gzip: RuntimeError: injected failure" in out
+        assert "every bound holds" not in out
 
 
 class TestExperiment:

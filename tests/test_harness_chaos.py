@@ -9,8 +9,8 @@ stack, plus the harness's own determinism guarantees:
   and ``elapsed`` reports real wall time, never a fabricated constant;
 * a SIGKILLed worker degrades one attempt, not the whole run, and no
   worker process outlives ``run_cells``;
-* cell-cache keys escape their structural separators, so two distinct
-  cells can never serve each other's payloads;
+* cell-cache entries are named by a digest of the whole cell key, so
+  two distinct cells can never serve each other's payloads;
 * a transient read error never unlinks a valid cache entry, while
   genuine corruption (including a single flipped bit in a checksummed
   trace) always drops the entry and never serves it;
@@ -27,6 +27,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness import chaos
 from repro.harness import parallel as parallel_module
@@ -47,6 +48,7 @@ from repro.harness.parallel import (
     run_cells,
 )
 from repro.harness.runall import _plan_cells, generate_report
+from repro.profiling import profiled
 from repro.workloads import workload
 
 
@@ -161,7 +163,7 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Cell-key escaping: the cache-collision regression
+# Cell keys: the cache-collision regression
 # ---------------------------------------------------------------------------
 
 
@@ -176,20 +178,6 @@ class TestCellKeyCollision:
         cache.store_cell(sneaky, "sneaky-payload")
         assert cache.load_cell(honest) is parallel_module._MISS
 
-    def test_plain_values_keep_their_historical_names(self, tmp_path):
-        # Escaping must not orphan warm caches for ordinary keys.
-        cache = TraceCache(str(tmp_path))
-        cell = TaskCell("table4", "164.gzip", 1_000, (("period", 3200),))
-        path = cache.cell_path_for(cell)
-        assert path.name == "table4.164.gzip.w1000.period-3200.cell.pkl"
-
-    def test_escape_round_trips_specials(self):
-        escape = parallel_module._escape_key_part
-        assert escape("a.b-c%d") == "a%2Eb%2Dc%25d"
-        assert escape("plain_value") == "plain_value"
-        # Escaped forms of distinct values stay distinct.
-        assert escape("a.b") != escape("a-b") != escape("a%2Eb")
-
 
 # ---------------------------------------------------------------------------
 # Corrupt vs transient reads: the over-eager-unlink regression
@@ -203,10 +191,11 @@ class TestCorruptVsTransient:
         cache = TraceCache(str(tmp_path))
         cache.store_cell(self.CELL, {"x": 1})
         cache.cell_path_for(self.CELL).write_bytes(b"garbage")
-        assert cache.load_cell(self.CELL) is parallel_module._MISS
+        with profiled() as profiler:
+            assert cache.load_cell(self.CELL) is parallel_module._MISS
         assert not cache.cell_path_for(self.CELL).exists()
-        assert cache.stats.corrupt_dropped == 1
-        assert cache.stats.transient_errors == 0
+        assert profiler.counters.get("cache_corrupt_dropped") == 1
+        assert "cache_transient_errors" not in profiler.counters
 
     def test_transient_error_preserves_the_entry(self, tmp_path,
                                                  monkeypatch):
@@ -221,10 +210,11 @@ class TestCorruptVsTransient:
             return real_read(path)
 
         monkeypatch.setattr(parallel_module.Path, "read_bytes", flaky)
-        assert cache.load_cell(self.CELL) is parallel_module._MISS
+        with profiled() as profiler:
+            assert cache.load_cell(self.CELL) is parallel_module._MISS
         assert cache.cell_path_for(self.CELL).exists()
-        assert cache.stats.transient_errors == 1
-        assert cache.stats.corrupt_dropped == 0
+        assert profiler.counters.get("cache_transient_errors") == 1
+        assert "cache_corrupt_dropped" not in profiler.counters
         # The very next read serves the still-valid entry.
         assert cache.load_cell(self.CELL) == {"x": 1}
 
@@ -242,10 +232,61 @@ class TestCorruptVsTransient:
             return real_load(path)
 
         monkeypatch.setattr(parallel_module, "load_trace", flaky)
-        assert cache.load(key) is None
+        with profiled() as profiler:
+            assert cache.load(key) is None
         assert cache.path_for(key).exists()
-        assert cache.stats.transient_errors == 1
+        assert profiler.counters.get("cache_transient_errors") == 1
         assert len(cache.load(key)) == 500
+
+
+@pytest.fixture(scope="module")
+def stored_cell(tmp_path_factory):
+    """(cache, cell, payload, entry bytes) for the damage property."""
+    cache = TraceCache(str(tmp_path_factory.mktemp("cells")))
+    cell = TaskCell("timing", "181.mcf", 1_500)
+    payload = {"fig9": {"(2+2)": 1.25}, "rows": (3, "x", None)}
+    cache.store_cell(cell, payload)
+    return cache, cell, payload, cache.cell_path_for(cell).read_bytes()
+
+
+_ENTRY_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0),
+              st.integers(0, 255)),
+)
+
+
+def _damaged_entry(blob: bytes, damage) -> bytes:
+    kind = damage[0]
+    if kind == "truncate":
+        return blob[: damage[1] % len(blob)]
+    if kind == "extend":
+        return blob + damage[1]
+    _, offset, value = damage
+    offset %= len(blob)
+    return blob[:offset] + bytes([value]) + blob[offset + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(damage=_ENTRY_DAMAGE)
+def test_damaged_cell_entry_loads_equal_or_misses(stored_cell, damage):
+    # Any damage either leaves the payload intact (an overwrite with
+    # the same byte) or is a corrupt miss that unlinks the entry --
+    # load_cell never raises and never serves a wrong payload.
+    cache, cell, payload, blob = stored_cell
+    path = cache.cell_path_for(cell)
+    path.write_bytes(_damaged_entry(blob, damage))
+    with profiled() as profiler:
+        loaded = cache.load_cell(cell)
+    if loaded is parallel_module._MISS:
+        assert not path.exists()
+        assert profiler.counters == {
+            "cache_corrupt_dropped": 1, "cell_cache_misses": 1,
+        }
+    else:
+        assert loaded == payload
+        assert profiler.counters == {"cell_cache_hits": 1}
 
 
 class TestTraceChecksum:
@@ -272,9 +313,10 @@ class TestTraceChecksum:
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x10
         path.write_bytes(bytes(data))
-        assert cache.load(self.KEY) is None
+        with profiled() as profiler:
+            assert cache.load(self.KEY) is None
         assert not path.exists()
-        assert cache.stats.corrupt_dropped == 1
+        assert profiler.counters.get("cache_corrupt_dropped") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +328,15 @@ class TestPoolUnderFaults:
     def test_hung_cell_does_not_hold_the_pool_hostage(self, tmp_path):
         # Old behaviour: the timed-out future was never cancelled, so
         # a 30s hang meant a 30s run minimum while the worker kept its
-        # slot.  Now the worker is killed at its 2s deadline.
+        # slot.  Now the worker is killed at its 2s deadline, and
+        # again on the retry.
         plan = FaultPlan(seed=0, rules=(
-            FaultRule("hang", match=cell_key(FAST), seconds=30.0),
+            FaultRule("hang", match=cell_key(FAST), times=2, seconds=30.0),
         ), ledger_dir=str(tmp_path / "ledger"))
         started = time.monotonic()
         outcomes = run_cells(
             [FAST, OTHER],
-            EngineOptions(jobs=2, task_timeout=2.0, retries=0,
-                          fault_plan=plan,
+            EngineOptions(jobs=2, task_timeout=2.0, fault_plan=plan,
                           cache_dir=str(tmp_path / "cache")),
         )
         wall = time.monotonic() - started
@@ -303,21 +345,21 @@ class TestPoolUnderFaults:
         assert "timed out" in outcomes[0].error
         assert outcomes[1].ok  # the other slot kept working
         report = last_engine_report()
-        assert report.timeouts == 1 and report.recycled >= 1
+        assert report.timeouts == 2 and report.recycled >= 2
         _assert_no_orphans()
 
     def test_timeout_elapsed_is_real_wall_time(self, tmp_path):
         # Old behaviour reported elapsed == task_timeout verbatim even
         # when the collector had waited on earlier futures first.
         plan = FaultPlan(seed=0, rules=(
-            FaultRule("hang", match=cell_key(FAST), seconds=30.0),
+            FaultRule("hang", match=cell_key(FAST), times=2, seconds=30.0),
         ), ledger_dir=str(tmp_path / "ledger"))
         outcomes = run_cells(
             [FAST, OTHER],
-            EngineOptions(jobs=2, task_timeout=2.0, retries=0,
-                          fault_plan=plan,
+            EngineOptions(jobs=2, task_timeout=2.0, fault_plan=plan,
                           cache_dir=str(tmp_path / "cache")),
         )
+        assert last_engine_report().timeouts == 2
         hung = outcomes[0]
         assert hung.elapsed >= 2.0  # at least the deadline it blew
         assert hung.elapsed < 15.0  # and nowhere near the 30s hang
@@ -331,7 +373,7 @@ class TestPoolUnderFaults:
         ), ledger_dir=str(tmp_path / "ledger"))
         outcomes = run_cells(
             [FAST, OTHER],
-            EngineOptions(jobs=2, retries=1, fault_plan=plan,
+            EngineOptions(jobs=2, fault_plan=plan,
                           cache_dir=str(tmp_path / "cache")),
         )
         assert outcomes[0].ok  # retried on a fresh worker
@@ -347,7 +389,7 @@ class TestPoolUnderFaults:
         ), ledger_dir=str(tmp_path / "ledger"))
         outcome = run_cells(
             [FAST],
-            EngineOptions(jobs=1, retries=1, fault_plan=plan),
+            EngineOptions(jobs=1, fault_plan=plan),
         )[0]
         assert outcome.ok and outcome.attempts == 2
         assert chaos.active_plan() is None  # plan restored after the run

@@ -34,6 +34,7 @@ from repro.harness.parallel import (
     run_cells,
 )
 from repro.harness.runall import _plan_cells, generate_report
+from repro.profiling import profiled
 from repro.workloads import (
     clear_trace_cache,
     registry,
@@ -103,13 +104,16 @@ class TestTraceCache:
     def test_round_trip(self, tmp_path):
         cache = TraceCache(str(tmp_path))
         trace = workload("gzip").trace(max_instructions=1_500)
-        assert cache.load(self.KEY) is None
-        cache.store(self.KEY, trace)
-        loaded = cache.load(self.KEY)
+        with profiled() as profiler:
+            assert cache.load(self.KEY) is None
+            cache.store(self.KEY, trace)
+            loaded = cache.load(self.KEY)
         assert len(loaded) == len(trace)
         assert loaded[7].pc == trace[7].pc
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.stores == 1
+        assert profiler.counters == {
+            "trace_cache_hits": 1, "trace_cache_misses": 1,
+        }
+        assert cache.path_for(self.KEY).exists()
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
         cache = TraceCache(str(tmp_path))
@@ -119,12 +123,13 @@ class TestTraceCache:
         assert not cache.path_for(self.KEY).exists()
 
     def test_versioned_layout(self, tmp_path):
-        from repro.api import SCHEMA_VERSION
+        from repro.harness.parallel import code_digest
 
         cache = TraceCache(str(tmp_path))
-        assert cache.root == tmp_path / f"v{SCHEMA_VERSION}"
+        assert cache.root == tmp_path / code_digest()
         path = cache.path_for(self.KEY)
-        assert path.name == "164.gzip.graphic.O0.w1500.trace.bin"
+        assert path.name.endswith(".trace.bin")
+        assert path.parent == cache.root
 
     def test_cell_payload_round_trip(self, tmp_path):
         from repro.harness.parallel import _MISS
@@ -135,8 +140,8 @@ class TestTraceCache:
         cache.store_cell(cell, (1.5, 2.5))
         assert cache.load_cell(cell) == (1.5, 2.5)
         path = cache.cell_path_for(cell)
-        assert path.name == "table4.164.gzip.w1000.period-3200.cell.pkl"
-        assert path.parent.name == "cells"
+        assert path.name.endswith(".cell.pkl")
+        assert path.parent == cache.root
 
     def test_warm_engine_run_skips_recompute(self, tmp_path, monkeypatch):
         from repro.harness import parallel as parallel_module
@@ -160,13 +165,16 @@ class TestTraceCache:
         set_disk_trace_cache(cache)
         try:
             clear_trace_cache()
-            first = cached_trace(workload("mcf"), 1_000)
-            clear_trace_cache()  # force the second lookup to disk
-            second = cached_trace(workload("mcf"), 1_000)
+            with profiled() as profiler:
+                first = cached_trace(workload("mcf"), 1_000)
+                clear_trace_cache()  # force the second lookup to disk
+                second = cached_trace(workload("mcf"), 1_000)
         finally:
             set_disk_trace_cache(None)
             clear_trace_cache()
-        assert cache.stats.stores == 1 and cache.stats.hits == 1
+        assert profiler.counters["trace_cache_misses"] == 1
+        assert profiler.counters["trace_cache_hits"] == 1
+        assert len(list(cache.root.glob("*.trace.bin"))) == 1
         assert len(first) == len(second) == 1_000
 
 
@@ -251,7 +259,7 @@ class TestEngine:
 
     def test_failed_cell_degrades_with_retry(self):
         bad = TaskCell("no_such_section", "164.gzip", 1_000)
-        outcome = run_cells([bad], EngineOptions(jobs=1, retries=1))[0]
+        outcome = run_cells([bad], EngineOptions(jobs=1))[0]
         assert not outcome.ok
         assert "no_such_section" in outcome.error
         assert outcome.attempts == 2  # original + one retry

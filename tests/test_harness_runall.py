@@ -57,7 +57,7 @@ class TestTimingCell:
         assert [cell.section for cell in cells] == [
             "characterize", "timing", "table3", "table4",
         ]
-        assert cells[1].param("figures") == "fig5+fig6+fig7+fig9"
+        assert cells[1].params == ()
 
     def test_each_distinct_machine_is_walked_once(self):
         profiler = PhaseProfiler()
@@ -72,9 +72,7 @@ class TestTimingCell:
         assert profiler.counters["batch_walks_saved"] == 8
 
     def test_rows_match_each_figure_driver(self):
-        rows = timing_rows(
-            "181.mcf", 1_500, ["fig5", "fig6", "fig7", "fig9"]
-        )
+        rows = timing_rows("181.mcf", 1_500)
         mcf = ["181.mcf"]
         fig7 = fig7_svf_vs_stack_cache(mcf, 1_500)
         assert rows == {
@@ -86,4 +84,3 @@ class TestTimingCell:
             },
             "fig9": fig9_svf_speedup(mcf, 1_500).speedups["181.mcf"],
         }
-        assert list(timing_rows("181.mcf", 1_500, ["fig9"])) == ["fig9"]

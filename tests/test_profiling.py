@@ -4,8 +4,9 @@ Covers the profiler's accumulate/merge/snapshot/render API, the
 save/restore semantics of the active-profiler slot (cell-scoped
 profilers must nest inside caller-scoped ones), the hot loops'
 phase instrumentation, and the cache-invalidation contract: the
-on-disk :class:`TraceCache` lives under ``v<SCHEMA_VERSION>/``, so
-entries written by any older schema are never read again.
+on-disk :class:`TraceCache` lives under a directory named by a digest
+of the code, so entries written by any other version of the code are
+never read again.
 """
 
 import pytest
@@ -129,12 +130,12 @@ class TestHotLoopInstrumentation:
 class TestCacheSchemaInvalidation:
     KEY = ("164.gzip", "graphic", 0, 1_500)
 
-    def test_cache_root_pins_schema_version(self, tmp_path):
+    def test_cache_root_pins_code_digest(self, tmp_path):
         from repro.api import SCHEMA_VERSION
-        from repro.harness.parallel import TraceCache
+        from repro.harness.parallel import TraceCache, code_digest
 
         cache = TraceCache(str(tmp_path))
-        assert cache.root == tmp_path / f"v{SCHEMA_VERSION}"
+        assert cache.root == tmp_path / code_digest()
         assert SCHEMA_VERSION == 5
 
     def test_stale_v1_entries_never_read(self, tmp_path):
@@ -146,8 +147,9 @@ class TestCacheSchemaInvalidation:
         stale = v1 / "164.gzip.graphic.O0.w1500.trace.pkl"
         stale.write_bytes(b"\x80\x04N.")  # pickle of None
         cache = TraceCache(str(tmp_path))
-        assert cache.load(self.KEY) is None
-        assert cache.stats.misses == 1
+        with profiled() as profiler:
+            assert cache.load(self.KEY) is None
+        assert profiler.counters == {"trace_cache_misses": 1}
         assert stale.exists()  # invalidation is by directory, not deletion
 
     def test_round_trip_through_cache(self, tmp_path):

@@ -11,8 +11,17 @@ merged payloads on every run.  The contract under test:
 * changing an input (the timing window) recomputes exactly the cells
   that read it;
 * failed cells are never cached, so they re-run next time;
-* the profiler counters explain what was reused.
+* the profiler counters explain what was reused;
+* the cache directory is named by a digest of the code, so the first
+  run after a source edit reuses nothing (proven on an edited copy of
+  the package).
 """
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import repro.harness.parallel as parallel
 from repro.api import ReportOptions, generate_report
@@ -107,3 +116,39 @@ class TestDegradedSections:
         assert "degraded" not in healthy
         assert profiler.counters["cell_cache_hits"] == 3
         assert profiler.counters["cell_cache_misses"] == 1
+
+
+class TestCodeEdits:
+    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def test_edited_workload_is_recomputed(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(self.PACKAGE, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def report(output, *args):
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "report",
+                 "--benchmarks", "mcf", "--timing-window", "5000",
+                 "--functional-window", "5000", "--jobs", "1",
+                 "--profile", "--output", str(tmp_path / output), *args],
+                capture_output=True, text=True, timeout=300, env=env,
+                cwd=str(tmp_path),
+            )
+            assert completed.returncode == 0, completed.stderr
+            return completed.stdout, (tmp_path / output).read_text()
+
+        cache = ("--cache-dir", str(tmp_path / "cache"))
+        _, cold = report("cold.md", *cache)
+        mcf = src / "repro" / "workloads" / "mcf.py"
+        source = mcf.read_text()
+        assert "    arcs: int = 256,\n" in source
+        mcf.write_text(source.replace("    arcs: int = 256,\n",
+                                      "    arcs: int = 32,\n"))
+        profile, warm = report("warm.md", *cache)
+        _, fresh = report("fresh.md", "--no-cache")
+        assert fresh != cold  # the edit moves the numbers
+        assert warm == fresh
+        assert "cell_cache_misses" in profile
+        assert "cell_cache_hits" not in profile
