@@ -43,13 +43,18 @@ All passes run intra-procedurally on the :mod:`repro.analysis.cfg`
 graphs using the :mod:`repro.analysis.dataflow` solver.  Frame-slot
 facts are canonicalized to *entry-relative* byte offsets (negative,
 since the stack grows down), so they stay stable across the
-prologue/epilogue ``$sp`` moves.
+prologue/epilogue ``$sp`` moves.  The byte-level facts of
+``first-read`` and ``dead-store`` are int bit masks, one bit per
+frame byte: :meth:`FrameContext.mask` shifts an offset by a
+per-function bias that makes every offset the function touches a
+non-negative bit, so a 16 KB local array is a 2 KB int rather than a
+set of 16k offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import (
     BasicBlock,
@@ -59,8 +64,8 @@ from repro.analysis.cfg import (
 )
 from repro.analysis.dataflow import (
     BACKWARD,
+    UNIVERSE,
     DataflowProblem,
-    SetProblem,
     solve,
 )
 from repro.analysis.report import Diagnostic, Severity
@@ -178,12 +183,16 @@ class FrameContext:
     cfg: FunctionCFG
     #: entry-relative ``(sp, fp)`` fact *before* each instruction
     offsets: Dict[int, tuple] = field(default_factory=dict)
+    #: ``(entry-relative offset, size)`` of each constant stack access
+    slots: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: True when ``$sp`` is an int at every reachable instruction
     sp_tracked: bool = True
     #: entry-relative offsets whose address was taken (``lda`` off sp/fp)
     address_taken: Set[int] = field(default_factory=set)
     reachable: Set[int] = field(default_factory=set)
     deepest_sp: int = 0
+    #: added to an entry-relative offset to give its bit in a byte mask
+    bias: int = 0
 
     @property
     def aliased_floor(self) -> int:
@@ -200,24 +209,17 @@ class FrameContext:
     def slot(self, index: int) -> Optional[Tuple[int, int]]:
         """``(entry-relative offset, size)`` of a constant stack access.
 
-        Returns None for non-memory instructions and for accesses whose
-        base is not a tracked ``$sp``/``$fp``.
+        Returns None for non-memory instructions, unreachable ones, and
+        accesses whose base is not a tracked ``$sp``/``$fp``.
         """
-        instruction = self.cfg.instruction(index)
-        if not instruction.is_mem:
-            return None
-        sp, fp = self.offsets.get(index, (CONFLICT, None))
-        if instruction.rb == SP and isinstance(sp, int):
-            return (sp + instruction.imm, instruction.mem_size)
-        if instruction.rb == FP and isinstance(fp, int):
-            return (fp + instruction.imm, instruction.mem_size)
-        return None
+        return self.slots.get(index)
 
     def is_private(self, offset: int, size: int) -> bool:
         return offset + size <= self.aliased_floor
 
-    def slot_bytes(self, offset: int, size: int) -> FrozenSet[int]:
-        return frozenset(range(offset, offset + size))
+    def mask(self, offset: int, size: int) -> int:
+        """Byte mask of the frame bytes ``[offset, offset + size)``."""
+        return ((1 << size) - 1) << (offset + self.bias)
 
 
 def analyze_frames(cfg: FunctionCFG) -> Tuple[FrameContext, List[Diagnostic]]:
@@ -257,6 +259,15 @@ def analyze_frames(cfg: FunctionCFG) -> Tuple[FrameContext, List[Diagnostic]]:
             context.offsets[index] = fact
             sp, fp = fact
             instruction = cfg.instruction(index)
+            if instruction.is_mem:
+                if instruction.rb == SP and isinstance(sp, int):
+                    context.slots[index] = (
+                        sp + instruction.imm, instruction.mem_size
+                    )
+                elif instruction.rb == FP and isinstance(fp, int):
+                    context.slots[index] = (
+                        fp + instruction.imm, instruction.mem_size
+                    )
             _check_instruction_frame(
                 context, instruction, index, sp, fp, report
             )
@@ -269,6 +280,12 @@ def analyze_frames(cfg: FunctionCFG) -> Tuple[FrameContext, List[Diagnostic]]:
         for block in cfg.blocks
         if block.id in context.reachable
         for index in block.indices()
+    )
+    # Malformed code reaches above the entry level and below $sp, so
+    # the bias covers every offset a mask is ever asked for.
+    context.bias = -min(
+        0, context.aliased_floor, context.deepest_sp,
+        *(offset for offset, _size in context.slots.values()),
     )
     return context, diagnostics
 
@@ -357,34 +374,69 @@ def _check_bounds(instruction, index, sp, offset, report):
 
 
 # ---------------------------------------------------------------------------
-# first-read: frame slots read before any write (forces an SVF fill)
+# first-read / dead-store: byte facts as int masks over FrameContext.mask
 # ---------------------------------------------------------------------------
 
 
-class _WrittenBytes(SetProblem):
-    """Must-analysis: bytes of the frame definitely written so far."""
+class _ByteMasks(DataflowProblem):
+    """Gen/kill over frame-byte masks, the int twin of
+    :class:`~repro.analysis.dataflow.SetProblem`.
 
-    may = False
-    direction = "forward"
+    ``may=True`` meets with ``|`` from 0; ``may=False`` meets with
+    ``&`` from :data:`UNIVERSE`.  ``step(context, index, mask)``
+    returns one instruction's new mask.
+    """
+
+    may: bool = True
 
     def __init__(self, context: FrameContext):
         self.context = context
 
-    def step(self, cfg, index, value):
-        _written_step(self.context, index, value)
+    def boundary(self, cfg):
+        return 0
+
+    def top(self, cfg):
+        return 0 if self.may else UNIVERSE
+
+    def meet(self, left, right):
+        if self.may:
+            return left | right
+        if left is UNIVERSE:
+            return right
+        if right is UNIVERSE:
+            return left
+        return left & right
+
+    def transfer(self, cfg, block, fact):
+        value = 0 if fact is UNIVERSE else fact
+        indices = block.indices()
+        if self.direction == BACKWARD:
+            indices = reversed(indices)
+        for index in indices:
+            value = self.step(self.context, index, value)
+        return value
 
 
-def _written_step(context: FrameContext, index: int, value: set) -> None:
+def _written_step(context: FrameContext, index: int, written: int) -> int:
     instruction = context.cfg.instruction(index)
     slot = context.slot(index)
     if instruction.is_store and slot is not None:
-        value.update(range(slot[0], slot[0] + slot[1]))
-    elif instruction.is_store or instruction.is_call:
+        return written | context.mask(*slot)
+    if instruction.is_store or instruction.is_call:
         # A computed-address store, or a callee holding an escaped
         # pointer, may have initialized any aliased slot.
         floor = context.aliased_floor
         if floor < 0:
-            value.update(range(floor, 0))
+            return written | context.mask(floor, -floor)
+    return written
+
+
+class _WrittenBytes(_ByteMasks):
+    """Must-analysis: bytes of the frame definitely written so far."""
+
+    may = False
+    direction = "forward"
+    step = staticmethod(_written_step)
 
 
 def first_read_pass(context: FrameContext) -> List[Diagnostic]:
@@ -396,57 +448,41 @@ def first_read_pass(context: FrameContext) -> List[Diagnostic]:
         if block.id not in context.reachable:
             continue
         written = result.inputs[block.id]
-        written = set() if written is None else set(written)
+        if written is UNIVERSE:
+            written = 0
         for index in block.indices():
             instruction = cfg.instruction(index)
             slot = context.slot(index)
             if instruction.is_load and slot is not None:
-                offset, size = slot
-                missing = [
-                    b for b in range(offset, offset + size)
-                    if b not in written
-                ]
-                if missing:
+                if context.mask(*slot) & ~written:
                     diagnostics.append(Diagnostic(
                         Severity.WARNING, PASS_FIRST_READ, cfg.name, index,
-                        f"frame slot {offset:+d} read before any write on "
+                        f"frame slot {slot[0]:+d} read before any write on "
                         f"some path; the SVF must fill this word from "
                         f"memory (stack code is expected to write first)",
                     ))
-            _written_step(context, index, written)
+            written = _written_step(context, index, written)
     return diagnostics
 
 
-# ---------------------------------------------------------------------------
-# dead-store: frame stores never observed before frame death
-# ---------------------------------------------------------------------------
+def _live_step(context: FrameContext, index: int, live: int) -> int:
+    slot = context.slot(index)
+    if slot is None or not context.is_private(*slot):
+        return live
+    instruction = context.cfg.instruction(index)
+    if instruction.is_load:
+        return live | context.mask(*slot)
+    if instruction.is_store:
+        return live & ~context.mask(*slot)
+    return live
 
 
-class _LiveBytes(SetProblem):
+class _LiveBytes(_ByteMasks):
     """May-analysis (backward): private frame bytes later read."""
 
     may = True
     direction = BACKWARD
-
-    def __init__(self, context: FrameContext):
-        self.context = context
-
-    def step(self, cfg, index, value):
-        _live_step(self.context, index, value)
-
-
-def _live_step(context: FrameContext, index: int, value: set) -> None:
-    instruction = context.cfg.instruction(index)
-    slot = context.slot(index)
-    if slot is None:
-        return
-    offset, size = slot
-    if not context.is_private(offset, size):
-        return
-    if instruction.is_load:
-        value.update(range(offset, offset + size))
-    elif instruction.is_store:
-        value.difference_update(range(offset, offset + size))
+    step = staticmethod(_live_step)
 
 
 def dead_store_pass(context: FrameContext) -> List[Diagnostic]:
@@ -457,24 +493,23 @@ def dead_store_pass(context: FrameContext) -> List[Diagnostic]:
     for block in cfg.blocks:
         if block.id not in context.reachable:
             continue
-        live = set(result.inputs[block.id])
-        for index in reversed(list(block.indices())):
+        live = result.inputs[block.id]
+        for index in reversed(block.indices()):
             instruction = cfg.instruction(index)
             slot = context.slot(index)
             if (
                 instruction.is_store
                 and slot is not None
                 and context.is_private(*slot)
+                and not live & context.mask(*slot)
             ):
-                offset, size = slot
-                if not live.intersection(range(offset, offset + size)):
-                    diagnostics.append(Diagnostic(
-                        Severity.INFO, PASS_DEAD_STORE, cfg.name, index,
-                        f"store to frame slot {offset:+d} is never read "
-                        f"before frame death; the SVF's dirty/valid bits "
-                        f"elide this writeback entirely",
-                    ))
-            _live_step(context, index, live)
+                diagnostics.append(Diagnostic(
+                    Severity.INFO, PASS_DEAD_STORE, cfg.name, index,
+                    f"store to frame slot {slot[0]:+d} is never read "
+                    f"before frame death; the SVF's dirty/valid bits "
+                    f"elide this writeback entirely",
+                ))
+            live = _live_step(context, index, live)
     return diagnostics
 
 

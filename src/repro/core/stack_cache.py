@@ -41,7 +41,9 @@ class StackCache:
 
     def __init__(self, capacity_bytes: int = 8192, line_size: int = 32):
         if capacity_bytes % line_size != 0 or capacity_bytes <= 0:
-            raise ValueError("capacity must be a positive multiple of line")
+            raise ValueError(
+                f"capacity must be a positive multiple of {line_size}"
+            )
         self.capacity = capacity_bytes
         self.line_size = line_size
         self.num_lines = capacity_bytes // line_size

@@ -96,6 +96,29 @@ OPCODES = {spec.name: spec for spec in _SPECS}
 
 CONDITIONAL_BRANCHES = {"beq", "bne", "blt", "ble", "bgt", "bge"}
 
+# Per-opcode tables behind the predicates of :class:`Instruction`,
+# which the analyses ask at every instruction step of every pass.
+_OP_CLASS = {spec.name: spec.op_class for spec in _SPECS}
+_MEM_SIZE = {spec.name: spec.mem_size for spec in _SPECS}
+
+
+def _opcodes(*classes: OpClass) -> frozenset:
+    return frozenset(
+        spec.name for spec in _SPECS if spec.op_class in classes
+    )
+
+
+_LOADS = _opcodes(OpClass.LOAD)
+_STORES = _opcodes(OpClass.STORE)
+_BRANCHES = _opcodes(OpClass.BRANCH, OpClass.CALL, OpClass.RETURN)
+_CALLS = _opcodes(OpClass.CALL)
+_RETURNS = _opcodes(OpClass.RETURN)
+#: Opcodes that write ``rd``: loads, ``lda`` and the other ALU and
+#: multiply ops, and ``bsr``/``jsr`` (the return-address register).
+_WRITES_RD = _opcodes(OpClass.LOAD, OpClass.IALU, OpClass.IMULT) | {
+    "bsr", "jsr",
+}
+
 
 class InstructionError(ValueError):
     """Raised for malformed instructions."""
@@ -135,31 +158,27 @@ class Instruction:
 
     @property
     def op_class(self) -> OpClass:
-        return self.spec.op_class
+        return _OP_CLASS[self.op]
 
     @property
     def is_load(self) -> bool:
-        return self.spec.op_class is OpClass.LOAD
+        return self.op in _LOADS
 
     @property
     def is_store(self) -> bool:
-        return self.spec.op_class is OpClass.STORE
+        return self.op in _STORES
 
     @property
     def is_mem(self) -> bool:
-        return self.spec.mem_size > 0
+        return _MEM_SIZE[self.op] > 0
 
     @property
     def mem_size(self) -> int:
-        return self.spec.mem_size
+        return _MEM_SIZE[self.op]
 
     @property
     def is_branch(self) -> bool:
-        return self.spec.op_class in (
-            OpClass.BRANCH,
-            OpClass.CALL,
-            OpClass.RETURN,
-        )
+        return self.op in _BRANCHES
 
     @property
     def is_conditional(self) -> bool:
@@ -167,11 +186,11 @@ class Instruction:
 
     @property
     def is_call(self) -> bool:
-        return self.spec.op_class is OpClass.CALL
+        return self.op in _CALLS
 
     @property
     def is_return(self) -> bool:
-        return self.spec.op_class is OpClass.RETURN
+        return self.op in _RETURNS
 
     @property
     def is_sp_adjust(self) -> bool:
@@ -209,17 +228,9 @@ class Instruction:
 
     def destination_register(self) -> Optional[int]:
         """Register written by this instruction, or None."""
-        if self.is_load or self.op == "lda":
-            dest = self.rd
-        elif self.op_class in (OpClass.IALU, OpClass.IMULT):
-            dest = self.rd
-        elif self.op in ("bsr", "jsr"):
-            dest = self.rd  # return-address register
-        else:
-            dest = None
-        if dest == ZERO:
+        if self.op not in _WRITES_RD or self.rd == ZERO:
             return None
-        return dest
+        return self.rd
 
     def render(self) -> str:
         """Render back to assembler syntax."""

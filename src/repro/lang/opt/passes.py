@@ -33,7 +33,10 @@ passes use to check them.
     Frame-slot coalescing: private, whole-quad scalar slots whose live
     ranges never overlap are merged onto one representative offset,
     shrinking the frame's hot footprint (the frame allocation itself
-    is left untouched, so frame-bounds discipline is preserved).
+    is left untouched, so frame-bounds discipline is preserved).  Its
+    byte liveness is the lint ``dead-store`` problem, solved as is:
+    one int bit mask per fact, bit ``offset + bias`` per frame byte
+    (:meth:`FrameContext.mask`).
 
 Passes that change the memory image (``dead-stores``,
 ``coalesce-slots``) are gated on a program-wide precondition: every
@@ -49,11 +52,16 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import FunctionCFG
 from repro.analysis.dataflow import BACKWARD, SetProblem, solve
-from repro.analysis.stackcheck import FrameContext, dead_store_pass
+from repro.analysis.stackcheck import (
+    FrameContext,
+    _live_step,
+    _LiveBytes,
+    dead_store_pass,
+)
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.registers import (
     ARG_REGISTERS,
@@ -292,31 +300,6 @@ def dead_code_pass(context: FrameContext, edits: EditSet) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _PrivateByteLiveness(SetProblem):
-    """May-analysis (backward): private frame bytes read later."""
-
-    may = True
-    direction = BACKWARD
-
-    def __init__(self, context: FrameContext):
-        self.context = context
-
-    def step(self, cfg, index, value):
-        _private_live_step(self.context, index, value)
-
-
-def _private_live_step(context: FrameContext, index: int, value: set) -> None:
-    instruction = context.cfg.instruction(index)
-    slot = context.slot(index)
-    if slot is None or not context.is_private(*slot):
-        return
-    offset, size = slot
-    if instruction.is_load:
-        value.update(range(offset, offset + size))
-    elif instruction.is_store:
-        value.difference_update(range(offset, offset + size))
-
-
 def _coalesce_candidates(
     context: FrameContext,
 ) -> Tuple[Set[int], Dict[int, List[int]]]:
@@ -329,7 +312,7 @@ def _coalesce_candidates(
     never reach below ``$sp`` in code that moves ``$sp`` mid-function.
     """
     accesses: Dict[int, List[int]] = defaultdict(list)
-    partial_bytes: Set[int] = set()
+    partial_bytes = 0
     ineligible: Set[int] = set()
     for block in context.cfg.blocks:
         for index in block.indices():
@@ -345,11 +328,11 @@ def _coalesce_candidates(
                 if sp != context.deepest_sp:
                     ineligible.add(slot[0])
             else:
-                partial_bytes.update(range(slot[0], slot[0] + slot[1]))
+                partial_bytes |= context.mask(*slot)
     candidates = {
         offset for offset in accesses
         if offset not in ineligible
-        and not partial_bytes.intersection(range(offset, offset + 8))
+        and not partial_bytes & context.mask(offset, 8)
     }
     return candidates, accesses
 
@@ -360,14 +343,14 @@ def coalesce_slots_pass(context: FrameContext, edits: EditSet) -> int:
     candidates, accesses = _coalesce_candidates(context)
     if len(candidates) < 2:
         return 0
-    liveness = solve(cfg, _PrivateByteLiveness(context))
+    liveness = solve(cfg, _LiveBytes(context))
 
     # A slot live into the function entry is read before any write on
     # some path; relocating it would change which bytes that read sees.
     entry_live = liveness.outputs[cfg.entry.id]
     candidates = {
         offset for offset in candidates
-        if not entry_live.intersection(range(offset, offset + 8))
+        if not entry_live & context.mask(offset, 8)
     }
     if len(candidates) < 2:
         return 0
@@ -380,8 +363,8 @@ def coalesce_slots_pass(context: FrameContext, edits: EditSet) -> int:
     for block in cfg.blocks:
         if block.id not in context.reachable:
             continue
-        live = set(liveness.inputs[block.id])
-        for index in reversed(list(block.indices())):
+        live = liveness.inputs[block.id]
+        for index in reversed(block.indices()):
             instruction = cfg.instruction(index)
             slot = context.slot(index)
             if (
@@ -390,13 +373,11 @@ def coalesce_slots_pass(context: FrameContext, edits: EditSet) -> int:
                 and slot[0] in candidates
             ):
                 for other in candidates:
-                    if other != slot[0] and live.intersection(
-                        range(other, other + 8)
-                    ):
+                    if other != slot[0] and live & context.mask(other, 8):
                         interference.add(
                             (min(slot[0], other), max(slot[0], other))
                         )
-            _private_live_step(context, index, live)
+            live = _live_step(context, index, live)
 
     # Greedy assignment in deterministic (deepest-first) order.
     groups: List[List[int]] = []

@@ -1,6 +1,14 @@
-"""The five SVF-safety passes on hand-written assembly."""
+"""The five SVF-safety passes on hand-written assembly.
 
-from repro.analysis import Severity, lint_assembly
+``TestByteMaskFacts`` also holds the bit-mask first-read and dead-store
+facts to a frozenset-of-offsets reference on drawn assembly, the only
+cover for frame offsets outside ``[deepest $sp, entry)``.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import Severity, build_cfg, lint_assembly
+from repro.analysis.dataflow import BACKWARD, FORWARD, SetProblem, solve
 from repro.analysis.stackcheck import (
     PASS_BOUNDS,
     PASS_CFG,
@@ -8,7 +16,11 @@ from repro.analysis.stackcheck import (
     PASS_ESCAPE,
     PASS_FIRST_READ,
     PASS_SP,
+    analyze_frames,
+    dead_store_pass,
+    first_read_pass,
 )
+from repro.isa import assemble
 
 CLEAN = """
 .text
@@ -491,3 +503,144 @@ class TestStructure:
         report = lint_assembly(source)
         warnings = _passes(report, PASS_CFG, Severity.WARNING)
         assert any("indirect jump" in d.message for d in warnings)
+
+
+# ---------------------------------------------------------------------------
+# first-read / dead-store against a frozenset reference lattice
+# ---------------------------------------------------------------------------
+
+
+def _reference_written(context, index, value):
+    instruction = context.cfg.instruction(index)
+    slot = context.slot(index)
+    if instruction.is_store and slot is not None:
+        value.update(range(slot[0], slot[0] + slot[1]))
+    elif instruction.is_store or instruction.is_call:
+        if context.aliased_floor < 0:
+            value.update(range(context.aliased_floor, 0))
+
+
+def _reference_live(context, index, value):
+    slot = context.slot(index)
+    if slot is None or not context.is_private(*slot):
+        return
+    span = range(slot[0], slot[0] + slot[1])
+    if context.cfg.instruction(index).is_load:
+        value.update(span)
+    else:
+        value.difference_update(span)
+
+
+class _ReferenceBytes(SetProblem):
+    """Frame-byte facts as frozensets of entry-relative offsets."""
+
+    def __init__(self, context, step, may, direction):
+        self.context, self._step = context, step
+        self.may, self.direction = may, direction
+
+    def step(self, cfg, index, value):
+        self._step(self.context, index, value)
+
+
+def _reference_sites(context, step, may, direction, flagged):
+    """Indices the lint walk would flag, over the reference facts."""
+    cfg = context.cfg
+    result = solve(cfg, _ReferenceBytes(context, step, may, direction))
+    sites = []
+    for block in cfg.blocks:
+        if block.id not in context.reachable:
+            continue
+        fact = set(result.inputs[block.id] or ())
+        indices = block.indices()
+        if direction == BACKWARD:
+            indices = reversed(indices)
+        for index in indices:
+            slot = context.slot(index)
+            if slot is not None and flagged(
+                context, cfg.instruction(index), slot, fact
+            ):
+                sites.append(index)
+            step(context, index, fact)
+    return sites
+
+
+def _read_unwritten(context, instruction, slot, written):
+    return instruction.is_load and not written.issuperset(
+        range(slot[0], slot[0] + slot[1])
+    )
+
+
+def _store_dead(context, instruction, slot, live):
+    return (
+        instruction.is_store
+        and context.is_private(*slot)
+        and not live.intersection(range(slot[0], slot[0] + slot[1]))
+    )
+
+
+@st.composite
+def _frame_function(draw, name, callee):
+    """A function with a drawn frame: $sp/$fp accesses in and out of
+    the frame, taken addresses, computed stores, calls and branches
+    (forward, backward, and into loops)."""
+    frame = draw(st.sampled_from((8, 16, 32, 48)))
+    labels = [f"{name}$l{i}" for i in range(draw(st.integers(0, 3)))]
+    # Offsets below $sp (negative) and above the entry level (>= frame).
+    offsets = st.integers(-4, frame // 4 + 3).map(lambda q: 4 * q)
+    base = st.sampled_from(("sp", "sp", "fp"))
+    body = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from((
+            "store", "store", "load", "load", "take", "computed-store",
+            "call", "set-fp", "lose-fp", "branch",
+        )))
+        if kind in ("store", "load"):
+            op = draw(st.sampled_from(("q", "l")))
+            prefix = "st" if kind == "store" else "ld"
+            body.append(
+                f"{prefix}{op} t0, {draw(offsets)}({draw(base)})"
+            )
+        elif kind == "take":
+            body.append(f"lda t1, {draw(offsets)}({draw(base)})")
+        elif kind == "computed-store":
+            body.append("stq t0, 0(t1)")
+        elif kind == "call":
+            body.append(f"bsr {callee}")
+        elif kind == "set-fp":
+            level = draw(st.sampled_from((0, 8, frame)))
+            body.append(f"lda fp, {level}(sp)")
+        elif kind == "lose-fp":
+            body.append("ldq fp, 0(t1)")
+        elif labels:
+            op = draw(st.sampled_from(("beq t0,", "bne t2,", "br")))
+            body.append(f"{op} {draw(st.sampled_from(labels))}")
+    for label in labels:
+        body.insert(draw(st.integers(0, len(body))), f"{label}:")
+    lines = [f"{name}:", f"lda sp, -{frame}(sp)", *body,
+             f"lda sp, {frame}(sp)", "ret"]
+    return "\n".join(lines)
+
+
+@st.composite
+def _frame_program(draw):
+    return "\n".join([
+        ".text",
+        draw(_frame_function("main", "helper")),
+        draw(_frame_function("helper", "main")),
+    ])
+
+
+class TestByteMaskFacts:
+    @given(_frame_program())
+    @settings(max_examples=300, deadline=None)
+    def test_passes_match_frozenset_reference(self, source):
+        for function in build_cfg(assemble(source)).functions.values():
+            context, _diagnostics = analyze_frames(function)
+            assert [d.index for d in first_read_pass(context)] == (
+                _reference_sites(context, _reference_written, False,
+                                 FORWARD, _read_unwritten)
+            )
+            assert [d.index for d in dead_store_pass(context)] == (
+                _reference_sites(context, _reference_live, True,
+                                 BACKWARD, _store_dead)
+            )

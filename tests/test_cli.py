@@ -79,10 +79,13 @@ class TestUsageErrors:
         (["predict", "--benchmarks", "gzip", "--capacity", "0",
           "--jobs", "1"],
          "capacity must be a positive multiple of the granularity, not 0"),
+        (["predict", "--benchmarks", "gzip", "--capacity", "8",
+          "--jobs", "1"], "multiple of 32, not 8"),
     ], ids=["unknown-workload", "dl1-ports-0", "ports-0", "capacity-0",
             "replay-ports-0", "simulate-max-instructions-negative",
             "profile-max-instructions-negative", "experiment-window-negative",
-            "run-max-instructions-0", "chaos-jobs-0", "predict-capacity-0"])
+            "run-max-instructions-0", "chaos-jobs-0", "predict-capacity-0",
+            "predict-capacity-8"])
     def test_timing_usage_errors(self, argv, fragment, capsys):
         assert main(argv) == 2
         self._assert_one_line_error(capsys, fragment)

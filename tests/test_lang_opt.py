@@ -1,4 +1,15 @@
-"""Unit tests for the -O1 optimizer pipeline (repro.lang.opt)."""
+"""Unit tests for the -O1 optimizer pipeline (repro.lang.opt).
+
+``opt_golden.json`` pins, for every registry input, the SHA-256 of the
+rendered -O1 program and every ``OptStats`` field.  After a deliberate
+change to the optimizer's output, re-record it with
+``PYTHONPATH=src python -m tests.test_lang_opt``.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
 
 import pytest
 
@@ -12,7 +23,9 @@ from repro.lang import compile_program
 from repro.lang.codegen import CodegenOptions, compile_to_assembly
 from repro.lang.opt import optimize_program
 from repro.lang.opt.ir import EditSet, rebuild_program
-from repro.workloads import workload
+from repro.workloads import all_inputs, workload
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "opt_golden.json")
 
 
 class TestEditSet:
@@ -227,3 +240,62 @@ class TestPrinterRoundTrip:
         assert rebuilt.labels == program.labels
         assert bytes(rebuilt.data) == bytes(program.data)
         assert rebuilt.symbols == program.symbols
+
+
+def _optimized_inputs() -> dict:
+    """Each registry input's -O1 program and stats, as
+    ``compile_program`` builds them."""
+    return {w.full_name: optimize_program(w.program()) for w in all_inputs()}
+
+
+def _golden_row(program, stats) -> dict:
+    return {
+        "render_sha256": hashlib.sha256(
+            render_program(program).encode()
+        ).hexdigest(),
+        "stats": dataclasses.asdict(stats),
+    }
+
+
+_INPUT_NAMES = [w.full_name for w in all_inputs()]
+
+
+class TestRegistryOutput:
+    @pytest.fixture(scope="class")
+    def optimized(self):
+        return _optimized_inputs()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("full_name", _INPUT_NAMES)
+    def test_matches_golden(self, full_name, optimized, golden):
+        assert _golden_row(*optimized[full_name]) == golden[full_name]
+
+    @pytest.mark.parametrize("full_name", _INPUT_NAMES)
+    def test_output_is_a_fixpoint(self, full_name, optimized):
+        # Re-optimizing -O1 output finds nothing left to remove,
+        # forward or coalesce.
+        program, _stats = optimized[full_name]
+        again, stats = optimize_program(program)
+        assert stats.instructions_removed == 0
+        assert stats.loads_forwarded == 0
+        assert stats.slots_coalesced == 0
+        assert render_program(again) == render_program(program)
+
+
+def record(path: str = GOLDEN_PATH) -> None:
+    """Re-optimize every registry input and rewrite the fixture."""
+    rows = {
+        name: _golden_row(*result)
+        for name, result in _optimized_inputs().items()
+    }
+    with open(path, "w") as handle:
+        json.dump(rows, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -1,20 +1,23 @@
-"""Performance smoke for the columnar hot loops.
+"""Performance smoke for the columnar hot loops and the optimizer.
 
 Not a benchmark — a regression tripwire that holds on any host.  No
 check reads an absolute wall-clock time.  Each one is either a
 deterministic count (instructions per phase, superblock coverage,
-batch counters) or, where the margin is wide, a same-process ratio
-against a reference the repo keeps: the column walks of the analyses
-and the traffic model beat their record-at-a-time ``append`` methods
-~20× at this window, and the checks ask for ``MIN_COLUMN_SPEEDUP``.
-Measurements live in ``perfbench/`` and ``docs/performance.md``.
+batch counters, traced allocation peaks) or, where the margin is
+wide, a same-process ratio against a reference the repo keeps: the
+column walks of the analyses and the traffic model beat their
+record-at-a-time ``append`` methods ~20× at this window, and the
+checks ask for ``MIN_COLUMN_SPEEDUP``.  Measurements live in
+``perfbench/`` and ``docs/performance.md``.
 """
 
+import tracemalloc
 from time import perf_counter
 
 from repro.core.traffic import TrafficSimulator, simulate_traffic
 from repro.emulator.superblock import set_superblock_enabled
 from repro.emulator.memory import STACK_BASE
+from repro.lang.opt import optimize_program
 from repro.profiling import profiled
 from repro.trace.analysis import (
     AccessDistribution,
@@ -34,6 +37,9 @@ RATIO_RUNS = 3
 #: Share of the window superblock replay must retire on the
 #: loop-heavy kernels (gzip ~82%, crafty ~92% measured).
 MIN_REPLAYED = 0.5
+#: ``optimize_program``'s traced allocation peak on perlbmk (~0.5 MB
+#: measured; 62.8 MB while frame-byte facts were sets of offsets).
+MAX_OPTIMIZER_PEAK_MB = 4.0
 
 
 def _best_seconds(run) -> float:
@@ -168,3 +174,17 @@ def test_emulator_throughput_floor():
     assert len(trace.pc) == WINDOW
     assert profiler.phases["emulate"].items == WINDOW
     assert _replayed_share(profiler) > MIN_REPLAYED, profiler.render()
+
+
+def test_optimizer_memory_budget():
+    # perlbmk's interpret() has a 16 KB local array.  The -O1 frame
+    # analyses carry one bit per frame byte, so each fact over it is a
+    # 2 KB int, not a set of 16k offsets copied at every block.
+    program = workload("perlbmk").program()
+    tracemalloc.start()
+    try:
+        optimize_program(program)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < MAX_OPTIMIZER_PEAK_MB, f"peak {peak / 1e6:.1f} MB"
