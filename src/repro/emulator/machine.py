@@ -1,31 +1,50 @@
 """Functional emulator for the Alpha-like ISA.
 
 Executes an assembled :class:`~repro.isa.instructions.Program` and, when
-given a :class:`~repro.trace.columnar.ColumnarTrace`, appends one entry
-per retired instruction to its columns as raw integers.  The emulator
-is purely functional (no timing): the out-of-order timing model in
+given a :class:`~repro.trace.columnar.ColumnarTrace`, extends its
+columns by one row per retired instruction.  The emulator is purely
+functional (no timing): the out-of-order timing model in
 :mod:`repro.uarch` replays the emitted stream, which carries full
 register- and memory-dependence information.
 
 Static instructions are pre-decoded once into flat tuples keyed by an
 *integer* structural kind (plus a precomputed ALU/branch handler), so
 the interpretation loop dispatches on small-int comparisons instead of
-opcode strings.  Columns are the only trace protocol: a consumer that
-must not hold a whole run calls :meth:`Machine.run` repeatedly with a
-bounded ``max_instructions`` and a fresh trace per chunk (see
+opcode strings.
+
+Most of a row is fixed by the static instruction.  A traced run
+records, per retired segment, one int (the stepped instruction's index
+or a replayed superblock's ``tag``) and beyond that only what
+execution decides: each load's and store's effective address, ``$sp``
+after each instruction that writes it, and each conditional branch's
+outcome.  Every ``_FLUSH_ROWS`` instructions (at the first segment
+boundary past the mark), at the end of a run and on a fault,
+``Machine._flush`` extends the columns in bulk: the eleven static
+columns are gathered from per-program tables, the addresses are
+scattered into the memory rows, ``$sp`` is forward-filled, the taken
+bit is set on taken conditional rows, and each row's ``next_pc`` is the
+next row's ``pc``.
+
+Columns are the only trace protocol: a consumer that must not hold a
+whole run calls :meth:`Machine.run` repeatedly with a bounded
+``max_instructions`` and a fresh trace per chunk (see
 ``repro.harness.prediction``).
 """
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 from typing import List, Optional
+
+import numpy as np
 
 from repro import profiling
 from repro.emulator import superblock as _superblock
 from repro.emulator.memory import (
     DATA_BASE,
     Memory,
+    MemoryError_,
     STACK_BASE,
     TEXT_BASE,
 )
@@ -33,6 +52,7 @@ from repro.isa.encoding import OPCODE_NUMBERS
 from repro.isa.instructions import OpClass, Program
 from repro.isa.registers import RA, SP, ZERO
 from repro.trace.columnar import (
+    COLUMN_DTYPES,
     ColumnarTrace,
     FLAG_BRANCH,
     FLAG_CONDITIONAL,
@@ -44,6 +64,24 @@ from repro.trace.columnar import (
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
+
+#: Instructions a traced run retires between two column fills.  It
+#: keeps each fill's numpy temporaries near 512 KB (65,536 × 8 B, plus
+#: the rest of a superblock that crosses the mark) and makes a run's
+#: working memory independent of its length.
+_FLUSH_ROWS = 65_536
+
+#: Stop count of a run without ``max_instructions``.
+_UNLIMITED = 1 << 63
+
+#: Columns fixed by the static instruction, gathered from the
+#: per-program tables in ``Machine._static_row`` order.
+_STATIC_COLUMNS = ("pc", "opcode", "flags", "size", "base", "dst",
+                   "nsrc", "src0", "src1", "disp", "spimm")
+
+_MEMORY = FLAG_LOAD | FLAG_STORE
+#: Static flag bits that make a retired instruction record a value.
+_RECORDED = _MEMORY | FLAG_CONDITIONAL | FLAG_SP_UPDATE
 
 
 def _signed(value: int) -> int:
@@ -217,6 +255,40 @@ _KINDS = {
     "nop": _K_NOP,
 }
 
+#: Kinds that always transfer control; ``halt`` never does.
+_ALWAYS_TAKEN = (_K_BR, _K_BSR, _K_JSR, _K_JMP)
+
+
+class _Record:
+    """What a traced run recorded since its last column fill."""
+
+    __slots__ = ("segments", "addresses", "sps", "outcomes", "sp")
+
+    def __init__(self, sp: int):
+        #: stepped instruction index or replayed template tag
+        self.segments = array("q")
+        #: effective address of each load and store
+        self.addresses = array("Q")
+        #: ``$sp`` after each instruction flagged ``FLAG_SP_UPDATE``
+        self.sps = array("Q")
+        #: 1 per taken conditional branch, 0 per fall-through
+        self.outcomes = bytearray()
+        #: ``$sp`` before the first recorded row
+        self.sp = sp
+
+
+def _grow(column, name: str, zeros: memoryview, count: int):
+    """Extend ``column`` in place by ``count`` zeros; view them."""
+    start = len(column)
+    if isinstance(column, bytearray):
+        column += zeros[:count]
+        itemsize = 1
+    else:
+        itemsize = column.itemsize
+        column.frombytes(zeros[: count * itemsize])
+    return np.frombuffer(column, COLUMN_DTYPES[name],
+                         count=count, offset=start * itemsize)
+
 
 class Machine:
     """Functional machine state plus the interpretation loop."""
@@ -231,11 +303,28 @@ class Machine:
         self.instruction_count = 0
         self.halted = False
         self.memory.write_bytes(DATA_BASE, bytes(program.data))
-        self._decoded = [self._decode(instr) for instr in program.instructions]
-        self._emit_cols = [
-            self._decode_columnar(i, instr)
+        static_rows = [
+            self._static_row(i, instr)
             for i, instr in enumerate(program.instructions)
         ]
+        self._decoded = [
+            self._decode(instr, flags & _RECORDED)
+            for instr, (_pc, _op, flags, *_rest) in zip(
+                program.instructions, static_rows
+            )
+        ]
+        # One table per static column, indexed by instruction.
+        table = np.array(static_rows, dtype=np.int64).reshape(
+            len(static_rows), len(_STATIC_COLUMNS)
+        )
+        self._static_tables = {
+            name: table[:, i].astype(COLUMN_DTYPES[name])
+            for i, name in enumerate(_STATIC_COLUMNS)
+        }
+        # Rows per segment id: 1 for a stepped index, the template's
+        # length for a tag (text length + start index), once built.
+        self._span = np.zeros(2 * len(static_rows), np.int64)
+        self._span[: len(static_rows)] = 1
         self._pc_index = program.label_index(program.entry)
         # Sentinel return address: returning here halts the machine.
         self._halt_address = TEXT_BASE + 4 * len(program.instructions) + 4
@@ -250,12 +339,15 @@ class Machine:
         self._superblock_replayed = 0
 
     @staticmethod
-    def _decode(instr):
-        """Execution tuple: (kind, fn, rd, ra, rb, imm, rimm, target, size).
+    def _decode(instr, records):
+        """Execution tuple: (kind, fn, rd, ra, rb, imm, rimm, target,
+        size, records).
 
         ``fn`` is the precomputed ALU handler or branch predicate;
         ``rimm`` is the pre-masked immediate right operand for
-        immediate-form ALU ops (None for register form).
+        immediate-form ALU ops (None for register form); ``records``
+        holds the static flag bits of the values a traced run records
+        when the instruction retires (``_RECORDED``).
         """
         op = instr.op
         op_class = instr.op_class
@@ -278,21 +370,13 @@ class Machine:
             fn = _COND_PREDICATES[op]
         else:  # pragma: no cover - opcode table is closed
             raise EmulatorError(f"unimplemented opcode {op!r}")
-        return (
-            kind,
-            fn,
-            instr.rd,
-            instr.ra,
-            instr.rb,
-            imm,
-            rimm,
-            instr.target_index,
-            instr.spec.mem_size,
-        )
+        return (kind, fn, instr.rd, instr.ra, instr.rb, imm, rimm,
+                instr.target_index, instr.spec.mem_size, records)
 
     @staticmethod
-    def _decode_columnar(index, instr):
-        """Static column values: everything but addr/taken/next_pc/sp."""
+    def _static_row(index, instr):
+        """Values of the ``_STATIC_COLUMNS``; ``flags`` carries the
+        taken bit of the always-taken control transfers."""
         dst = instr.destination_register()
         srcs = instr.source_registers()
         is_mem = instr.is_mem
@@ -305,6 +389,8 @@ class Machine:
             flags |= FLAG_BRANCH
         if instr.is_conditional:
             flags |= FLAG_CONDITIONAL
+        if _KINDS.get(instr.op) in _ALWAYS_TAKEN:
+            flags |= FLAG_TAKEN
         if dst == SP:
             flags |= FLAG_SP_UPDATE
         imm = instr.imm if instr.imm is not None else 0
@@ -338,7 +424,9 @@ class Machine:
         ``trace_sink`` is a :class:`ColumnarTrace` that receives one
         entry per retired instruction, or ``None`` to trace nothing;
         anything else is a :class:`TypeError`.  Returns the number of
-        instructions retired.
+        instructions retired.  On a fault the trace keeps the rows of
+        the instructions that retired before it, and neither
+        ``instruction_count`` nor the pc advances.
         """
         if trace_sink is not None and not isinstance(
             trace_sink, ColumnarTrace
@@ -354,188 +442,159 @@ class Machine:
         mem_load = memory.load
         mem_load_signed = memory.load_signed
         mem_store = memory.store
+        output_append = self.output.append
         decoded = self._decoded
         text_base = TEXT_BASE
+        halt_address = self._halt_address
         count = self.instruction_count
         # Absolute stop count, computed once (not re-derived per step).
-        stop = count + max_instructions if max_instructions is not None else None
+        limit = (
+            count + max_instructions
+            if max_instructions is not None
+            else _UNLIMITED
+        )
         pc_index = self._pc_index
+        halted = self.halted
         num_instructions = len(decoded)
 
         columns = trace_sink
         superblocks = None
         sb_builds = sb_replays = sb_replayed = 0
         if columns is not None:
-            emit_cols = self._emit_cols
+            record = _Record(registers[SP])
+            seg_append = record.segments.append
+            addr_append = record.addresses.append
+            sp_append = record.sps.append
+            outcome_append = record.outcomes.append
             if _superblock._ENABLED:
                 superblocks = self._superblocks
                 sb_get = superblocks.get
                 sb_build = _superblock.build_template
-                output_append = self.output.append
+                span = self._span
                 mem_words = memory._words
-                # Batch appenders for the 12 static columns, bound once
-                # per run call and shared by every template replay.
-                sb_emitters = (
-                    columns.pc.frombytes,
-                    columns.opcode.extend,
-                    columns.flags.extend,
-                    columns.size.extend,
-                    columns.base.frombytes,
-                    columns.dst.frombytes,
-                    columns.nsrc.extend,
-                    columns.src0.extend,
-                    columns.src1.extend,
-                    columns.disp.frombytes,
-                    columns.spimm.frombytes,
-                    columns.next_pc.frombytes,
-                )
-            col_pc = columns.pc.append
-            col_opcode = columns.opcode.append
-            col_flags = columns.flags.append
-            col_size = columns.size.append
-            col_base = columns.base.append
-            col_dst = columns.dst.append
-            col_nsrc = columns.nsrc.append
-            col_src0 = columns.src0.append
-            col_src1 = columns.src1.append
-            col_disp = columns.disp.append
-            col_spimm = columns.spimm.append
-            col_addr = columns.addr.append
-            col_next_pc = columns.next_pc.append
-            col_sp = columns.sp.append
 
-        while not self.halted and (stop is None or count < stop):
-            if not 0 <= pc_index < num_instructions:
-                raise EmulatorError(
-                    f"pc out of range: index {pc_index} "
-                    f"(0x{text_base + 4 * pc_index:x})"
-                )
-            if superblocks is not None:
-                template = sb_get(pc_index, False)
-                if template is False:
-                    template = sb_build(
-                        decoded, emit_cols, pc_index, text_base
-                    )
-                    superblocks[pc_index] = template
-                    if template is not None:
-                        sb_builds += 1
-                if template is not None and (
-                    stop is None or count + template.length <= stop
-                ):
-                    template.replay(
-                        registers, mem_words, mem_load, mem_load_signed,
-                        mem_store, output_append, columns, sb_emitters,
-                    )
-                    count += template.length
-                    pc_index = template.end_index
-                    sb_replays += 1
-                    sb_replayed += template.length
-                    continue
-            (
-                kind,
-                fn,
-                rd,
-                ra,
-                rb,
-                imm,
-                rimm,
-                target_index,
-                mem_size,
-            ) = decoded[pc_index]
-            next_index = pc_index + 1
-            addr = 0
-            taken = False
+        while True:
+            bound = limit
+            if columns is not None and count + _FLUSH_ROWS < limit:
+                bound = count + _FLUSH_ROWS
+            try:
+                while count < bound and not halted:
+                    if not 0 <= pc_index < num_instructions:
+                        raise EmulatorError(
+                            f"pc out of range: index {pc_index} "
+                            f"(0x{text_base + 4 * pc_index:x})"
+                        )
+                    if superblocks is not None:
+                        template = sb_get(pc_index, False)
+                        if template is False:
+                            template = sb_build(decoded, pc_index)
+                            superblocks[pc_index] = template
+                            if template is not None:
+                                sb_builds += 1
+                                span[template.tag] = template.length
+                        if (
+                            template is not None
+                            and count + template.length <= limit
+                        ):
+                            seg_append(template.tag)
+                            try:
+                                template.fn(
+                                    registers, mem_words, mem_load,
+                                    mem_load_signed, mem_store,
+                                    output_append, addr_append, sp_append,
+                                    template.progress,
+                                )
+                            except (EmulatorError, MemoryError_) as error:
+                                pc_index = self._retire_partial(
+                                    template, error, record
+                                )
+                                raise
+                            length = template.length
+                            count += length
+                            pc_index = template.end_index
+                            sb_replays += 1
+                            sb_replayed += length
+                            continue
+                    (kind, fn, rd, ra, rb, imm, rimm, target_index,
+                     mem_size, records) = decoded[pc_index]
+                    next_index = pc_index + 1
 
-            if kind == 0:  # _K_ALU
-                result = fn(
-                    registers[ra],
-                    registers[rb] if rimm is None else rimm,
-                )
-                if rd != ZERO:
-                    registers[rd] = result
-            elif kind == 1:  # _K_LOAD
-                addr = (registers[rb] + imm) & _MASK64
-                value = (
-                    mem_load(addr, 8)
-                    if mem_size == 8
-                    else mem_load_signed(addr, 4)
-                )
-                if rd != ZERO:
-                    registers[rd] = value
-            elif kind == 2:  # _K_LDA
-                if rd != ZERO:
-                    registers[rd] = (registers[rb] + imm) & _MASK64
-            elif kind == 3:  # _K_STORE
-                addr = (registers[rb] + imm) & _MASK64
-                mem_store(addr, registers[rd], mem_size)
-            elif kind == 4:  # _K_CBR
-                value = registers[ra]
-                if value & _SIGN64:
-                    value -= 1 << 64
-                taken = fn(value)
-                if taken:
-                    next_index = target_index
-            elif kind == 5:  # _K_BR
-                taken = True
-                next_index = target_index
-            elif kind == 6:  # _K_BSR
-                taken = True
-                registers[RA] = text_base + 4 * (pc_index + 1)
-                next_index = target_index
-            elif kind == 7:  # _K_JSR
-                taken = True
-                destination = registers[rb]
-                registers[RA] = text_base + 4 * (pc_index + 1)
-                next_index = self._index_of(destination)
-            elif kind == 8:  # _K_JMP (ret / jmp)
-                taken = True
-                destination = registers[rb]
-                if destination == self._halt_address:
-                    self.halted = True
-                    next_index = pc_index
-                else:
-                    next_index = self._index_of(destination)
-            elif kind == 9:  # _K_PRINT
-                self.output.append(_signed(registers[ra]))
-            elif kind == 10:  # _K_HALT
-                self.halted = True
-                next_index = pc_index
-            # kind == 11 (_K_NOP): nothing to do.
+                    if kind == 0:  # _K_ALU
+                        result = fn(
+                            registers[ra],
+                            registers[rb] if rimm is None else rimm,
+                        )
+                        if rd != ZERO:
+                            registers[rd] = result
+                    elif kind == 1:  # _K_LOAD
+                        addr = (registers[rb] + imm) & _MASK64
+                        value = (
+                            mem_load(addr, 8)
+                            if mem_size == 8
+                            else mem_load_signed(addr, 4)
+                        )
+                        if rd != ZERO:
+                            registers[rd] = value
+                    elif kind == 2:  # _K_LDA
+                        if rd != ZERO:
+                            registers[rd] = (registers[rb] + imm) & _MASK64
+                    elif kind == 3:  # _K_STORE
+                        addr = (registers[rb] + imm) & _MASK64
+                        mem_store(addr, registers[rd], mem_size)
+                    elif kind == 4:  # _K_CBR
+                        value = registers[ra]
+                        if value & _SIGN64:
+                            value -= 1 << 64
+                        taken = fn(value)
+                        if taken:
+                            next_index = target_index
+                    elif kind == 5:  # _K_BR
+                        next_index = target_index
+                    elif kind == 6:  # _K_BSR
+                        registers[RA] = text_base + 4 * (pc_index + 1)
+                        next_index = target_index
+                    elif kind == 7:  # _K_JSR
+                        destination = registers[rb]
+                        registers[RA] = text_base + 4 * (pc_index + 1)
+                        next_index = self._index_of(destination)
+                    elif kind == 8:  # _K_JMP (ret / jmp)
+                        destination = registers[rb]
+                        if destination == halt_address:
+                            halted = True
+                            next_index = pc_index
+                        else:
+                            next_index = self._index_of(destination)
+                    elif kind == 9:  # _K_PRINT
+                        output_append(_signed(registers[ra]))
+                    elif kind == 10:  # _K_HALT
+                        halted = True
+                        next_index = pc_index
+                    # kind == 11 (_K_NOP): nothing to do.
 
+                    if columns is not None:
+                        seg_append(pc_index)
+                        if records:
+                            if records & _MEMORY:
+                                addr_append(addr)
+                            if records & FLAG_SP_UPDATE:
+                                sp_append(registers[SP])
+                            if records & FLAG_CONDITIONAL:
+                                outcome_append(taken)
+                    count += 1
+                    pc_index = next_index
+            except (EmulatorError, MemoryError_):
+                if columns is not None:
+                    self._flush(columns, record, pc_index)
+                raise
             if columns is not None:
-                (
-                    pc,
-                    opnum,
-                    flags,
-                    size,
-                    base,
-                    dst,
-                    nsrc,
-                    src0,
-                    src1,
-                    disp,
-                    spimm,
-                ) = emit_cols[pc_index]
-                col_pc(pc)
-                col_opcode(opnum)
-                col_flags(flags | FLAG_TAKEN if taken else flags)
-                col_size(size)
-                col_base(base)
-                col_dst(dst)
-                col_nsrc(nsrc)
-                col_src0(src0)
-                col_src1(src1)
-                col_disp(disp)
-                col_spimm(spimm)
-                col_addr(addr)
-                col_next_pc(text_base + 4 * next_index)
-                col_sp(registers[SP])
-            count += 1
-            pc_index = next_index
+                self._flush(columns, record, pc_index)
+            if halted or count >= limit:
+                break
 
         executed = count - self.instruction_count
         self.instruction_count = count
         self._pc_index = pc_index
+        self.halted = halted
         self._superblock_builds += sb_builds
         self._superblock_replays += sb_replays
         self._superblock_replayed += sb_replayed
@@ -552,18 +611,85 @@ class Machine:
                 )
         return executed
 
+    def _rows(self, segments):
+        """Instruction index of every row ``segments`` stands for."""
+        ids = np.frombuffer(segments, np.int64)
+        lengths = self._span[ids]
+        starts = ids % len(self._decoded)
+        del ids
+        # Each row is the one before plus one, except where a segment
+        # starts: there it jumps to the segment's first instruction.
+        jumps = starts.copy()
+        jumps[1:] -= starts[:-1] + lengths[:-1] - 1
+        rows = np.ones(int(lengths.sum()), np.int64)
+        rows[np.cumsum(lengths) - lengths] = jumps
+        return np.cumsum(rows, out=rows)
+
+    def _retire_partial(self, template, error, record) -> int:
+        """Record the ops of a faulting replay that retired before
+        ``error``, in place of its tag; return the faulting index."""
+        segments = record.segments
+        del segments[-1]
+        flags = self._static_tables["flags"][self._rows(segments)]
+        earlier = np.count_nonzero(flags & _MEMORY)
+        retired = template.retired_before(
+            error, len(record.addresses) - earlier
+        )
+        start = template.start_index
+        segments.extend(range(start, start + retired))
+        return start + retired
+
+    def _flush(self, columns, record, stop_index) -> None:
+        """Extend every column by the rows ``record`` holds; clear it.
+
+        ``stop_index`` is the instruction the machine stopped at: the
+        last row's ``next_pc``.
+        """
+        if not record.segments:
+            return
+        rows = self._rows(record.segments)
+        total = len(rows)
+        zeros = memoryview(bytes(8 * total))
+        tails = {}
+        for name, table in self._static_tables.items():
+            tail = tails[name] = _grow(
+                getattr(columns, name), name, zeros, total
+            )
+            np.take(table, rows, out=tail, mode="clip")
+        flags = tails["flags"]
+        addr = _grow(columns.addr, "addr", zeros, total)
+        addr[np.flatnonzero(flags & _MEMORY)] = np.frombuffer(
+            record.addresses, np.uint64
+        )
+        # $sp: the value recorded at the last $sp write at or before
+        # each row (``record.sp`` before the first one).
+        values = np.empty(len(record.sps) + 1, np.uint64)
+        values[0] = record.sp
+        values[1:] = np.frombuffer(record.sps, np.uint64)
+        writes = np.zeros(total, np.intp)
+        writes[np.flatnonzero(flags & FLAG_SP_UPDATE)] = 1
+        np.take(
+            values,
+            np.cumsum(writes, out=writes),
+            out=_grow(columns.sp, "sp", zeros, total),
+            mode="clip",
+        )
+        flags[np.flatnonzero(flags & FLAG_CONDITIONAL)] |= (
+            np.frombuffer(record.outcomes, np.uint8) * FLAG_TAKEN
+        )
+        next_pc = _grow(columns.next_pc, "next_pc", zeros, total)
+        next_pc[:-1] = tails["pc"][1:]
+        next_pc[-1] = TEXT_BASE + 4 * stop_index
+        del record.segments[:]
+        del record.addresses[:]
+        del record.sps[:]
+        del record.outcomes[:]
+        record.sp = self.registers[SP]
+
     def _index_of(self, address: int) -> int:
         if address % 4 != 0 or address < TEXT_BASE:
             raise EmulatorError(f"bad jump target 0x{address:x}")
         return (address - TEXT_BASE) // 4
-
-    @staticmethod
-    def _alu(op: str, left: int, right: int) -> int:
-        """Scalar ALU evaluation by opcode name (kept for tests/tools)."""
-        handler = _ALU_HANDLERS.get(op)
-        if handler is None:
-            raise EmulatorError(f"unimplemented ALU op {op!r}")
-        return handler(left, right)
 
 
 def run_program(program: Program, max_instructions: Optional[int] = None):

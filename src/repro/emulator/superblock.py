@@ -1,13 +1,9 @@
 """Superblock replay engine: batch-decoded micro-op templates.
 
-The emulator's emit loop is the last instruction-at-a-time walk on the
-produce side of the pipeline: even appending straight into the columns,
-``Machine.run`` pays per retired instruction for a bounds check, a
-9-tuple unpack, an integer dispatch and fourteen column ``append``
-calls.  Straight-line code makes almost all of that work redundant —
-between two control transfers the instruction sequence, and therefore
-twelve of the fourteen column values, are a pure function of the entry
-``pc_index``.
+The emulator's step path pays per retired instruction for a bounds
+check, a tuple unpack and an integer dispatch.  Straight-line code
+makes almost all of that work redundant: between two control transfers
+the instruction sequence is a pure function of the entry ``pc_index``.
 
 This module gives the *simulator* the same trace-cache-style
 microarchitecture the paper gives the stack: at the first execution of
@@ -15,16 +11,15 @@ a basic-block head, the decoded tuples of the straight-line region are
 compiled once into a replayable micro-op *template*; every subsequent
 visit replays the template:
 
-* the static columns (``pc``, ``opcode``, ``flags``, ``size``,
-  ``base``, ``dst``, ``nsrc``, ``src0``, ``src1``, ``disp``,
-  ``spimm``, ``next_pc`` — and ``sp``/``addr`` when the block touches
-  neither) are emitted as whole column *slices* via one batched
-  ``frombytes``/``extend`` per column instead of one ``append`` per
-  instruction;
 * the dynamic work (register updates, loads, stores, effective
   addresses) runs as a straight-line Python function compiled from the
   block once with ``exec`` — no per-instruction dispatch, no bounds
   check, no tuple unpack;
+* the trace costs one segment id per visit, the template's ``tag``:
+  the body records only what execution decides, each load's and
+  store's effective address and ``$sp`` after each op that writes it,
+  and ``Machine.run`` fills the columns in bulk from the segment ids
+  (see :mod:`repro.emulator.machine`);
 * a single exit check hands control back to the step-decode
   interpreter at the terminating branch/call/return.
 
@@ -36,14 +31,14 @@ are surfaced through :mod:`repro.profiling` by ``Machine.run``.
 
 Replay is bit-identical to step-decode by construction — the same
 handler functions run in the same order against the same state, and
-the emitted column slices carry the values the step path would have
-appended — and is gated differentially by
-``tests/test_emulator_superblock.py`` (all registry workloads plus
-hypothesis-fuzzed programs, windows, and fault paths).  Faults keep
-the step path's semantics: when an op raises (division by zero, a bad
-effective address), the template emits the columns of the ops that
-retired before it and re-raises, leaving registers and memory exactly
-as the interpreter would have.
+the body records what the step path records for the same ops — and is
+gated differentially by ``tests/test_emulator_superblock.py`` (all
+registry workloads plus hypothesis-fuzzed programs, windows, and fault
+paths).  Faults keep the step path's semantics: when an op raises
+(division by zero, a bad effective address), ``Machine.run`` keeps the
+rows of the ops that retired before it
+(:meth:`SuperblockTemplate.retired_before`) and re-raises, leaving
+registers and memory exactly as the interpreter would have.
 
 ``set_superblock_enabled`` toggles the engine at runtime (the
 differential gate and the benchmarks compare both paths in one
@@ -53,17 +48,16 @@ process); the step-decode walk remains the reference implementation.
 from __future__ import annotations
 
 import os
-from array import array
-from typing import List, Optional
+from typing import Optional
 
 from repro.emulator.memory import MemoryError_
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import FLAG_SP_UPDATE
 
 _MASK64 = (1 << 64) - 1
 
 #: Blocks shorter than this are not worth a template: the fixed
-#: replay cost (one call plus fourteen batched column extends) only
-#: amortizes over a few instructions.
+#: replay cost (a dict lookup and a call) only amortizes over a few
+#: instructions.
 MIN_BLOCK_LENGTH = 3
 
 #: Runtime switch (see :func:`set_superblock_enabled`).  The
@@ -94,8 +88,7 @@ def set_superblock_enabled(enabled: bool) -> bool:
 
 
 # Structural kinds, mirrored from repro.emulator.machine (kept as
-# literals here to avoid a circular import; machine.py asserts the
-# correspondence at import time via build_template's contract).
+# literals here to avoid a circular import).
 _K_ALU = 0
 _K_LOAD = 1
 _K_LDA = 2
@@ -124,9 +117,9 @@ _INLINE_ALU = {
     "cmpult": "1 if {a} < {b} else 0",
 }
 
-#: Ops that can raise at runtime (division, memory faults).  A block
-#: containing one carries a progress counter so a mid-block fault can
-#: emit exactly the records that retired before it.
+#: ALU ops that can raise at runtime.  The body stores each one's
+#: position in the progress cell first, so a mid-block fault can emit
+#: exactly the rows that retired before it.
 _FAULTING_ALU = frozenset(("divq", "remq"))
 
 _ZERO = 31
@@ -136,176 +129,51 @@ _SP = 30
 class SuperblockTemplate:
     """One compiled straight-line region.
 
-    ``replay`` executes the block body against live machine state and
-    emits one column slice per column; the caller advances
+    ``Machine.run`` records :attr:`tag` as the region's one trace
+    segment, calls :attr:`fn` against live machine state, then advances
     ``pc_index`` to :attr:`end_index` (the terminator, handled by the
     step-decode interpreter) and ``count`` by :attr:`length`.
     """
 
-    __slots__ = (
-        "start_index",
-        "end_index",
-        "length",
-        "mem_positions",
-        "tracks_sp",
-        "can_fault",
-        "progress",
-        "_fn",
-        "_static",
-        "_addr_zero",
-    )
+    __slots__ = ("start_index", "end_index", "length", "tag",
+                 "mem_positions", "progress", "fn")
 
-    def __init__(self, start_index, end_index, fn, static_blobs,
-                 mem_positions, tracks_sp, can_fault):
+    def __init__(self, start_index, end_index, tag, fn, mem_positions):
         self.start_index = start_index
         self.end_index = end_index
         self.length = end_index - start_index
-        self._fn = fn
-        #: (pc, opcode, flags, size, base, dst, nsrc, src0, src1,
-        #:  disp, spimm, next_pc) byte blobs, one slice per column.
-        self._static = static_blobs
+        #: segment id in the machine's run record: the text length
+        #: plus ``start_index``, so it never collides with a stepped
+        #: instruction's index.
+        self.tag = tag
+        #: block positions of the loads and stores, in op order
         self.mem_positions = mem_positions
-        self.tracks_sp = tracks_sp
-        self.can_fault = can_fault
-        #: Shared progress cell: ops fully retired by the current call.
+        #: Shared progress cell: the body stores a divide's position in
+        #: it just before the divide runs.
         self.progress = [0]
-        self._addr_zero = bytes(8 * self.length)
+        self.fn = fn
 
-    # ---------------------------------------------------------- replay
-    def replay(self, registers, words, mem_load, mem_load_signed,
-               mem_store, output_append, columns: ColumnarTrace,
-               emitters):
-        """Execute the block once and emit its column slices.
+    def retired_before(self, error: Exception, addresses: int) -> int:
+        """Ops of the block that retired before ``error`` was raised.
 
-        ``words`` is the machine's backing word dict (aligned accesses
-        are inlined against it; the ``Memory`` methods are the fault
-        fallback).  ``emitters`` is the caller's prebound 12-tuple of
-        batch column appenders (``columns.pc.frombytes`` ...
-        ``next_pc.frombytes``, bound once per ``Machine.run`` call)
-        for the static columns.  On a fault mid-block, emits the
-        columns of the ops that retired before the faulting one and
-        re-raises — registers and memory are left exactly as
-        step-decode would leave them.
+        ``addresses`` counts the effective addresses the faulting call
+        recorded.  A memory fault strikes the first memory op whose
+        address was not recorded; the only other fault is a divide by
+        zero.
         """
-        if self.tracks_sp:
-            sps: Optional[List[int]] = []
-            sp_append = sps.append
-        else:
-            sps = None
-            sp_append = None
-        if self.can_fault:
-            addrs: List[int] = []
-            progress = self.progress
-            progress[0] = 0
-            try:
-                self._fn(
-                    registers, words, mem_load, mem_load_signed,
-                    mem_store, output_append, addrs.append, sp_append,
-                    progress,
-                )
-            except MemoryError_:
-                # The faulting op is the first memory op whose address
-                # was never collected; every op before it retired.
-                self._emit_partial(
-                    columns, registers, addrs, sps,
-                    self.mem_positions[len(addrs)], emitters,
-                )
-                raise
-            except Exception:
-                # Division fault: the body updates the progress cell
-                # immediately before each divq/remq.
-                self._emit_partial(
-                    columns, registers, addrs, sps, progress[0], emitters
-                )
-                raise
-        else:
-            # Fault-free blocks have no loads/stores: no effective
-            # addresses to collect, no progress to track.
-            addrs = ()
-            self._fn(
-                registers, None, None, None, None,
-                output_append, None, sp_append, None,
-            )
-
-        (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, nx_b) = self._static
-        (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_nx) = emitters
-        e_pc(pc_b)
-        e_op(op_b)
-        e_fl(fl_b)
-        e_sz(sz_b)
-        e_ba(ba_b)
-        e_ds(ds_b)
-        e_ns(ns_b)
-        e_s0(s0_b)
-        e_s1(s1_b)
-        e_di(di_b)
-        e_si(si_b)
-        e_nx(nx_b)
-
-        # addr: zeros except at the block's memory ops, scattered from
-        # the addresses the body collected (in op order).
-        col_addr = columns.addr
-        base_len = len(col_addr)
-        col_addr.frombytes(self._addr_zero)
-        for position, addr in zip(self.mem_positions, addrs):
-            col_addr[base_len + position] = addr
-
-        # sp: constant across a block with no $sp write (one repeated
-        # fill), else the per-op values the body collected.
-        if sps is None:
-            columns.sp.frombytes(
-                registers[_SP].to_bytes(8, "little") * self.length
-            )
-        else:
-            columns.sp.extend(sps)
-
-    def _emit_partial(self, columns, registers, addrs, sps, done,
-                      emitters):
-        """Append the first ``done`` ops' column values (fault path)."""
-        if done == 0:
-            return
-        (pc_b, op_b, fl_b, sz_b, ba_b, ds_b, ns_b, s0_b, s1_b,
-         di_b, si_b, nx_b) = self._static
-        (e_pc, e_op, e_fl, e_sz, e_ba, e_ds, e_ns, e_s0, e_s1,
-         e_di, e_si, e_nx) = emitters
-        e_pc(pc_b[: 8 * done])
-        e_op(op_b[:done])
-        e_fl(fl_b[:done])
-        e_sz(sz_b[:done])
-        e_ba(ba_b[:done])
-        e_ds(ds_b[:done])
-        e_ns(ns_b[:done])
-        e_s0(s0_b[:done])
-        e_s1(s1_b[:done])
-        e_di(di_b[: 8 * done])
-        e_si(si_b[: 8 * done])
-        e_nx(nx_b[: 8 * done])
-        col_addr = columns.addr
-        base_len = len(col_addr)
-        col_addr.frombytes(self._addr_zero[: 8 * done])
-        for position, addr in zip(self.mem_positions, addrs):
-            if position >= done:
-                break
-            col_addr[base_len + position] = addr
-        if sps is None:
-            columns.sp.frombytes(
-                registers[_SP].to_bytes(8, "little") * done
-            )
-        else:
-            columns.sp.extend(sps[:done])
+        if isinstance(error, MemoryError_):
+            return self.mem_positions[addresses]
+        return self.progress[0]
 
 
-def build_template(decoded, emit_cols, start_index,
-                   text_base) -> Optional[SuperblockTemplate]:
+def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
     """Compile the straight-line region at ``start_index``, or None.
 
-    ``decoded``/``emit_cols`` are ``Machine``'s per-instruction
-    execution tuples and static column tuples (the ALU handler rides
-    in the decoded tuple itself).  Returns None when the region is
-    shorter than :data:`MIN_BLOCK_LENGTH` (the caller caches the None
-    so the lookup never repeats the walk).
+    ``decoded`` is ``Machine``'s per-instruction execution tuples (the
+    ALU handler rides in the tuple itself, and its last field holds the
+    flag bits that say what a retired instruction records).  Returns
+    None when the region is shorter than :data:`MIN_BLOCK_LENGTH` (the
+    caller caches the None so the lookup never repeats the walk).
     """
     limit = len(decoded)
     index = start_index
@@ -320,27 +188,25 @@ def build_template(decoded, emit_cols, start_index,
     if length < MIN_BLOCK_LENGTH:
         return None
 
-    tracks_sp = any(
-        op[0] in (_K_ALU, _K_LOAD, _K_LDA) and op[2] == _SP for op in ops
-    )
-    can_fault = False
     mem_positions = []
 
     # ---------------------------------------------------------- body
     # R=registers W=memory word dict ml/mls/ms=Memory methods (fault
-    # fallback) oa=output.append A=addrs.append S=sps.append (None for
-    # blocks with no $sp write) P=progress cell.  Aligned memory
+    # fallback) oa=output.append A=the run's address record
+    # S=the run's $sp record P=progress cell.  Aligned memory
     # accesses are inlined against W with the exact semantics of
     # Memory.load/load_signed/store; the method call survives only on
     # the fault path (misalignment), so error type and message are the
-    # step path's.  Before each divq/remq the body records how many
-    # ops retired so far (``P[0] = position``); memory-fault progress
-    # is recovered from ``len(addrs)`` instead (no per-op bookkeeping).
+    # step path's.  Each load and store records its effective address
+    # once it completed, and each op that writes $sp records the new
+    # value.  Before each divq/remq the body records how many ops
+    # retired so far (``P[0] = position``); memory-fault progress is
+    # recovered from the addresses recorded instead.
     lines = ["def _replay(R, W, ml, mls, ms, oa, A, S, P):"]
     body_start = len(lines)
     namespace = {"M": _MASK64}
     for position, op in enumerate(ops):
-        kind, fn, rd, ra, rb, imm, rimm, _target, mem_size = op
+        kind, fn, rd, ra, rb, imm, rimm, _target, mem_size, records = op
         if kind == _K_ALU:
             if rimm is not None:
                 right = repr(rimm)
@@ -349,7 +215,6 @@ def build_template(decoded, emit_cols, start_index,
             name = getattr(fn, "__name__", "")[5:]  # _alu_<name>
             inline = _INLINE_ALU.get(name)
             if name in _FAULTING_ALU:
-                can_fault = True
                 lines.append(f"    P[0] = {position}")
             if inline is not None:
                 expr = inline.format(a=f"R[{ra}]", b=right)
@@ -365,7 +230,6 @@ def build_template(decoded, emit_cols, start_index,
                     # Division by zero must still raise.
                     lines.append(f"    {handler}(R[{ra}], {right})")
         elif kind == _K_LOAD:
-            can_fault = True
             mem_positions.append(position)
             lines.append(f"    a = (R[{rb}] + {imm}) & M")
             if mem_size == 8:
@@ -389,7 +253,6 @@ def build_template(decoded, emit_cols, start_index,
             if rd != _ZERO:
                 lines.append(f"    R[{rd}] = (R[{rb}] + {imm}) & M")
         elif kind == _K_STORE:
-            can_fault = True
             mem_positions.append(position)
             lines.append(f"    a = (R[{rb}] + {imm}) & M")
             if mem_size == 8:
@@ -411,67 +274,16 @@ def build_template(decoded, emit_cols, start_index,
         elif kind == _K_PRINT:
             namespace.setdefault("SG", _signed)
             lines.append(f"    oa(SG(R[{ra}]))")
-        # _K_NOP: retires a record but computes nothing.
-        if tracks_sp:
+        # _K_NOP: retires a row but computes nothing.
+        if records & FLAG_SP_UPDATE:
             lines.append(f"    S(R[{_SP}])")
     if mem_positions:
         lines.insert(body_start, "    WG = W.get")
     if len(lines) == 1:
         lines.append("    pass")
     exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
-    fn = namespace["_replay"]
-
-    # ------------------------------------------------- static columns
-    pcs = array("Q")
-    opcodes = bytearray()
-    flags = bytearray()
-    sizes = bytearray()
-    bases = array("b")
-    dsts = array("b")
-    nsrcs = bytearray()
-    src0s = bytearray()
-    src1s = bytearray()
-    disps = array("q")
-    spimms = array("q")
-    next_pcs = array("Q")
-    for offset in range(length):
-        (pc, opnum, flag, size, base, dst, nsrc, src0, src1, disp,
-         spimm) = emit_cols[start_index + offset]
-        pcs.append(pc)
-        opcodes.append(opnum)
-        flags.append(flag)
-        sizes.append(size)
-        bases.append(base)
-        dsts.append(dst)
-        nsrcs.append(nsrc)
-        src0s.append(src0)
-        src1s.append(src1)
-        disps.append(disp)
-        spimms.append(spimm)
-        next_pcs.append(text_base + 4 * (start_index + offset + 1))
-    static_blobs = (
-        pcs.tobytes(),
-        bytes(opcodes),
-        bytes(flags),
-        bytes(sizes),
-        bases.tobytes(),
-        dsts.tobytes(),
-        bytes(nsrcs),
-        bytes(src0s),
-        bytes(src1s),
-        disps.tobytes(),
-        spimms.tobytes(),
-        next_pcs.tobytes(),
-    )
-    return SuperblockTemplate(
-        start_index,
-        index,
-        fn,
-        static_blobs,
-        mem_positions,
-        tracks_sp,
-        can_fault,
-    )
+    return SuperblockTemplate(start_index, index, limit + start_index,
+                              namespace["_replay"], mem_positions)
 
 
 def _signed(value: int) -> int:

@@ -120,6 +120,24 @@ _WRITES_RD = _opcodes(OpClass.LOAD, OpClass.IALU, OpClass.IMULT) | {
 }
 
 
+def _source_roles(spec: OpSpec) -> Tuple[str, ...]:
+    """The operand fields ``spec``'s opcode reads, in operand order."""
+    if spec.op_class is OpClass.LOAD or spec.name == "lda":
+        return ("rb",)
+    if spec.op_class is OpClass.STORE:
+        return ("rd", "rb")
+    if spec.op_class in (OpClass.IALU, OpClass.IMULT):
+        return ("ra", "rb")
+    if spec.name in CONDITIONAL_BRANCHES or spec.name == "print":
+        return ("ra",)
+    if spec.name in ("jsr", "jmp", "ret"):
+        return ("rb",)
+    return ()
+
+
+_SOURCE_ROLES = {spec.name: _source_roles(spec) for spec in _SPECS}
+
+
 class InstructionError(ValueError):
     """Raised for malformed instructions."""
 
@@ -204,27 +222,12 @@ class Instruction:
 
     def source_registers(self) -> Tuple[int, ...]:
         """Registers read by this instruction (excluding $zero)."""
-        sources = []
-        if self.is_load:
-            sources.append(self.rb)
-        elif self.is_store:
-            sources.append(self.rd)
-            sources.append(self.rb)
-        elif self.op == "lda":
-            sources.append(self.rb)
-        elif self.op_class in (OpClass.IALU, OpClass.IMULT):
-            sources.append(self.ra)
-            if self.rb is not None:
-                sources.append(self.rb)
-        elif self.is_conditional:
-            sources.append(self.ra)
-        elif self.op in ("jsr", "jmp"):
-            sources.append(self.rb)
-        elif self.op == "ret":
-            sources.append(self.rb)
-        elif self.op == "print":
-            sources.append(self.ra)
-        return tuple(r for r in sources if r is not None and r != ZERO)
+        sources = ()
+        for role in _SOURCE_ROLES[self.op]:
+            register = getattr(self, role)
+            if register is not None and register != ZERO:
+                sources += (register,)
+        return sources
 
     def destination_register(self) -> Optional[int]:
         """Register written by this instruction, or None."""

@@ -7,9 +7,11 @@ plus ~18 attribute stores on the way in and as many attribute loads on
 the way out.  :class:`ColumnarTrace` stores the same information as
 fourteen flat, append-only columns (``array``/``bytearray``), so:
 
-* the emulator appends raw integers straight into the columns (it
-  emits nothing else: a ``ColumnarTrace`` is ``Machine.run``'s only
-  trace sink);
+* the emulator fills the columns in bulk, once per 65,536 retired
+  instructions: it gathers the eleven static columns from per-program
+  tables and fills ``addr``, ``sp``, ``next_pc`` and the taken bit
+  from the few values execution decides (it emits nothing else: a
+  ``ColumnarTrace`` is ``Machine.run``'s only trace sink);
 * the timing, traffic and analysis models read fields by column index
   without materializing records;
 * serialization writes each column as a single ``tobytes`` blob.
@@ -106,7 +108,7 @@ class ColumnArrays:
 
 
 #: numpy dtype name per column (keyed like ``ColumnarTrace.__slots__``).
-_COLUMN_DTYPES = {
+COLUMN_DTYPES = {
     "pc": "uint64",
     "opcode": "uint8",
     "flags": "uint8",
@@ -244,7 +246,7 @@ class ColumnarTrace:
         views = ColumnArrays()
         for name in ColumnarTrace.__slots__:
             views_array = np.frombuffer(
-                getattr(self, name), dtype=_COLUMN_DTYPES[name]
+                getattr(self, name), dtype=COLUMN_DTYPES[name]
             )
             setattr(views, name, views_array)
         return views

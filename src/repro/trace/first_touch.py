@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
+import numpy as np
+
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import TraceRecord
 from repro.trace.regions import STACK_REGION_FLOOR, is_stack_address
@@ -83,41 +85,49 @@ class FirstTouchProfile:
 
         This analysis is an inherently sequential state machine (each
         instruction's effect depends on the pending-word set left by
-        all earlier ones), so there is no vectorized variant — the
-        batched win is skipping record materialization and walking the
-        packed columns with locals bound.
+        all earlier ones), but only loads, stores and ``$sp`` updates
+        change its state: one vectorized scan finds them, and the walk
+        visits only those rows.  ``append`` seeds the previous ``$sp``
+        from any row while it is 0, so a walk that skips rows seeds it
+        from the first nonzero ``$sp`` since the last update instead.
         """
         hi = len(trace) if hi is None else hi
-        col_flags = trace.flags
-        col_addr = trace.addr
-        col_sp = trace.sp
+        arrays = trace.as_arrays()
+        flags_view = arrays.flags[lo:hi]
+        sp_view = arrays.sp[lo:hi]
+        active = np.flatnonzero(flags_view & 35)  # load, store, sp_update
         stack_floor = STACK_REGION_FLOOR
         pending = self._pending
         seen_other = self._seen_other
         previous_sp = self._previous_sp
+        seed_from = 0
         cap = self.allocation_cap
-        for index in range(lo, hi):
-            flags = col_flags[index]
-            if previous_sp == 0:
-                previous_sp = col_sp[index]
+        stack_stores = stack_loads = other_stores = other_loads = 0
+        for position, flags, addr, new_sp in zip(
+            active.tolist(),
+            flags_view[active].tolist(),
+            arrays.addr[lo:hi][active].tolist(),
+            sp_view[active].tolist(),
+        ):
             if flags & 3:  # load or store
-                addr = col_addr[index]
                 word = addr & ~7
                 if addr >= stack_floor:
                     if word in pending:
                         pending.discard(word)
                         if flags & 2:
-                            self.stack_first_stores += 1
+                            stack_stores += 1
                         else:
-                            self.stack_first_loads += 1
+                            stack_loads += 1
                 elif word not in seen_other:
                     seen_other[word] = True
                     if flags & 2:
-                        self.other_first_stores += 1
+                        other_stores += 1
                     else:
-                        self.other_first_loads += 1
+                        other_loads += 1
             if flags & 32:  # sp_update
-                new_sp = col_sp[index]
+                if previous_sp == 0:
+                    previous_sp = _first_nonzero(sp_view, seed_from,
+                                                 position + 1)
                 if new_sp < previous_sp:
                     exposed = min((previous_sp - new_sp) // 8, cap)
                     for offset in range(exposed):
@@ -126,7 +136,14 @@ class FirstTouchProfile:
                     for word in [w for w in pending if w < new_sp]:
                         pending.discard(word)
                 previous_sp = new_sp
+                seed_from = position + 1
+        if previous_sp == 0:
+            previous_sp = _first_nonzero(sp_view, seed_from, hi - lo)
         self._previous_sp = previous_sp
+        self.stack_first_stores += stack_stores
+        self.stack_first_loads += stack_loads
+        self.other_first_stores += other_stores
+        self.other_first_loads += other_loads
 
     @property
     def stack_first_store_fraction(self) -> float:
@@ -143,3 +160,9 @@ class FirstTouchProfile:
         if total == 0:
             return 0.0
         return self.other_first_stores / total
+
+
+def _first_nonzero(values, start: int, stop: int) -> int:
+    """The first nonzero entry of ``values[start:stop]``, else 0."""
+    hits = np.flatnonzero(values[start:stop])
+    return int(values[start + hits[0]]) if hits.size else 0

@@ -27,6 +27,7 @@ from repro.isa import assemble
 from repro.profiling import profiled
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads import registry
+from tests.test_trace_columnar import FAULT_PROGRAMS
 
 
 def _trace_with(source_or_workload, enabled, max_instructions=None):
@@ -72,6 +73,12 @@ class TestWorkloadIdentity:
     def test_replay_is_bit_identical(self, name):
         _assert_identical(registry.workload(name), 12_000)
 
+    def test_window_crosses_two_flushes(self):
+        # The columns are filled in bulk every 65,536 instructions, at
+        # the first block boundary after each mark; 140,000 crosses two.
+        trace = _assert_identical(registry.workload("164.gzip"), 140_000)
+        assert len(trace) == 140_000
+
     def test_window_can_land_mid_block(self):
         # Sweep a range of stop counts so some land inside a
         # straight-line region: the engine must fall back to
@@ -83,44 +90,18 @@ class TestWorkloadIdentity:
 
 
 class TestFaultPaths:
+    # Each program opens with a straight-line block that faults after
+    # two ops retired; the rows emitted before the fault and the
+    # machine state must match step-decode exactly.  The programs and
+    # their recorded rows live in tests/test_trace_columnar.py.
     def test_division_by_zero_mid_block(self):
-        # lda/lda/divq/print is one straight-line region; the fault
-        # strikes after two ops retired, and the partial emit plus the
-        # machine state must match step-decode exactly.
-        _assert_identical(
-            """
-            main:
-                lda r1, 7(zero)
-                lda r2, 0(zero)
-                divq r1, r2, r3
-                print r3
-                halt
-            """
-        )
+        _assert_identical(FAULT_PROGRAMS["divide-by-zero-mid-block"])
 
     def test_unaligned_load_mid_block(self):
-        _assert_identical(
-            """
-            main:
-                lda r1, 64(zero)
-                lda r2, 1(zero)
-                ldq r3, 0(r2)
-                print r3
-                halt
-            """
-        )
+        _assert_identical(FAULT_PROGRAMS["unaligned-load-mid-block"])
 
     def test_unaligned_store_mid_block(self):
-        _assert_identical(
-            """
-            main:
-                lda r1, 5(zero)
-                lda r2, 12(zero)
-                stq r1, 1(r2)
-                print r1
-                halt
-            """
-        )
+        _assert_identical(FAULT_PROGRAMS["unaligned-store-mid-block"])
 
 
 class TestToggleAndCounters:

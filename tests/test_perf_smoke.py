@@ -15,6 +15,7 @@ import tracemalloc
 from time import perf_counter
 
 from repro.core.traffic import TrafficSimulator, simulate_traffic
+from repro.emulator import Machine
 from repro.emulator.superblock import set_superblock_enabled
 from repro.emulator.memory import STACK_BASE
 from repro.lang.opt import optimize_program
@@ -25,6 +26,7 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.first_touch import FirstTouchProfile
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate, simulate_batch
@@ -40,6 +42,9 @@ MIN_REPLAYED = 0.5
 #: ``optimize_program``'s traced allocation peak on perlbmk (~0.5 MB
 #: measured; 62.8 MB while frame-byte facts were sets of offsets).
 MAX_OPTIMIZER_PEAK_MB = 4.0
+#: A full run's traced allocation peak beyond its columns' own bytes
+#: (crafty: 327,952 instructions, 17.5 MB of columns, ~3.8 MB over).
+MAX_EMULATION_OVERHEAD_MB = 5.0
 
 
 def _best_seconds(run) -> float:
@@ -188,3 +193,27 @@ def test_optimizer_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak / 1e6 < MAX_OPTIMIZER_PEAK_MB, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_full_run_memory_budget():
+    # Emulating a whole run holds the columns plus bounded working
+    # memory: nothing proportional to the run is kept beside them.
+    program = workload("crafty").program()
+    trace = ColumnarTrace()
+    tracemalloc.start()
+    try:
+        machine = Machine(program)
+        machine.run(trace_sink=trace)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert machine.halted
+    column_bytes = sum(
+        memoryview(getattr(trace, name)).nbytes
+        for name in ColumnarTrace.__slots__
+    )
+    overhead = (peak - column_bytes) / 1e6
+    assert overhead < MAX_EMULATION_OVERHEAD_MB, (
+        f"peak {peak / 1e6:.1f} MB over {column_bytes / 1e6:.1f} MB "
+        "of columns"
+    )

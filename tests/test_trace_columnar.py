@@ -8,12 +8,20 @@ checks hold it to the record fields a trace must carry:
   for each registry workload at a 2,000-instruction window and for a
   full mcf run (halt included).  It was recorded at commit 1cca2e0,
   where a record-object emit path still ran beside the column path and
-  the two matched field for field on these traces.
+  the two matched field for field on these traces.  Its ``faults``
+  section holds the rows, ``instruction_count``, ``pc`` and error of
+  six programs that fault: four in the middle of a straight-line
+  block, one on a bad jump target and one on a pc out of range.  Both
+  the step path and superblock replay must reproduce them.
 * Hypothesis-fuzzed programs: every entry's static fields must equal
   what the :class:`~repro.isa.instructions.Instruction` at its pc
   implies, and its dynamic fields (``next_pc``, ``taken``, ``addr``,
   ``$sp``) must agree with a plain replay of the program's control
   flow and ``$sp`` arithmetic.
+* Chunked runs: any split of a run into ``run(max_instructions=k)``
+  calls, into one trace or into a fresh trace per call, concatenates
+  to the one-shot trace, at windows that cross the emulator's
+  65,536-instruction flush.
 
 After a deliberate change to the emitted columns, re-record from the
 repository root with ``PYTHONPATH=src python -m
@@ -26,11 +34,15 @@ import json
 import os
 import sys
 from array import array
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator import Machine, STACK_BASE, TEXT_BASE
+from repro.emulator.machine import EmulatorError
+from repro.emulator.memory import MemoryError_
+from repro.emulator.superblock import set_superblock_enabled
 from repro.isa import assemble
 from repro.isa.registers import SP
 from repro.trace.columnar import ColumnarTrace, record_fields
@@ -50,6 +62,70 @@ REGS = ["r1", "r2", "r3", "r4", "r5"]
 
 ALU_OPS = ["addq", "subq", "mulq", "and", "or", "xor",
            "sll", "srl", "cmpeq", "cmplt"]
+
+#: Programs that fault, keyed as in the fixture's ``faults`` section.
+#: Each opens with a straight-line block of at least three ops, so
+#: superblock replay runs it as a template.
+FAULT_PROGRAMS = {
+    # The divide faults after two ops of the block retired.
+    "divide-by-zero-mid-block": """
+        main:
+            lda r1, 7(zero)
+            lda r2, 0(zero)
+            divq r1, r2, r3
+            print r3
+            halt
+        """,
+    "unaligned-load-mid-block": """
+        main:
+            lda r1, 64(zero)
+            lda r2, 1(zero)
+            ldq r3, 0(r2)
+            print r3
+            halt
+        """,
+    "unaligned-store-mid-block": """
+        main:
+            lda r1, 5(zero)
+            lda r2, 12(zero)
+            stq r1, 1(r2)
+            print r1
+            halt
+        """,
+    # The faulting block follows a block that stored, so the replay
+    # that faults is not the first memory row since the last fill.
+    "unaligned-store-after-a-store": """
+        main:
+            lda sp, -16(sp)
+            lda r1, 5(zero)
+            stq r1, 8(sp)
+            br next
+        next:
+            ldq r2, 8(sp)
+            lda r3, 1(zero)
+            stq r2, 1(r3)
+            halt
+        """,
+    # jmp to an address that is not a multiple of four.
+    "bad-jump-target": """
+        main:
+            lda r1, 4096(zero)
+            lda r2, 2(zero)
+            addq r1, r2, r3
+            jmp r3
+            halt
+        """,
+    # jmp to instruction index 1024, past the end of the text: the jmp
+    # retires, and the fetch after it faults.
+    "pc-out-of-range": """
+        main:
+            lda sp, -16(sp)
+            lda r1, 8192(zero)
+            stq r1, 8(sp)
+            jmp r1
+            halt
+        """,
+}
 
 
 def emit(program, max_instructions=None):
@@ -72,6 +148,24 @@ def column_digests(trace):
     return digests
 
 
+def fault_rows(source, replay):
+    """Run ``source`` into the fault it raises; what it left behind."""
+    previous = set_superblock_enabled(replay)
+    try:
+        machine = Machine(assemble(source))
+        trace = ColumnarTrace()
+        with pytest.raises((EmulatorError, MemoryError_)) as error:
+            machine.run(trace_sink=trace)
+    finally:
+        set_superblock_enabled(previous)
+    return {
+        "columns": column_digests(trace),
+        "instruction_count": machine.instruction_count,
+        "pc": machine.pc,
+        "error": f"{error.type.__name__}: {error.value}",
+    }
+
+
 def _golden_traces():
     """(fixture key, program, window) for every recorded trace."""
     cases = [
@@ -82,10 +176,19 @@ def _golden_traces():
     return cases
 
 
+def _load_golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN_PATH) as handle:
-        return json.load(handle)["traces"]
+    return _load_golden()["traces"]
+
+
+@pytest.fixture(scope="module")
+def golden_faults():
+    return _load_golden()["faults"]
 
 
 class TestWorkloadDifferential:
@@ -106,6 +209,17 @@ class TestWorkloadDifferential:
         machine.run(trace_sink=trace)
         assert machine.halted
         assert column_digests(trace) == golden[FULL_RUN]
+
+
+class TestFaultRows:
+    """A fault emits the rows before it and advances no counter."""
+
+    @pytest.mark.parametrize("replay", [True, False],
+                             ids=["replay", "step"])
+    @pytest.mark.parametrize("name", sorted(FAULT_PROGRAMS))
+    def test_fault_matches_golden(self, name, replay, golden_faults):
+        rows = fault_rows(FAULT_PROGRAMS[name], replay)
+        assert rows == golden_faults[name]
 
 
 # --- fuzzed programs: ALU ops, stack memory traffic, $sp updates, ----
@@ -259,6 +373,77 @@ class TestFuzzedDifferential:
         assert_trace_consistent(truncated, program)
 
 
+# --- chunked runs: every split concatenates to the one-shot trace ----
+
+#: One-shot window of the workload chunk property.  It crosses the
+#: emulator's 65,536-instruction flush, and so do its larger chunks.
+CHUNK_WINDOW = 70_000
+
+
+def _concatenate(traces):
+    joined = ColumnarTrace()
+    for trace in traces:
+        for name in ColumnarTrace.__slots__:
+            getattr(joined, name).extend(getattr(trace, name))
+    return joined
+
+
+def run_chunked(program, chunks, window=None, fresh=False):
+    """Run ``program`` in ``run(max_instructions=k)`` calls.
+
+    ``chunks`` are the leading call sizes; one last call runs what is
+    left of ``window`` (to the halt when ``window`` is None).  With
+    ``fresh`` every call gets its own trace, joined afterwards.
+    """
+    machine = Machine(program)
+    traces = [ColumnarTrace()]
+    used = 0
+    sizes = list(chunks) + [None]
+    for size in sizes:
+        if window is not None:
+            left = window - used
+            size = left if size is None else min(size, left)
+        if fresh:
+            traces.append(ColumnarTrace())
+        used += machine.run(max_instructions=size, trace_sink=traces[-1])
+    assert machine.instruction_count == used
+    return _concatenate(traces) if fresh else traces[-1]
+
+
+@lru_cache(maxsize=None)
+def _one_shot_digests(bench):
+    program = workload(bench).program()
+    return column_digests(emit(program, max_instructions=CHUNK_WINDOW))
+
+
+_chunk_sizes = st.lists(st.integers(1, CHUNK_WINDOW), min_size=1,
+                        max_size=4)
+
+
+class TestChunkedRuns:
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(ALL_BENCHMARKS), _chunk_sizes, st.booleans())
+    def test_workload_chunks_concatenate(self, bench, chunks, fresh):
+        program = workload(bench).program()
+        chunked = run_chunked(program, chunks, CHUNK_WINDOW, fresh)
+        assert column_digests(chunked) == _one_shot_digests(bench)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_step, min_size=1, max_size=30),
+           st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           st.booleans(), st.booleans())
+    def test_fuzzed_chunks_concatenate(self, steps, chunks, fresh,
+                                       replay):
+        program = assemble(_fuzz_source(steps))
+        previous = set_superblock_enabled(replay)
+        try:
+            chunked = run_chunked(program, chunks, fresh=fresh)
+            full = emit(program)
+        finally:
+            set_superblock_enabled(previous)
+        assert chunked == full
+
+
 class TestColumnarContainer:
     """Sequence protocol details the read views rely on."""
 
@@ -312,14 +497,23 @@ class TestColumnarContainer:
 
 
 def record(path: str = GOLDEN_PATH) -> None:
-    """Re-run every recorded trace and rewrite the fixture."""
+    """Re-run every recorded trace and rewrite the fixture.
+
+    Fault rows come from the step path, the reference.
+    """
     traces = {
         key: column_digests(emit(program, max_instructions=window))
         for key, program, window in _golden_traces()
     }
+    faults = {
+        name: fault_rows(source, replay=False)
+        for name, source in sorted(FAULT_PROGRAMS.items())
+    }
     with open(path, "w") as handle:
         json.dump(
-            {"window": WINDOW, "traces": traces}, handle, indent=1
+            {"window": WINDOW, "traces": traces, "faults": faults},
+            handle,
+            indent=1,
         )
         handle.write("\n")
 

@@ -1,8 +1,11 @@
 """Tests for the first-touch analysis."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.emulator.memory import STACK_BASE
 from repro.isa.instructions import OpClass
 from repro.isa.registers import SP
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.first_touch import FirstTouchProfile
 from repro.trace.records import TraceRecord
 
@@ -84,3 +87,55 @@ class TestOnRealTraces:
             profile.stack_first_store_fraction
             >= profile.other_first_store_fraction
         )
+
+
+def _profile_state(profile):
+    return (
+        profile.stack_first_stores,
+        profile.stack_first_loads,
+        profile.other_first_stores,
+        profile.other_first_loads,
+        profile._previous_sp,
+        set(profile._pending),
+        dict(profile._seen_other),
+    )
+
+
+#: One synthetic row: (kind, $sp, address).  ``$sp`` includes 0, which
+#: makes ``append`` re-seed its previous ``$sp`` from the next row.
+_row = st.tuples(
+    st.sampled_from(["alu", "load", "store", "sp"]),
+    st.sampled_from([0, STACK_BASE, STACK_BASE - 32, STACK_BASE - 64]),
+    st.sampled_from([STACK_BASE - 64, STACK_BASE - 40, STACK_BASE - 8,
+                     0x10000000, 0x10000008]),
+)
+
+
+class TestColumnWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_row, max_size=40), st.integers(1, 9))
+    def test_skipping_rows_matches_append(self, rows, chunk):
+        # The column walk visits only loads, stores and $sp updates,
+        # yet must leave exactly the state the row-by-row reference
+        # leaves, whole and in chunks.
+        records = [
+            rec(
+                index,
+                sp=sp,
+                load_at=addr if kind == "load" else None,
+                store_at=addr if kind == "store" else None,
+                sp_update=kind == "sp",
+            )
+            for index, (kind, sp, addr) in enumerate(rows)
+        ]
+        reference = FirstTouchProfile()
+        for record in records:
+            reference.append(record)
+        trace = ColumnarTrace.from_records(records)
+        whole = FirstTouchProfile()
+        whole.consume_columns(trace)
+        chunked = FirstTouchProfile()
+        for lo in range(0, len(trace), chunk):
+            chunked.consume_columns(trace, lo, min(lo + chunk, len(trace)))
+        assert _profile_state(whole) == _profile_state(reference)
+        assert _profile_state(chunked) == _profile_state(reference)
