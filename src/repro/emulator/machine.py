@@ -14,7 +14,8 @@ opcode strings.
 
 Most of a row is fixed by the static instruction.  A traced run
 records, per retired segment, one int (the stepped instruction's index
-or a replayed superblock's ``tag``) and beyond that only what
+or the ``tag`` of a replayed superblock, a whole basic block compiled
+by :mod:`repro.emulator.superblock`) and beyond that only what
 execution decides: each load's and store's effective address, ``$sp``
 after each instruction that writes it, and each conditional branch's
 outcome.  Every ``_FLUSH_ROWS`` instructions (at the first segment
@@ -331,7 +332,7 @@ class Machine:
         self.registers[RA] = self._halt_address
         # Superblock template cache, keyed on pc_index.  Text is
         # immutable, so entries are never invalidated: False = not yet
-        # examined, None = region too short to template, else a
+        # examined, None = block too short to template, else a
         # compiled SuperblockTemplate.
         self._superblocks: dict = {}
         self._superblock_builds = 0
@@ -472,6 +473,9 @@ class Machine:
                 sb_build = _superblock.build_template
                 span = self._span
                 mem_words = memory._words
+        # Templates are looked up only where a block is entered: at the
+        # start of a run, after a replay or a stepped control transfer.
+        replay = entered = superblocks is not None
 
         while True:
             bound = limit
@@ -484,10 +488,11 @@ class Machine:
                             f"pc out of range: index {pc_index} "
                             f"(0x{text_base + 4 * pc_index:x})"
                         )
-                    if superblocks is not None:
+                    if entered:
                         template = sb_get(pc_index, False)
                         if template is False:
-                            template = sb_build(decoded, pc_index)
+                            template = sb_build(decoded, pc_index,
+                                                halt_address, self._index_of)
                             superblocks[pc_index] = template
                             if template is not None:
                                 sb_builds += 1
@@ -497,24 +502,28 @@ class Machine:
                             and count + template.length <= limit
                         ):
                             seg_append(template.tag)
+                            length = template.length
                             try:
-                                template.fn(
+                                pc_index = template.fn(
                                     registers, mem_words, mem_load,
                                     mem_load_signed, mem_store,
                                     output_append, addr_append, sp_append,
-                                    template.progress,
+                                    outcome_append, template.progress,
                                 )
+                            except _superblock._Halt:
+                                halted = True
+                                pc_index = template.start_index + length - 1
                             except (EmulatorError, MemoryError_) as error:
                                 pc_index = self._retire_partial(
                                     template, error, record
                                 )
                                 raise
-                            length = template.length
                             count += length
-                            pc_index = template.end_index
                             sb_replays += 1
                             sb_replayed += length
                             continue
+                        # The step path finishes the block.
+                        entered = False
                     (kind, fn, rd, ra, rb, imm, rimm, target_index,
                      mem_size, records) = decoded[pc_index]
                     next_index = pc_index + 1
@@ -548,15 +557,19 @@ class Machine:
                         taken = fn(value)
                         if taken:
                             next_index = target_index
+                        entered = replay
                     elif kind == 5:  # _K_BR
                         next_index = target_index
+                        entered = replay
                     elif kind == 6:  # _K_BSR
                         registers[RA] = text_base + 4 * (pc_index + 1)
                         next_index = target_index
+                        entered = replay
                     elif kind == 7:  # _K_JSR
                         destination = registers[rb]
                         registers[RA] = text_base + 4 * (pc_index + 1)
                         next_index = self._index_of(destination)
+                        entered = replay
                     elif kind == 8:  # _K_JMP (ret / jmp)
                         destination = registers[rb]
                         if destination == halt_address:
@@ -564,6 +577,7 @@ class Machine:
                             next_index = pc_index
                         else:
                             next_index = self._index_of(destination)
+                        entered = replay
                     elif kind == 9:  # _K_PRINT
                         output_append(_signed(registers[ra]))
                     elif kind == 10:  # _K_HALT
@@ -686,7 +700,8 @@ class Machine:
         del record.outcomes[:]
         record.sp = self.registers[SP]
 
-    def _index_of(self, address: int) -> int:
+    @staticmethod
+    def _index_of(address: int) -> int:
         if address % 4 != 0 or address < TEXT_BASE:
             raise EmulatorError(f"bad jump target 0x{address:x}")
         return (address - TEXT_BASE) // 4

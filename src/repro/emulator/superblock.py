@@ -1,27 +1,29 @@
 """Superblock replay engine: batch-decoded micro-op templates.
 
 The emulator's step path pays per retired instruction for a bounds
-check, a tuple unpack and an integer dispatch.  Straight-line code
-makes almost all of that work redundant: between two control transfers
-the instruction sequence is a pure function of the entry ``pc_index``.
+check, a tuple unpack and an integer dispatch.  A basic block makes
+almost all of that work redundant: from its entry through its control
+transfer the instruction sequence is a pure function of the entry
+``pc_index``.
 
 This module gives the *simulator* the same trace-cache-style
-microarchitecture the paper gives the stack: at the first execution of
-a basic-block head, the decoded tuples of the straight-line region are
-compiled once into a replayable micro-op *template*; every subsequent
-visit replays the template:
+microarchitecture the paper gives the stack: the first time a block is
+entered, its decoded tuples, branch included, are compiled once into a
+replayable micro-op *template*; every later entry replays it:
 
 * the dynamic work (register updates, loads, stores, effective
   addresses) runs as a straight-line Python function compiled from the
   block once with ``exec`` — no per-instruction dispatch, no bounds
   check, no tuple unpack;
 * the trace costs one segment id per visit, the template's ``tag``:
-  the body records only what execution decides, each load's and
-  store's effective address and ``$sp`` after each op that writes it,
-  and ``Machine.run`` fills the columns in bulk from the segment ids
-  (see :mod:`repro.emulator.machine`);
-* a single exit check hands control back to the step-decode
-  interpreter at the terminating branch/call/return.
+  the body records only what execution decides (each load's and
+  store's effective address, ``$sp`` after each op that writes it, the
+  branch outcome), and ``Machine.run`` fills the columns in bulk from
+  the segment ids (see :mod:`repro.emulator.machine`);
+* the block's branch, call or return ends the function, which returns
+  the next ``pc_index``; ``Machine.run`` looks templates up only where
+  a block is entered, so one-instruction blocks, and a window's last
+  block when its template does not fit, run on the step path.
 
 Templates are keyed on ``pc_index`` and **never invalidated**: the
 text segment is immutable for the lifetime of a :class:`Machine`
@@ -32,13 +34,13 @@ are surfaced through :mod:`repro.profiling` by ``Machine.run``.
 Replay is bit-identical to step-decode by construction — the same
 handler functions run in the same order against the same state, and
 the body records what the step path records for the same ops — and is
-gated differentially by ``tests/test_emulator_superblock.py`` (all
-registry workloads plus hypothesis-fuzzed programs, windows, and fault
-paths).  Faults keep the step path's semantics: when an op raises
-(division by zero, a bad effective address), ``Machine.run`` keeps the
-rows of the ops that retired before it
-(:meth:`SuperblockTemplate.retired_before`) and re-raises, leaving
-registers and memory exactly as the interpreter would have.
+gated differentially by ``tests/test_emulator_superblock.py`` (registry
+and adversarial workloads plus hypothesis-fuzzed programs, branches,
+calls, windows, and fault paths).  Faults and halts keep the step
+path's semantics: when an op raises (division by zero, a bad effective
+address, a bad call or jump target), ``Machine.run`` keeps the rows of
+the ops that retired before it (:meth:`SuperblockTemplate.retired_before`)
+and re-raises; a return to the halt sentinel raises :class:`_Halt`.
 
 ``set_superblock_enabled`` toggles the engine at runtime (the
 differential gate and the benchmarks compare both paths in one
@@ -50,15 +52,15 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.emulator.memory import MemoryError_
+from repro.emulator.memory import MemoryError_, TEXT_BASE
 from repro.trace.columnar import FLAG_SP_UPDATE
 
 _MASK64 = (1 << 64) - 1
 
-#: Blocks shorter than this are not worth a template: the fixed
-#: replay cost (a dict lookup and a call) only amortizes over a few
-#: instructions.
-MIN_BLOCK_LENGTH = 3
+#: Blocks shorter than this, their control transfer counted, are not
+#: worth a template: the fixed replay cost (a dict lookup and a call)
+#: needs more than one instruction to amortize over.
+MIN_BLOCK_LENGTH = 2
 
 #: Runtime switch (see :func:`set_superblock_enabled`).  The
 #: ``REPRO_SUPERBLOCK=0`` environment variable starts the process with
@@ -93,12 +95,20 @@ _K_ALU = 0
 _K_LOAD = 1
 _K_LDA = 2
 _K_STORE = 3
+_K_CBR, _K_BR, _K_BSR, _K_JSR, _K_JMP = range(4, 9)  # control transfers
 _K_PRINT = 9
 _K_NOP = 11
 
-#: Kinds a template may contain (everything else terminates the block).
+#: Kinds a template may contain before its control transfer.
 _STRAIGHT_KINDS = frozenset((_K_ALU, _K_LOAD, _K_LDA, _K_STORE,
                              _K_PRINT, _K_NOP))
+
+#: Conditional-branch tests on the raw register ``v`` (``SB`` = bit 63).
+_BRANCH_TESTS = {
+    "beq": "v == 0", "bne": "v != 0", "blt": "v & SB",
+    "ble": "v == 0 or v & SB", "bgt": "v != 0 and not v & SB",
+    "bge": "not v & SB",
+}
 
 #: ALU handlers that are safe to inline as expressions.  Handlers that
 #: need sign conversion or can raise stay as calls so error and
@@ -124,32 +134,36 @@ _FAULTING_ALU = frozenset(("divq", "remq"))
 
 _ZERO = 31
 _SP = 30
+_RA = 26
+
+
+class _Halt(Exception):
+    """A replayed return reached the halt sentinel (it retired)."""
 
 
 class SuperblockTemplate:
-    """One compiled straight-line region.
+    """One compiled basic block.
 
-    ``Machine.run`` records :attr:`tag` as the region's one trace
-    segment, calls :attr:`fn` against live machine state, then advances
-    ``pc_index`` to :attr:`end_index` (the terminator, handled by the
-    step-decode interpreter) and ``count`` by :attr:`length`.
+    ``Machine.run`` records :attr:`tag` as the block's one trace
+    segment, calls :attr:`fn` against live machine state, continues at
+    the ``pc_index`` it returns and advances ``count`` by
+    :attr:`length`, the control transfer included.
     """
 
-    __slots__ = ("start_index", "end_index", "length", "tag",
-                 "mem_positions", "progress", "fn")
+    __slots__ = ("start_index", "length", "tag", "mem_positions",
+                 "progress", "fn")
 
-    def __init__(self, start_index, end_index, tag, fn, mem_positions):
+    def __init__(self, start_index, length, tag, fn, mem_positions):
         self.start_index = start_index
-        self.end_index = end_index
-        self.length = end_index - start_index
+        self.length = length
         #: segment id in the machine's run record: the text length
         #: plus ``start_index``, so it never collides with a stepped
         #: instruction's index.
         self.tag = tag
         #: block positions of the loads and stores, in op order
         self.mem_positions = mem_positions
-        #: Shared progress cell: the body stores a divide's position in
-        #: it just before the divide runs.
+        #: Shared progress cell: the body stores the position of an op
+        #: that can fault (a divide, a call, jump or return) before it does.
         self.progress = [0]
         self.fn = fn
 
@@ -158,22 +172,25 @@ class SuperblockTemplate:
 
         ``addresses`` counts the effective addresses the faulting call
         recorded.  A memory fault strikes the first memory op whose
-        address was not recorded; the only other fault is a divide by
-        zero.
+        address was not recorded; the others (a divide by zero, a bad
+        call or jump target) set the progress cell first.
         """
         if isinstance(error, MemoryError_):
             return self.mem_positions[addresses]
         return self.progress[0]
 
 
-def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
-    """Compile the straight-line region at ``start_index``, or None.
+def build_template(decoded, start_index, halt_address,
+                   index_of) -> Optional[SuperblockTemplate]:
+    """Compile the basic block at ``start_index``, or None.
 
     ``decoded`` is ``Machine``'s per-instruction execution tuples (the
-    ALU handler rides in the tuple itself, and its last field holds the
-    flag bits that say what a retired instruction records).  Returns
-    None when the region is shorter than :data:`MIN_BLOCK_LENGTH` (the
-    caller caches the None so the lookup never repeats the walk).
+    ALU handler or branch predicate rides in the tuple itself, and its
+    last field holds the flag bits that say what a retired instruction
+    records).  A ``ret``/``jmp`` to ``halt_address`` halts; a bad target
+    faults through ``index_of``, the step path's check.  Returns None
+    when the block is shorter than :data:`MIN_BLOCK_LENGTH` (the caller
+    caches the None so the lookup never repeats the walk).
     """
     limit = len(decoded)
     index = start_index
@@ -184,7 +201,9 @@ def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
             break
         ops.append(entry)
         index += 1
-    length = index - start_index
+    # A control transfer joins the block; a halt ends it with none.
+    transfer = index < limit and _K_CBR <= decoded[index][0] <= _K_JMP
+    length = index - start_index + transfer
     if length < MIN_BLOCK_LENGTH:
         return None
 
@@ -192,8 +211,8 @@ def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
 
     # ---------------------------------------------------------- body
     # R=registers W=memory word dict ml/mls/ms=Memory methods (fault
-    # fallback) oa=output.append A=the run's address record
-    # S=the run's $sp record P=progress cell.  Aligned memory
+    # fallback) oa=output.append A/S/O=the run's address, $sp and
+    # branch-outcome records P=progress cell.  Aligned memory
     # accesses are inlined against W with the exact semantics of
     # Memory.load/load_signed/store; the method call survives only on
     # the fault path (misalignment), so error type and message are the
@@ -202,9 +221,9 @@ def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
     # value.  Before each divq/remq the body records how many ops
     # retired so far (``P[0] = position``); memory-fault progress is
     # recovered from the addresses recorded instead.
-    lines = ["def _replay(R, W, ml, mls, ms, oa, A, S, P):"]
+    lines = ["def _replay(R, W, ml, mls, ms, oa, A, S, O, P):"]
     body_start = len(lines)
-    namespace = {"M": _MASK64}
+    namespace = {"M": _MASK64, "SB": 1 << 63, "Halt": _Halt, "J": index_of}
     for position, op in enumerate(ops):
         kind, fn, rd, ra, rb, imm, rimm, _target, mem_size, records = op
         if kind == _K_ALU:
@@ -279,11 +298,37 @@ def build_template(decoded, start_index) -> Optional[SuperblockTemplate]:
             lines.append(f"    S(R[{_SP}])")
     if mem_positions:
         lines.insert(body_start, "    WG = W.get")
-    if len(lines) == 1:
-        lines.append("    pass")
+    lines += _transfer(decoded[index] if transfer else None, index,
+                       len(ops), halt_address)
     exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
-    return SuperblockTemplate(start_index, index, limit + start_index,
+    return SuperblockTemplate(start_index, length, limit + start_index,
                               namespace["_replay"], mem_positions)
+
+
+def _transfer(op, index, position, halt_address):
+    """Body lines that end a block at ``index`` by returning the next
+    ``pc_index``; ``op`` is its control transfer, or None."""
+    if op is None:
+        return [f"    return {index}"]
+    kind, fn, _rd, ra, rb, _imm, _rimm, target, _size, _records = op
+    if kind == _K_CBR:
+        test = _BRANCH_TESTS[fn.__name__[6:]]  # _cond_<name>
+        return [f"    v = R[{ra}]", f"    if {test}:", "        O(1)",
+                f"        return {target}", "    O(0)",
+                f"    return {index + 1}"]
+    if kind == _K_BR:
+        return [f"    return {target}"]
+    link = f"    R[{_RA}] = {TEXT_BASE + 4 * (index + 1)}"
+    if kind == _K_BSR:
+        return [link, f"    return {target}"]
+    lines = [f"    d = R[{rb}]"]
+    if kind == _K_JSR:
+        lines.append(link)
+    else:
+        lines += [f"    if d == {halt_address}:", "        raise Halt"]
+    return lines + [f"    if d & 3 or d < {TEXT_BASE}:",
+                    f"        P[0] = {position}", "        J(d)",
+                    f"    return (d - {TEXT_BASE}) >> 2"]
 
 
 def _signed(value: int) -> int:

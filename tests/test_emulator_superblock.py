@@ -1,8 +1,9 @@
 """Differential gate for the superblock replay engine.
 
 Step-decode is the reference implementation; replay must be
-bit-identical on every registry workload, on hypothesis-fuzzed
-programs, across window boundaries, and through mid-block faults.
+bit-identical on every registry and adversarial workload, on
+hypothesis-fuzzed programs, branches and calls, across window
+boundaries, and through faults.
 The gate runs both paths in one process via
 ``set_superblock_enabled`` and compares full column traces.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.emulator import Machine
+from repro.emulator import TEXT_BASE, Machine
 from repro.emulator.machine import EmulatorError
 from repro.emulator.memory import MemoryError_
 from repro.emulator.superblock import (
@@ -24,9 +25,11 @@ from repro.emulator.superblock import (
     superblock_enabled,
 )
 from repro.isa import assemble
+from repro.isa.instructions import CONDITIONAL_BRANCHES
 from repro.profiling import profiled
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads import registry
+from repro.workloads.adversarial import ADVERSARIAL
 from tests.test_trace_columnar import FAULT_PROGRAMS
 
 
@@ -89,9 +92,20 @@ class TestWorkloadIdentity:
             assert len(trace) == window
 
 
+class TestAdversarialIdentity:
+    # Registry programs never reach a ``jsr``; indirect-call is three
+    # ops and a ``jsr`` through a register.
+    @pytest.mark.parametrize(
+        "member", [member for member in ADVERSARIAL if member.runs],
+        ids=lambda member: member.name,
+    )
+    def test_replay_is_bit_identical(self, member):
+        _assert_identical(member)
+
+
 class TestFaultPaths:
-    # Each program opens with a straight-line block that faults after
-    # two ops retired; the rows emitted before the fault and the
+    # Each program opens with a block that faults after two or three
+    # ops retired; the rows emitted before the fault and the
     # machine state must match step-decode exactly.  The programs and
     # their recorded rows live in tests/test_trace_columnar.py.
     def test_division_by_zero_mid_block(self):
@@ -102,6 +116,11 @@ class TestFaultPaths:
 
     def test_unaligned_store_mid_block(self):
         _assert_identical(FAULT_PROGRAMS["unaligned-store-mid-block"])
+
+    def test_call_to_bad_target(self):
+        # The jsr writes $ra before its target faults; the registers
+        # compared here pin that write.
+        _assert_identical(FAULT_PROGRAMS["bad-call-target"])
 
 
 class TestToggleAndCounters:
@@ -210,6 +229,28 @@ _straight_op = st.one_of(
 )
 
 
+#: Register values for the branch fuzz, signed: the negative ones have
+#: bit 63 set in the machine's 64-bit registers.
+_value = st.one_of(
+    st.sampled_from([0, 1, -1, 1 << 62, -(1 << 63), (1 << 63) - 1]),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+)
+
+
+def _straight_line(op):
+    """Assembly line of one ``_straight_op``."""
+    if op[0] == "lda":
+        _, rd, imm = op
+        return f"    lda {rd}, {imm}(zero)"
+    if op[0] in ("stq", "ldq"):
+        name, rd, slot = op
+        return f"    {name} {rd}, {8 * slot}(sp)"
+    if op[0] == "print":
+        return f"    print {op[1]}"
+    name, ra, rb, rd = op
+    return f"    {name} {ra}, {rb}, {rd}"
+
+
 class TestFuzzIdentity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -232,18 +273,7 @@ class TestFuzzIdentity:
             "loop:",
         ]
         for block_index, block in enumerate(blocks):
-            for op in block:
-                if op[0] == "lda":
-                    _, rd, imm = op
-                    lines.append(f"    lda {rd}, {imm}(zero)")
-                elif op[0] in ("stq", "ldq"):
-                    name, rd, slot = op
-                    lines.append(f"    {name} {rd}, {8 * slot}(sp)")
-                elif op[0] == "print":
-                    lines.append(f"    print {op[1]}")
-                else:
-                    name, ra, rb, rd = op
-                    lines.append(f"    {name} {ra}, {rb}, {rd}")
+            lines += [_straight_line(op) for op in block]
             # A branch terminates the region between fuzzed blocks.
             lines.append(f"    beq zero, b{block_index}")
             lines.append(f"b{block_index}:")
@@ -252,5 +282,63 @@ class TestFuzzIdentity:
             "    bne r5, loop",
             "    lda sp, 256(sp)",
             "    halt",
+        ]
+        _assert_identical("\n".join(lines))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_value, min_size=4, max_size=4),
+        st.permutations(sorted(CONDITIONAL_BRANCHES)),
+        st.lists(
+            st.tuples(
+                st.lists(_straight_op, max_size=3), st.sampled_from(_REGS)
+            ),
+            min_size=len(CONDITIONAL_BRANCHES),
+            max_size=len(CONDITIONAL_BRANCHES),
+        ),
+        st.integers(1, 3),
+    )
+    def test_control_transfers_replay_identically(
+        self, values, branches, blocks, trips
+    ):
+        # One block ends in each conditional branch, testing a fuzzed
+        # register (the straight ops reshape the values between trips,
+        # so both outcomes occur); then a bsr/ret pair, a jsr through
+        # a register to the leaf at text index 0, and a ret to the
+        # halt sentinel.
+        lines = [
+            "leaf:",
+            "    addq r6, 1, r6",
+            "    ret",
+            "main:",
+            "    lda sp, -264(sp)",
+            "    stq ra, 256(sp)",
+        ]
+        lines += [
+            f"    lda {register}, {value}(zero)"
+            for register, value in zip(_REGS, values)
+        ]
+        lines += [f"    lda r5, {trips}(zero)", "loop:"]
+        for index, (branch, (block, register)) in enumerate(
+            zip(branches, blocks)
+        ):
+            lines += [_straight_line(op) for op in block]
+            lines += [
+                f"    {branch} {register}, t{index}",
+                "    addq r6, 2, r6",
+                f"t{index}:",
+            ]
+        lines += [
+            "    bsr sub",
+            f"    lda r8, {TEXT_BASE}(zero)",
+            "    jsr r8",
+            "    subq r5, 1, r5",
+            "    bne r5, loop",
+            "    ldq ra, 256(sp)",
+            "    lda sp, 264(sp)",
+            "    ret",
+            "sub:",
+            "    mulq r6, 3, r7",
+            "    ret",
         ]
         _assert_identical("\n".join(lines))

@@ -18,6 +18,7 @@ from repro.core.traffic import TrafficSimulator, simulate_traffic
 from repro.emulator import Machine
 from repro.emulator.superblock import set_superblock_enabled
 from repro.emulator.memory import STACK_BASE
+from repro.lang.codegen import CodegenOptions
 from repro.lang.opt import optimize_program
 from repro.profiling import profiled
 from repro.trace.analysis import (
@@ -37,8 +38,13 @@ WINDOW = 40_000
 MIN_COLUMN_SPEEDUP = 3.0
 RATIO_RUNS = 3
 #: Share of the window superblock replay must retire on the
-#: loop-heavy kernels (gzip ~82%, crafty ~92% measured).
-MIN_REPLAYED = 0.5
+#: loop-heavy kernels: templates hold whole blocks, branch included,
+#: so only one-instruction blocks and a window's last block step
+#: (gzip ~98.7%, crafty ~99.8% measured).
+MIN_REPLAYED = 0.95
+#: (benchmark, opt level) whose 150,000-instruction window ends inside
+#: a block too long to fit, so the step path finishes it.
+MID_BLOCK_WINDOWS = (("crafty", 0), ("eon", 1))
 #: ``optimize_program``'s traced allocation peak on perlbmk (~0.5 MB
 #: measured; 62.8 MB while frame-byte facts were sets of offsets).
 MAX_OPTIMIZER_PEAK_MB = 4.0
@@ -139,6 +145,36 @@ def test_superblock_replay_budget_and_hit_rate():
     assert counters["superblock_builds"] > 0
     assert counters["superblock_replays"] > 0
     assert _replayed_share(profiler) > MIN_REPLAYED, profiler.render()
+
+
+def _block_entries(program):
+    """The program entry, every direct branch or call target, and
+    every instruction after a control transfer."""
+    entries = {program.label_index(program.entry)}
+    for index, instr in enumerate(program.instructions):
+        if instr.is_branch:
+            entries.add(index + 1)
+            if instr.target_index is not None:
+                entries.add(instr.target_index)
+    return entries
+
+
+def test_templates_start_only_at_block_entries():
+    # Templates are looked up only where a block is entered, so a
+    # window that ends inside a long block steps through it without
+    # compiling a suffix template at every index it passes.
+    for name, opt in MID_BLOCK_WINDOWS:
+        program = workload(name).program(CodegenOptions(opt_level=opt))
+        machine = Machine(program)
+        machine.run(max_instructions=150_000, trace_sink=ColumnarTrace())
+        starts = {
+            index
+            for index, template in machine._superblocks.items()
+            if template is not None
+        }
+        assert starts
+        mid_block = sorted(starts - _block_entries(program))
+        assert not mid_block, (name, opt, mid_block)
 
 
 def test_step_decode_reference_budget():

@@ -10,8 +10,9 @@ checks hold it to the record fields a trace must carry:
   where a record-object emit path still ran beside the column path and
   the two matched field for field on these traces.  Its ``faults``
   section holds the rows, ``instruction_count``, ``pc`` and error of
-  six programs that fault: four in the middle of a straight-line
-  block, one on a bad jump target and one on a pc out of range.  Both
+  seven programs that fault: four in the middle of a straight-line
+  block, one on a bad jump target, one on a bad call target and one
+  on a pc out of range.  Both
   the step path and superblock replay must reproduce them.
 * Hypothesis-fuzzed programs: every entry's static fields must equal
   what the :class:`~repro.isa.instructions.Instruction` at its pc
@@ -113,6 +114,16 @@ FAULT_PROGRAMS = {
             lda r2, 2(zero)
             addq r1, r2, r3
             jmp r3
+            halt
+        """,
+    # jsr to an address that is not a multiple of four: $ra is
+    # written, and the call faults without retiring.
+    "bad-call-target": """
+        main:
+            lda r1, 4096(zero)
+            lda r2, 2(zero)
+            addq r1, r2, r3
+            jsr r3
             halt
         """,
     # jmp to instruction index 1024, past the end of the text: the jmp
