@@ -32,7 +32,6 @@ so the certificate says ``UNBOUNDED`` instead of guessing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -41,7 +40,6 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.summaries import (
     FunctionSummary,
     ProgramSummary,
-    SLOT_SHARED,
     SLOT_UNCLEAN,
     summarize_program,
 )
@@ -247,9 +245,6 @@ class ProgramCertificate:
                 for name in sorted(self.verdicts)
             ],
         }
-
-    def render_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _depth_chain(summary: ProgramSummary) -> Tuple[str, ...]:

@@ -23,7 +23,7 @@ treats as "no information"; reporting walks should skip them (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Generic, List, TypeVar
+from typing import Dict, FrozenSet, Generic, List, TypeVar
 
 from repro.analysis.cfg import BasicBlock, FunctionCFG
 
@@ -180,27 +180,3 @@ class SetProblem(DataflowProblem[FrozenSet]):
         """Apply one instruction's gen/kill to ``value`` in place."""
         raise NotImplementedError
 
-
-def instruction_facts(
-    cfg: FunctionCFG,
-    block: BasicBlock,
-    entry_fact: Fact,
-    step: Callable[[int, Fact], Fact],
-    backward: bool = False,
-) -> Dict[int, Fact]:
-    """Replay a block's transfer to recover per-instruction facts.
-
-    Solvers only keep block-boundary facts; reporting walks need the
-    fact *at each instruction* (the fact holding just before it in the
-    direction of travel).  Given the block's entry fact and the
-    per-instruction ``step`` function, returns ``{index: fact}``.
-    """
-    facts: Dict[int, Fact] = {}
-    indices = list(block.indices())
-    if backward:
-        indices = list(reversed(indices))
-    fact = entry_fact
-    for index in indices:
-        facts[index] = fact
-        fact = step(index, fact)
-    return facts

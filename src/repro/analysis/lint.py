@@ -66,39 +66,16 @@ def lint_workload(
     return lint_program(work.program(options), name=work.full_name)
 
 
-def lint_all(options=None, jobs: Optional[int] = None) -> List[LintReport]:
+def lint_all(options=None) -> List[LintReport]:
     """Lint every registry benchmark (first input set of each).
 
     Covers the twelve Table-1 workloads plus the ``ext.x86mix``
-    partial-word extension — all 13 registry entries.  ``jobs`` fans
-    the suite over the parallel engine (``None``/``1`` runs inline);
-    reports come back in registry order either way.
+    partial-word extension — all 13 registry entries, in registry
+    order.
     """
     from repro.workloads import ALL_BENCHMARKS
 
-    if jobs is None or jobs == 1:
-        return [
-            lint_workload(benchmark, options=options)
-            for benchmark in ALL_BENCHMARKS
-        ]
-
-    from repro.harness.parallel import EngineOptions, TaskCell, run_cells
-
-    params = ()
-    if options is not None:
-        params = (("opt_level", options.opt_level),)
-    cells = [
-        TaskCell(section="lint", benchmark=benchmark, window=None,
-                 params=params)
+    return [
+        lint_workload(benchmark, options=options)
         for benchmark in ALL_BENCHMARKS
     ]
-    outcomes = run_cells(cells, EngineOptions(jobs=jobs))
-    reports: List[LintReport] = []
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"lint worker failed on {outcome.cell.benchmark}: "
-                f"{outcome.error}"
-            )
-        reports.append(outcome.payload)
-    return reports

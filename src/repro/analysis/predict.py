@@ -37,7 +37,7 @@ from repro.analysis.report import Severity
 from repro.analysis.stackcheck import (
     analyze_frames,
     dead_store_pass,
-    escape_pass,
+    escape_events,
     first_read_pass,
 )
 from repro.isa.instructions import Program
@@ -143,8 +143,7 @@ def predict_program(
 
         first_reads = first_read_pass(context)
         dead_stores = dead_store_pass(context)
-        escapes = escape_pass(context)
-        if any(d.severity is Severity.WARNING for d in escapes):
+        if escape_events(context, {}, seeded=False).unclean:
             # A stack address stored outside the stack can outlive its
             # frame; a dangling alias breaks per-activation attribution.
             prediction.analyzable = False

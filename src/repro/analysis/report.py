@@ -164,9 +164,6 @@ class LintReport:
             "diagnostics": [d.to_dict() for d in self.sorted_diagnostics()],
         }
 
-    def render_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def render_reports(reports: List[LintReport],
                    max_info: Optional[int] = None) -> str:

@@ -37,7 +37,11 @@ assembled :class:`Program`, before any simulation:
     SVF after address calculation — info), passed to a callee (info),
     or stored outside the stack (memory the SVF cannot see —
     **warning**, since morphing is only sound if such aliases are
-    re-routed dynamically).
+    re-routed dynamically).  One token dataflow answers it
+    (:func:`escape_events`): every stack address carries the
+    entry-relative offset it was taken at.  Lint renders its unseeded
+    events; the certifier's summaries also run it seeded with the
+    caller's argument registers.
 
 All passes run intra-procedurally on the :mod:`repro.analysis.cfg`
 graphs using the :mod:`repro.analysis.dataflow` solver.  Frame-slot
@@ -54,10 +58,9 @@ set of 16k offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.analysis.cfg import (
-    BasicBlock,
     FunctionCFG,
     ProgramCFG,
     build_cfg,
@@ -77,6 +80,7 @@ from repro.isa.registers import (
     SP,
     TEMP_REGISTERS,
     V0,
+    ZERO,
     register_name,
 )
 
@@ -514,59 +518,201 @@ def dead_store_pass(context: FrameContext) -> List[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# escape: $sp-derived values leaving the $sp access class
+# escape: $sp-derived values leaving the $sp access class, as taint tokens
 # ---------------------------------------------------------------------------
 
+#: Token for a stack address whose entry-relative offset is unknown
+#: (taken while ``$sp`` tracking was lost).
+UNKNOWN = "?"
 
-def _escape_step(context: FrameContext, index: int, fact):
-    """One instruction over ``(tainted regs, tainted slots)``."""
-    regs, slots = fact
+#: A taint token: the entry-relative offset an address was taken at,
+#: ``UNKNOWN``, or ``("caller", arg_register)`` for an address received
+#: from the caller in that argument register.
+Token = Union[int, str, Tuple[str, int]]
+
+
+@dataclass(frozen=True)
+class EscapeEvents:
+    """Escape-relevant events of one analysis variant of one function.
+
+    ``gpr_sites``: computed-base stack accesses (index, tokens of the
+    base register).  ``unclean``: stores of a stack address to memory
+    the frame tracking cannot name (index, tokens of the stored
+    value).  ``passes``: argument registers carrying stack addresses
+    at call sites (index, callee or None, argument register, tokens).
+    """
+
+    gpr_sites: Tuple[Tuple[int, Tuple[Token, ...]], ...] = ()
+    unclean: Tuple[Tuple[int, Tuple[Token, ...]], ...] = ()
+    passes: Tuple[Tuple[int, Optional[str], int, Tuple[Token, ...]], ...] = ()
+
+
+_STACK_BASES = (SP, FP)
+
+
+class _TokenState:
+    """Mutable (reg -> tokens, slot offset -> tokens) working state."""
+
+    __slots__ = ("regs", "slots")
+
+    def __init__(self, regs: Dict[int, FrozenSet[Token]],
+                 slots: Dict[int, FrozenSet[Token]]):
+        self.regs = regs
+        self.slots = slots
+
+    @classmethod
+    def thaw(cls, fact) -> "_TokenState":
+        regs: Dict[int, Set[Token]] = {}
+        slots: Dict[int, Set[Token]] = {}
+        for reg, token in fact[0]:
+            regs.setdefault(reg, set()).add(token)
+        for offset, token in fact[1]:
+            slots.setdefault(offset, set()).add(token)
+        return cls(
+            {r: frozenset(t) for r, t in regs.items()},
+            {o: frozenset(t) for o, t in slots.items()},
+        )
+
+    def freeze(self):
+        return (
+            frozenset(
+                (reg, token)
+                for reg, tokens in self.regs.items()
+                for token in tokens
+            ),
+            frozenset(
+                (offset, token)
+                for offset, tokens in self.slots.items()
+                for token in tokens
+            ),
+        )
+
+    def tokens(self, register: Optional[int]) -> FrozenSet[Token]:
+        if register is None:
+            return frozenset()
+        return self.regs.get(register, frozenset())
+
+    def set_reg(self, register: Optional[int],
+                tokens: FrozenSet[Token]) -> None:
+        if register is None or register in _STACK_BASES or register == ZERO:
+            return
+        if tokens:
+            self.regs[register] = tokens
+        else:
+            self.regs.pop(register, None)
+
+
+def _token_step(context: FrameContext, index: int, state: _TokenState,
+                site_callee, events: Optional[dict]) -> None:
+    """Abstractly execute one instruction over the token state.
+
+    ``events`` (when not None) collects gpr/unclean/passes events for
+    the reporting walk; the fixpoint solve passes None.
+    """
     instruction = context.cfg.instruction(index)
     op = instruction.op
+    sp, fp = context.offsets.get(index, (None, None))
 
-    def retaint(register, tainted):
-        nonlocal regs
-        if register is None or register in (SP, FP):
-            return
-        regs = regs | {register} if tainted else regs - {register}
+    def base_token(register: int) -> FrozenSet[Token]:
+        base = sp if register == SP else fp
+        offset = (
+            base + instruction.imm if isinstance(base, int) else None
+        )
+        return frozenset({offset if offset is not None else UNKNOWN})
 
     if op == "lda":
-        retaint(instruction.rd, instruction.rb in regs or
-                instruction.rb in (SP, FP))
+        if instruction.rb in _STACK_BASES:
+            state.set_reg(instruction.rd, base_token(instruction.rb))
+        else:
+            state.set_reg(instruction.rd, state.tokens(instruction.rb))
     elif instruction.is_load:
         slot = context.slot(index)
-        loaded_tainted = slot is not None and slot[0] in slots
-        retaint(instruction.rd, loaded_tainted)
-    elif instruction.is_store:
-        slot = context.slot(index)
-        value_tainted = (
-            instruction.rd in regs or instruction.rd in (SP, FP)
-        )
         if slot is not None:
-            slots = (
-                slots | {slot[0]} if value_tainted else slots - {slot[0]}
+            state.set_reg(
+                instruction.rd, state.slots.get(slot[0], frozenset())
             )
+        else:
+            # Computed-base or global load: provenance unknown, so
+            # clear (a stack address laundered through memory was
+            # already flagged unclean at the store).
+            if events is not None and instruction.rb not in _STACK_BASES:
+                tokens = state.tokens(instruction.rb)
+                if tokens:
+                    events["gpr"].append((index, tuple(sorted(
+                        tokens, key=repr
+                    ))))
+            state.set_reg(instruction.rd, frozenset())
+        return
+    elif instruction.is_store:
+        if instruction.rd in _STACK_BASES:
+            base = sp if instruction.rd == SP else fp
+            value_tokens = frozenset(
+                {base if isinstance(base, int) else UNKNOWN}
+            )
+        else:
+            value_tokens = state.tokens(instruction.rd)
+        slot = context.slot(index)
+        if slot is not None:
+            if value_tokens:
+                state.slots[slot[0]] = value_tokens
+            else:
+                state.slots.pop(slot[0], None)
+        else:
+            if events is not None:
+                if instruction.rb not in _STACK_BASES:
+                    base_tokens = state.tokens(instruction.rb)
+                    if base_tokens:
+                        events["gpr"].append((index, tuple(sorted(
+                            base_tokens, key=repr
+                        ))))
+                if value_tokens:
+                    events["unclean"].append((index, tuple(sorted(
+                        value_tokens, key=repr
+                    ))))
+        return
     elif op in _ADDRESS_PRESERVING_ALU:
-        sources = set(instruction.source_registers())
-        tainted = bool(
-            sources & (set(regs) | {SP, FP})
-        )
-        retaint(instruction.rd, tainted)
+        tokens: Set[Token] = set()
+        for source in instruction.source_registers():
+            if source in _STACK_BASES:
+                base = sp if source == SP else fp
+                tokens.add(base if isinstance(base, int) else UNKNOWN)
+            else:
+                tokens.update(state.tokens(source))
+        state.set_reg(instruction.rd, frozenset(tokens))
     elif instruction.op_class.name in ("IALU", "IMULT"):
-        retaint(instruction.destination_register(), False)
+        state.set_reg(instruction.destination_register(), frozenset())
     elif instruction.is_call:
-        regs = regs - _CALLER_SAVED
-    return (regs, slots)
+        if events is not None:
+            callee = site_callee.get(index)
+            for register in ARG_REGISTERS:
+                tokens = state.tokens(register)
+                if tokens:
+                    events["passes"].append((
+                        index, callee, register,
+                        tuple(sorted(tokens, key=repr)),
+                    ))
+        for register in _CALLER_SAVED:
+            state.regs.pop(register, None)
 
 
-class _EscapeProblem(DataflowProblem):
+class _TokenProblem(DataflowProblem):
     direction = "forward"
 
-    def __init__(self, context: FrameContext):
+    def __init__(self, context: FrameContext, seeded: bool, site_callee):
         self.context = context
+        self.seeded = seeded
+        self.site_callee = site_callee
 
     def boundary(self, cfg):
-        return (frozenset(), frozenset())
+        if not self.seeded:
+            return (frozenset(), frozenset())
+        return (
+            frozenset(
+                (register, ("caller", register))
+                for register in ARG_REGISTERS
+            ),
+            frozenset(),
+        )
 
     def top(self, cfg):
         return (frozenset(), frozenset())
@@ -575,62 +721,75 @@ class _EscapeProblem(DataflowProblem):
         return (left[0] | right[0], left[1] | right[1])
 
     def transfer(self, cfg, block, fact):
+        state = _TokenState.thaw(fact)
         for index in block.indices():
-            fact = _escape_step(self.context, index, fact)
-        return fact
+            _token_step(self.context, index, state, self.site_callee, None)
+        return state.freeze()
 
 
-def escape_pass(context: FrameContext) -> List[Diagnostic]:
-    """Flag stack addresses that escape to registers, calls or memory."""
+def escape_events(context: FrameContext, site_callee: Dict[int, Optional[str]],
+                  seeded: bool) -> EscapeEvents:
+    """Run one escape-analysis variant and collect its events.
+
+    ``site_callee`` maps call-site indices to callee names (None for an
+    indirect call); it only labels ``passes`` events, so lint passes an
+    empty map.  ``seeded`` taints every argument register at entry with
+    a ``("caller", register)`` token.
+    """
     cfg = context.cfg
-    result = solve(cfg, _EscapeProblem(context))
-    diagnostics: List[Diagnostic] = []
-
-    def report(severity, index, message):
-        diagnostics.append(
-            Diagnostic(severity, PASS_ESCAPE, cfg.name, index, message)
-        )
-
+    problem = _TokenProblem(context, seeded, site_callee)
+    result = solve(cfg, problem)
+    events = {"gpr": [], "unclean": [], "passes": []}
     for block in cfg.blocks:
         if block.id not in context.reachable:
             continue
         fact = result.inputs[block.id]
+        state = _TokenState.thaw(fact)
         for index in block.indices():
-            instruction = cfg.instruction(index)
-            regs, _slots = fact
-            if instruction.is_mem and instruction.rb in regs:
-                report(
-                    Severity.INFO, index,
-                    f"stack access through computed base "
-                    f"${register_name(instruction.rb)}: the paper's $gpr "
-                    f"class; the SVF must re-route it after address "
-                    f"calculation",
-                )
-            if (
-                instruction.is_store
-                and (instruction.rd in regs or instruction.rd in (SP, FP))
-                and context.slot(index) is None
-            ):
-                report(
-                    Severity.WARNING, index,
-                    "stack address stored to non-stack memory; aliases "
-                    "through it are invisible to static morphing and "
-                    "must hit the SVF's re-route path",
-                )
-            if instruction.is_call:
-                escaped_args = sorted(
-                    register for register in regs
-                    if register in ARG_REGISTERS
-                )
-                for register in escaped_args:
-                    report(
-                        Severity.INFO, index,
-                        f"stack address passed to callee in "
-                        f"${register_name(register)}; the callee's "
-                        f"accesses to it are $gpr-class",
-                    )
-            fact = _escape_step(context, index, fact)
-    return diagnostics
+            _token_step(context, index, state, site_callee, events)
+    return EscapeEvents(
+        gpr_sites=tuple(events["gpr"]),
+        unclean=tuple(events["unclean"]),
+        passes=tuple(events["passes"]),
+    )
+
+
+def escape_pass(context: FrameContext) -> List[Diagnostic]:
+    """Flag stack addresses that escape to registers, calls or memory.
+
+    Renders the unseeded :func:`escape_events` in instruction order;
+    at one instruction the computed-base info comes first, then the
+    store warning, then one info per argument register in register
+    order (``--max-info`` keeps the first infos emitted).
+    """
+    cfg = context.cfg
+    events = escape_events(context, {}, seeded=False)
+    rows = [
+        (index, 0, Severity.INFO,
+         f"stack access through computed base "
+         f"${register_name(cfg.instruction(index).rb)}: the paper's $gpr "
+         f"class; the SVF must re-route it after address calculation")
+        for index, _tokens in events.gpr_sites
+    ]
+    rows += [
+        (index, 1, Severity.WARNING,
+         "stack address stored to non-stack memory; aliases through it "
+         "are invisible to static morphing and must hit the SVF's "
+         "re-route path")
+        for index, _tokens in events.unclean
+    ]
+    rows += [
+        (index, 2, Severity.INFO,
+         f"stack address passed to callee in ${register_name(register)}; "
+         f"the callee's accesses to it are $gpr-class")
+        for index, _callee, register, _tokens in events.passes
+    ]
+    # Stable: the passes of one call stay in register order.
+    rows.sort(key=lambda row: row[:2])
+    return [
+        Diagnostic(severity, PASS_ESCAPE, cfg.name, index, message)
+        for index, _rank, severity, message in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ verdicts:
 * **net $sp effect** at returns and the **max local frame depth** in
   bytes, from the same entry-relative offset tracking the lint passes
   use (:func:`repro.analysis.stackcheck.analyze_frames`);
-* **escaped-slot facts** from a token-propagating variant of the
-  escape analysis: every stack address carries the entry-relative
-  offset it was taken at, so a pointer stored to memory or handed to a
-  callee names *which* slot became aliasable — CleanStack's
-  unclean-object taint (arXiv 2503.16950) at slot granularity;
+* **escaped-slot facts** from the token escape dataflow of
+  :func:`repro.analysis.stackcheck.escape_events`, the one lint
+  renders: every stack address carries the entry-relative offset it
+  was taken at, so a pointer stored to memory or handed to a callee
+  names *which* slot became aliasable — CleanStack's unclean-object
+  taint (arXiv 2503.16950) at slot granularity;
 * **callee-clobbered registers**, closed transitively over the call
   graph (all caller-saved registers at indirect call sites);
 * **worst-case stack depth** including callees, from a bottom-up
@@ -34,51 +35,28 @@ re-analyzed during the fixpoint — it runs on the event tuples alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, build_call_graph
 from repro.analysis.cfg import FunctionCFG, ProgramCFG, build_cfg
-from repro.analysis.dataflow import DataflowProblem, solve
 from repro.analysis.report import Diagnostic, Severity
 from repro.analysis.stackcheck import (
-    _ADDRESS_PRESERVING_ALU,
     _CALLER_SAVED,
+    _STACK_BASES,
+    UNKNOWN,
+    EscapeEvents,
     FrameContext,
+    Token,
     analyze_frames,
+    escape_events,
     first_read_pass,
 )
-from repro.isa.registers import ARG_REGISTERS, FP, SP, ZERO
-
-#: Token for a stack address whose entry-relative offset is unknown
-#: (taken while ``$sp`` tracking was lost).
-UNKNOWN = "?"
-
-#: A taint token: the entry-relative offset an address was taken at,
-#: ``UNKNOWN``, or ``("caller", arg_register)`` for an address received
-#: from the caller in that argument register.
-Token = Union[int, str, Tuple[str, int]]
 
 #: Slot classification lattice, least-escaped first.
 SLOT_PRIVATE = "private"
 SLOT_LOCAL = "local-escape"
 SLOT_SHARED = "callee-shared"
 SLOT_UNCLEAN = "unclean"
-
-
-@dataclass(frozen=True)
-class EscapeEvents:
-    """Escape-relevant events of one analysis variant of one function.
-
-    ``gpr_sites``: computed-base stack accesses (index, tokens of the
-    base register).  ``unclean``: stores of a stack address to memory
-    the frame tracking cannot name (index, tokens of the stored
-    value).  ``passes``: argument registers carrying stack addresses
-    at call sites (index, callee or None, argument register, tokens).
-    """
-
-    gpr_sites: Tuple[Tuple[int, Tuple[Token, ...]], ...] = ()
-    unclean: Tuple[Tuple[int, Tuple[Token, ...]], ...] = ()
-    passes: Tuple[Tuple[int, Optional[str], int, Tuple[Token, ...]], ...] = ()
 
 
 @dataclass
@@ -106,7 +84,7 @@ class FunctionSummary:
     gpr_access: bool = False
     #: offset -> SLOT_* for every address-taken offset
     slot_classes: Dict[int, str] = field(default_factory=dict)
-    #: sp-balance / frame-bounds / escape diagnostics from the frame pass
+    #: sp-balance / frame-bounds diagnostics from ``analyze_frames``
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     @property
@@ -161,217 +139,8 @@ class ProgramSummary:
         return summary.worst_depth, summary.depth_reason
 
 
-# ---------------------------------------------------------------------------
-# Token-propagating escape analysis
-# ---------------------------------------------------------------------------
-
-_STACK_BASES = (SP, FP)
-
-
 def _is_stack_token(token: Token) -> bool:
     return isinstance(token, int) or token == UNKNOWN
-
-
-class _TokenState:
-    """Mutable (reg -> tokens, slot offset -> tokens) working state."""
-
-    __slots__ = ("regs", "slots")
-
-    def __init__(self, regs: Dict[int, FrozenSet[Token]],
-                 slots: Dict[int, FrozenSet[Token]]):
-        self.regs = regs
-        self.slots = slots
-
-    @classmethod
-    def thaw(cls, fact) -> "_TokenState":
-        regs: Dict[int, Set[Token]] = {}
-        slots: Dict[int, Set[Token]] = {}
-        for reg, token in fact[0]:
-            regs.setdefault(reg, set()).add(token)
-        for offset, token in fact[1]:
-            slots.setdefault(offset, set()).add(token)
-        return cls(
-            {r: frozenset(t) for r, t in regs.items()},
-            {o: frozenset(t) for o, t in slots.items()},
-        )
-
-    def freeze(self):
-        return (
-            frozenset(
-                (reg, token)
-                for reg, tokens in self.regs.items()
-                for token in tokens
-            ),
-            frozenset(
-                (offset, token)
-                for offset, tokens in self.slots.items()
-                for token in tokens
-            ),
-        )
-
-    def tokens(self, register: Optional[int]) -> FrozenSet[Token]:
-        if register is None:
-            return frozenset()
-        return self.regs.get(register, frozenset())
-
-    def set_reg(self, register: Optional[int],
-                tokens: FrozenSet[Token]) -> None:
-        if register is None or register in _STACK_BASES or register == ZERO:
-            return
-        if tokens:
-            self.regs[register] = tokens
-        else:
-            self.regs.pop(register, None)
-
-
-def _token_step(context: FrameContext, index: int, state: _TokenState,
-                site_callee, events: Optional[dict]) -> None:
-    """Abstractly execute one instruction over the token state.
-
-    ``events`` (when not None) collects gpr/unclean/passes events for
-    the reporting walk; the fixpoint solve passes None.
-    """
-    instruction = context.cfg.instruction(index)
-    op = instruction.op
-    sp, fp = context.offsets.get(index, (None, None))
-
-    def base_token(register: int) -> FrozenSet[Token]:
-        base = sp if register == SP else fp
-        offset = (
-            base + instruction.imm if isinstance(base, int) else None
-        )
-        return frozenset({offset if offset is not None else UNKNOWN})
-
-    if op == "lda":
-        if instruction.rb in _STACK_BASES:
-            state.set_reg(instruction.rd, base_token(instruction.rb))
-        else:
-            state.set_reg(instruction.rd, state.tokens(instruction.rb))
-    elif instruction.is_load:
-        slot = context.slot(index)
-        if slot is not None:
-            state.set_reg(
-                instruction.rd, state.slots.get(slot[0], frozenset())
-            )
-        else:
-            # Computed-base or global load: provenance unknown; mirror
-            # the lint's escape pass and clear (a stack address
-            # laundered through memory was already flagged unclean at
-            # the store).
-            if events is not None and instruction.rb not in _STACK_BASES:
-                tokens = state.tokens(instruction.rb)
-                if tokens:
-                    events["gpr"].append((index, tuple(sorted(
-                        tokens, key=repr
-                    ))))
-            state.set_reg(instruction.rd, frozenset())
-        return
-    elif instruction.is_store:
-        if instruction.rd in _STACK_BASES:
-            base = sp if instruction.rd == SP else fp
-            value_tokens = frozenset(
-                {base if isinstance(base, int) else UNKNOWN}
-            )
-        else:
-            value_tokens = state.tokens(instruction.rd)
-        slot = context.slot(index)
-        if slot is not None:
-            if value_tokens:
-                state.slots[slot[0]] = value_tokens
-            else:
-                state.slots.pop(slot[0], None)
-        else:
-            if events is not None:
-                if instruction.rb not in _STACK_BASES:
-                    base_tokens = state.tokens(instruction.rb)
-                    if base_tokens:
-                        events["gpr"].append((index, tuple(sorted(
-                            base_tokens, key=repr
-                        ))))
-                if value_tokens:
-                    events["unclean"].append((index, tuple(sorted(
-                        value_tokens, key=repr
-                    ))))
-        return
-    elif op in _ADDRESS_PRESERVING_ALU:
-        tokens: Set[Token] = set()
-        for source in instruction.source_registers():
-            if source in _STACK_BASES:
-                base = sp if source == SP else fp
-                tokens.add(base if isinstance(base, int) else UNKNOWN)
-            else:
-                tokens.update(state.tokens(source))
-        state.set_reg(instruction.rd, frozenset(tokens))
-    elif instruction.op_class.name in ("IALU", "IMULT"):
-        state.set_reg(instruction.destination_register(), frozenset())
-    elif instruction.is_call:
-        if events is not None:
-            callee = site_callee.get(index)
-            for register in ARG_REGISTERS:
-                tokens = state.tokens(register)
-                if tokens:
-                    events["passes"].append((
-                        index, callee, register,
-                        tuple(sorted(tokens, key=repr)),
-                    ))
-        for register in _CALLER_SAVED:
-            state.regs.pop(register, None)
-
-
-class _TokenProblem(DataflowProblem):
-    direction = "forward"
-
-    def __init__(self, context: FrameContext, seeded: bool, site_callee):
-        self.context = context
-        self.seeded = seeded
-        self.site_callee = site_callee
-
-    def boundary(self, cfg):
-        if not self.seeded:
-            return (frozenset(), frozenset())
-        return (
-            frozenset(
-                (register, ("caller", register))
-                for register in ARG_REGISTERS
-            ),
-            frozenset(),
-        )
-
-    def top(self, cfg):
-        return (frozenset(), frozenset())
-
-    def meet(self, left, right):
-        return (left[0] | right[0], left[1] | right[1])
-
-    def transfer(self, cfg, block, fact):
-        state = _TokenState.thaw(fact)
-        for index in block.indices():
-            _token_step(self.context, index, state, self.site_callee, None)
-        return state.freeze()
-
-
-def _escape_events(context: FrameContext, graph: CallGraph,
-                   seeded: bool) -> EscapeEvents:
-    """Run one escape-analysis variant and collect its events."""
-    cfg = context.cfg
-    site_callee = {
-        site.index: site.callee for site in graph.sites.get(cfg.name, ())
-    }
-    problem = _TokenProblem(context, seeded, site_callee)
-    result = solve(cfg, problem)
-    events = {"gpr": [], "unclean": [], "passes": []}
-    for block in cfg.blocks:
-        if block.id not in context.reachable:
-            continue
-        fact = result.inputs[block.id]
-        state = _TokenState.thaw(fact)
-        for index in block.indices():
-            _token_step(context, index, state, site_callee, events)
-    return EscapeEvents(
-        gpr_sites=tuple(events["gpr"]),
-        unclean=tuple(events["unclean"]),
-        passes=tuple(events["passes"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +378,14 @@ def summarize_program(source, graph: Optional[CallGraph] = None
 
     for name, summary in result.functions.items():
         if summary.sp_tracked:
-            summary.events_local = _escape_events(
-                contexts[name], graph, seeded=False
+            site_callee = {
+                site.index: site.callee for site in graph.sites.get(name, ())
+            }
+            summary.events_local = escape_events(
+                contexts[name], site_callee, seeded=False
             )
-            summary.events_seeded = _escape_events(
-                contexts[name], graph, seeded=True
+            summary.events_seeded = escape_events(
+                contexts[name], site_callee, seeded=True
             )
 
     _close_clobbers(result.functions, graph)
@@ -623,14 +395,11 @@ def summarize_program(source, graph: Optional[CallGraph] = None
 
 
 __all__ = [
-    "EscapeEvents",
     "FunctionSummary",
     "ProgramSummary",
     "SLOT_LOCAL",
     "SLOT_PRIVATE",
     "SLOT_SHARED",
     "SLOT_UNCLEAN",
-    "Token",
-    "UNKNOWN",
     "summarize_program",
 ]

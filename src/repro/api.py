@@ -427,19 +427,15 @@ def lint(
     target: Optional[Union[str, Program]] = None,
     input_name: Optional[str] = None,
     options: Optional[Union[CompileOptions, CodegenOptions]] = None,
-    jobs: Optional[int] = None,
 ) -> List[LintReport]:
     """Stack-discipline lint; always returns a list of reports.
 
     ``target`` is a workload name, an assembled :class:`Program`, or
-    ``None`` to lint the entire registry suite; ``jobs`` fans the
-    suite sweep over the parallel engine (``None``/``1`` = inline).
+    ``None`` to lint the entire registry suite.
     """
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"jobs must be >= 1, not {jobs!r}")
     resolved = _codegen_options(options)
     if target is None:
-        return lint_all(options=resolved, jobs=jobs)
+        return lint_all(options=resolved)
     if isinstance(target, Program):
         return [lint_program(target)]
     return [lint_workload(target, input_name, options=resolved)]

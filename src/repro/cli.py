@@ -33,12 +33,11 @@ Commands:
 ``predict [--jobs N] [--benchmarks ...]``
     cross-check the static SVF-traffic bounds against full dynamic
     runs over the parallel engine; exits nonzero on a bound violation.
-``lint <workload> | --all | --asm FILE [-O LEVEL] [--jobs N]``
+``lint <workload> | --all | --asm FILE [-O LEVEL]``
     statically verify stack discipline (balanced ``$sp``, frame
     bounds, first-read, dead stores, address escapes) on compiled
     workloads or a hand-written assembly file; exits nonzero when
-    error-severity diagnostics exist.  ``--jobs`` fans the ``--all``
-    sweep over the parallel engine.
+    error-severity diagnostics exist.
 ``sweep <suite.yaml> [--jobs N] [--out DIR] [--format table|json]``
     expand a declarative suite descriptor (workloads × MachineSpec
     grid × opt levels × repetitions) into task cells over the
@@ -170,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--max-info", type=int, default=None,
         help="truncate info-severity diagnostics per workload (text)",
-    )
-    lint_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel workers for --all (default: serial)",
     )
     lint_parser.add_argument(
         "--asm", default=None, metavar="FILE",
@@ -560,7 +555,7 @@ def cmd_lint(args) -> int:
     options = _compile_options(args)
     try:
         if args.all:
-            reports = api.lint(options=options, jobs=args.jobs)
+            reports = api.lint(options=options)
         elif args.asm is not None:
             from repro.analysis.lint import lint_assembly
             from repro.isa.assembler import AssemblerError

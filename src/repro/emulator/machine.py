@@ -335,9 +335,6 @@ class Machine:
         # examined, None = block too short to template, else a
         # compiled SuperblockTemplate.
         self._superblocks: dict = {}
-        self._superblock_builds = 0
-        self._superblock_replays = 0
-        self._superblock_replayed = 0
 
     @staticmethod
     def _decode(instr, records):
@@ -609,9 +606,6 @@ class Machine:
         self.instruction_count = count
         self._pc_index = pc_index
         self.halted = halted
-        self._superblock_builds += sb_builds
-        self._superblock_replays += sb_replays
-        self._superblock_replayed += sb_replayed
         if profiler is not None:
             profiler.note(
                 "emulate", perf_counter() - profile_started, executed

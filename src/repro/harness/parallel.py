@@ -295,17 +295,6 @@ def _cell_prediction(cell: TaskCell):
     )
 
 
-def _cell_lint(cell: TaskCell):
-    from repro.analysis.lint import lint_workload
-    from repro.lang.codegen import CodegenOptions
-
-    options = None
-    opt_level = cell.param("opt_level")
-    if opt_level is not None:
-        options = CodegenOptions(opt_level=opt_level)
-    return lint_workload(cell.benchmark, options=options)
-
-
 def _cell_sweep_batch(cell: TaskCell):
     """One group of sweep rows (see repro.harness.sweep)."""
     from repro.harness.sweep import run_sweep_batch_cell
@@ -315,7 +304,6 @@ def _cell_sweep_batch(cell: TaskCell):
 
 _CELL_RUNNERS: Dict[str, Callable[[TaskCell], Any]] = {
     "characterize": _cell_characterize,
-    "lint": _cell_lint,
     "sweep-batch": _cell_sweep_batch,
     "timing": _cell_timing,
     "table3": _cell_table3,

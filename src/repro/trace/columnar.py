@@ -79,51 +79,46 @@ FLAG_SP_UPDATE = 32
 #: op_class per opcode number, indexed by OPCODE_NUMBERS (index 0 unused).
 OPCODE_CLASSES = [None] + [OPCODES[name].op_class for name in OPCODES]
 
+#: (column name, ``array`` typecode or None for a ``bytearray``) in
+#: column and file order; every other column table derives from it.
+COLUMN_LAYOUT = (
+    ("pc", "Q"),
+    ("opcode", None),
+    ("flags", None),
+    ("size", None),
+    ("base", "b"),
+    ("dst", "b"),
+    ("nsrc", None),
+    ("src0", None),
+    ("src1", None),
+    ("disp", "q"),
+    ("spimm", "q"),
+    ("addr", "Q"),
+    ("next_pc", "Q"),
+    ("sp", "Q"),
+)
+
+_COLUMN_NAMES = tuple(name for name, _typecode in COLUMN_LAYOUT)
+
+#: numpy dtype per column: ``uint8`` for a bytearray, else the
+#: typecode's own (``uint64`` addresses, ``int64`` immediates, ``int8``
+#: register numbers).
+COLUMN_DTYPES = {
+    name: np.dtype("uint8" if typecode is None else typecode)
+    for name, typecode in COLUMN_LAYOUT
+}
+
+
 class ColumnArrays:
     """Zero-copy ndarray views over one :class:`ColumnarTrace`.
 
-    Same attribute names as the trace's columns; dtypes mirror the
-    column element types (``uint64`` for addresses, ``int64`` for
-    signed immediates, ``int8`` for register numbers, ``uint8`` for
-    byte columns).  The views alias the trace's buffers directly, so
-    they are only valid until the next ``append`` to the trace.
+    Same attribute names as the trace's columns, with the dtypes of
+    :data:`COLUMN_DTYPES`.  The views alias the trace's buffers
+    directly, so they are only valid until the next ``append`` to the
+    trace.
     """
 
-    __slots__ = (
-        "pc",
-        "opcode",
-        "flags",
-        "size",
-        "base",
-        "dst",
-        "nsrc",
-        "src0",
-        "src1",
-        "disp",
-        "spimm",
-        "addr",
-        "next_pc",
-        "sp",
-    )
-
-
-#: numpy dtype name per column (keyed like ``ColumnarTrace.__slots__``).
-COLUMN_DTYPES = {
-    "pc": "uint64",
-    "opcode": "uint8",
-    "flags": "uint8",
-    "size": "uint8",
-    "base": "int8",
-    "dst": "int8",
-    "nsrc": "uint8",
-    "src0": "uint8",
-    "src1": "uint8",
-    "disp": "int64",
-    "spimm": "int64",
-    "addr": "uint64",
-    "next_pc": "uint64",
-    "sp": "uint64",
-}
+    __slots__ = _COLUMN_NAMES
 
 
 _FIELDS = (
@@ -158,38 +153,14 @@ class ColumnarTrace:
     views.
     """
 
-    __slots__ = (
-        "pc",
-        "opcode",
-        "flags",
-        "size",
-        "base",
-        "dst",
-        "nsrc",
-        "src0",
-        "src1",
-        "disp",
-        "spimm",
-        "addr",
-        "next_pc",
-        "sp",
-    )
+    __slots__ = _COLUMN_NAMES
 
     def __init__(self):
-        self.pc = array("Q")
-        self.opcode = bytearray()
-        self.flags = bytearray()
-        self.size = bytearray()
-        self.base = array("b")
-        self.dst = array("b")
-        self.nsrc = bytearray()
-        self.src0 = bytearray()
-        self.src1 = bytearray()
-        self.disp = array("q")
-        self.spimm = array("q")
-        self.addr = array("Q")
-        self.next_pc = array("Q")
-        self.sp = array("Q")
+        for name, typecode in COLUMN_LAYOUT:
+            setattr(
+                self, name,
+                bytearray() if typecode is None else array(typecode),
+            )
 
     # ------------------------------------------------------------ pack
     def append(self, record: TraceRecord) -> None:

@@ -47,30 +47,12 @@ from array import array
 from typing import BinaryIO, Iterable
 
 from repro.isa.encoding import OPCODE_NAMES
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import COLUMN_LAYOUT, ColumnarTrace
 
 MAGIC = b"SVFT\x04\x00"
 
 _COUNT = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
-
-#: (column name, array typecode or None for bytearray) in file order.
-COLUMN_LAYOUT = (
-    ("pc", "Q"),
-    ("opcode", None),
-    ("flags", None),
-    ("size", None),
-    ("base", "b"),
-    ("dst", "b"),
-    ("nsrc", None),
-    ("src0", None),
-    ("src1", None),
-    ("disp", "q"),
-    ("spimm", "q"),
-    ("addr", "Q"),
-    ("next_pc", "Q"),
-    ("sp", "Q"),
-)
 
 _BIG_ENDIAN = sys.byteorder == "big"
 

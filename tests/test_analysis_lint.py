@@ -1,6 +1,7 @@
 """Lint driver, golden suite-wide results, mutation catch, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,13 @@ from repro.workloads import ALL_BENCHMARKS, workload
 #: paper's SVF machinery measures and handles (dirty-bit writeback
 #: elision, $gpr re-routing) — see DESIGN.md.
 EXPECTED_INFO_PASSES = {"dead-store", "escape", "cfg"}
+
+#: The committed suite result; CI's static-gates job writes it the
+#: same way, headers included, and fails on a diff.
+LINT_ARTIFACT = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "results" / "lint_workloads.txt"
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +226,18 @@ class TestCLI:
         assert main(["lint", "--all"]) == 0
         out = capsys.readouterr().out
         assert "13 workload(s) linted: 0 error(s)" in out
+
+    def test_suite_output_matches_committed_artifact(self, capsys):
+        parts = []
+        for header, argv in (
+            ("== repro lint --all -O0 (golden default) ==",
+             ["lint", "--all"]),
+            ("== repro lint --all -O1 (optimizer output) ==",
+             ["lint", "--all", "-O1"]),
+        ):
+            assert main(argv) == 0
+            parts.append(f"{header}\n\n{capsys.readouterr().out}")
+        assert "\n".join(parts) == LINT_ARTIFACT.read_text()
 
     def test_json_format(self, capsys):
         assert main(["lint", "crafty", "--format", "json"]) == 0

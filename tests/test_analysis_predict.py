@@ -93,6 +93,27 @@ class TestUnanalyzable:
         assert not prediction.analyzable
         assert any("escapes" in r for r in prediction.reasons)
 
+    def test_zero_write_stores_no_stack_address(self):
+        # A write to $zero is discarded, so storing $zero afterwards
+        # stores 0, not the stack address.
+        program = assemble(
+            """
+            .text
+            __start:
+                bsr main
+                halt
+            main:
+                lda sp, -16(sp)
+                lda zero, 8(sp)
+                stq zero, 0(t0)
+                lda sp, 16(sp)
+                ret
+            """,
+            entry="__start",
+        )
+        prediction = predict_program(program)
+        assert prediction.analyzable, prediction.reasons
+
 
 class TestDynamicCrossCheck:
     def test_bounds_dominate_full_run_measurements(self):

@@ -3,13 +3,23 @@
 ``TestByteMaskFacts`` also holds the bit-mask first-read and dead-store
 facts to a frozenset-of-offsets reference on drawn assembly, the only
 cover for frame offsets outside ``[deepest $sp, entry)``.
+``TestEscapeTokens`` holds lint's rendering of the token escape
+dataflow to a boolean taint reference on drawn assembly.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Severity, build_cfg, lint_assembly
-from repro.analysis.dataflow import BACKWARD, FORWARD, SetProblem, solve
+from repro.analysis.dataflow import (
+    BACKWARD,
+    FORWARD,
+    DataflowProblem,
+    SetProblem,
+    solve,
+)
 from repro.analysis.stackcheck import (
+    _ADDRESS_PRESERVING_ALU,
+    _CALLER_SAVED,
     PASS_BOUNDS,
     PASS_CFG,
     PASS_DEAD_STORE,
@@ -21,6 +31,7 @@ from repro.analysis.stackcheck import (
     first_read_pass,
 )
 from repro.isa import assemble
+from repro.isa.registers import ARG_REGISTERS, FP, SP, register_name
 
 CLEAN = """
 .text
@@ -450,6 +461,35 @@ class TestEscape:
         infos = _passes(report, PASS_ESCAPE, Severity.INFO)
         assert all("passed to callee" not in d.message for d in infos)
 
+    def test_zero_write_leaves_zero_untainted(self):
+        # Writes to $zero are discarded, so $zero never holds a stack
+        # address and a base of $zero is not a computed stack base.
+        source = """
+        .text
+        main:
+            lda   sp, -16(sp)
+            lda   zero, 8(sp)
+            ldq   t0, 0(zero)
+            print t0
+            lda   sp, 16(sp)
+            ret
+        """
+        report = lint_assembly(source)
+        assert _passes(report, PASS_ESCAPE) == []
+
+    def test_storing_zero_after_zero_write_is_no_escape(self):
+        source = """
+        .text
+        main:
+            lda   sp, -16(sp)
+            lda   zero, 8(sp)
+            stq   zero, 0(t0)
+            lda   sp, 16(sp)
+            ret
+        """
+        report = lint_assembly(source)
+        assert _passes(report, PASS_ESCAPE, Severity.WARNING) == []
+
 
 class TestStructure:
     def test_unreachable_code_reported(self):
@@ -644,3 +684,195 @@ class TestByteMaskFacts:
                 _reference_sites(context, _reference_live, True,
                                  BACKWARD, _store_dead)
             )
+
+
+# ---------------------------------------------------------------------------
+# escape: the token dataflow against a boolean taint reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_taint_step(context, index, fact):
+    """One instruction over ``(tainted registers, tainted slots)``."""
+    regs, slots = fact
+    instruction = context.cfg.instruction(index)
+
+    def retaint(register, tainted):
+        nonlocal regs
+        if register is None or register in (SP, FP):
+            return
+        regs = regs | {register} if tainted else regs - {register}
+
+    if instruction.op == "lda":
+        retaint(instruction.rd, instruction.rb in regs
+                or instruction.rb in (SP, FP))
+    elif instruction.is_load:
+        slot = context.slot(index)
+        retaint(instruction.rd, slot is not None and slot[0] in slots)
+    elif instruction.is_store:
+        slot = context.slot(index)
+        tainted = instruction.rd in regs or instruction.rd in (SP, FP)
+        if slot is not None:
+            slots = slots | {slot[0]} if tainted else slots - {slot[0]}
+    elif instruction.op in _ADDRESS_PRESERVING_ALU:
+        retaint(instruction.rd, bool(
+            set(instruction.source_registers()) & (regs | {SP, FP})
+        ))
+    elif instruction.op_class.name in ("IALU", "IMULT"):
+        retaint(instruction.destination_register(), False)
+    elif instruction.is_call:
+        regs = regs - _CALLER_SAVED
+    return (regs, slots)
+
+
+class _ReferenceTaint(DataflowProblem):
+    direction = FORWARD
+
+    def __init__(self, context):
+        self.context = context
+
+    def boundary(self, cfg):
+        return (frozenset(), frozenset())
+
+    def top(self, cfg):
+        return (frozenset(), frozenset())
+
+    def meet(self, left, right):
+        return (left[0] | right[0], left[1] | right[1])
+
+    def transfer(self, cfg, block, fact):
+        for index in block.indices():
+            fact = _reference_taint_step(self.context, index, fact)
+        return fact
+
+
+def _reference_escapes(context):
+    """``(severity, index, message)`` of each escape the boolean taint
+    reference flags, in lint's emission order."""
+    cfg = context.cfg
+    result = solve(cfg, _ReferenceTaint(context))
+    found = []
+    for block in cfg.blocks:
+        if block.id not in context.reachable:
+            continue
+        fact = result.inputs[block.id]
+        for index in block.indices():
+            instruction = cfg.instruction(index)
+            regs = fact[0]
+            if instruction.is_mem and instruction.rb in regs:
+                found.append((
+                    Severity.INFO, index,
+                    f"stack access through computed base "
+                    f"${register_name(instruction.rb)}: the paper's $gpr "
+                    f"class; the SVF must re-route it after address "
+                    f"calculation",
+                ))
+            if (
+                instruction.is_store
+                and (instruction.rd in regs or instruction.rd in (SP, FP))
+                and context.slot(index) is None
+            ):
+                found.append((
+                    Severity.WARNING, index,
+                    "stack address stored to non-stack memory; aliases "
+                    "through it are invisible to static morphing and "
+                    "must hit the SVF's re-route path",
+                ))
+            if instruction.is_call:
+                for register in sorted(regs & set(ARG_REGISTERS)):
+                    found.append((
+                        Severity.INFO, index,
+                        f"stack address passed to callee in "
+                        f"${register_name(register)}; the callee's "
+                        f"accesses to it are $gpr-class",
+                    ))
+            fact = _reference_taint_step(context, index, fact)
+    return found
+
+
+#: Registers the drawn code reads and writes; never $zero, whose
+#: writes the token dataflow discards and the reference would taint.
+_ESCAPE_REGISTERS = ("t0", "t1", "t2", "a0", "a1", "a2", "v0", "s0")
+
+
+@st.composite
+def _escape_function(draw, name, callee):
+    """A function that takes frame addresses, does pointer arithmetic,
+    spills and reloads them, stores and loads through computed bases
+    and a global, passes them in argument registers, and branches."""
+    frame = draw(st.sampled_from((16, 32, 48)))
+    labels = [f"{name}$l{i}" for i in range(draw(st.integers(0, 3)))]
+    slot = st.sampled_from(range(8, frame, 8))
+    register = st.sampled_from(_ESCAPE_REGISTERS)
+    source = st.sampled_from(_ESCAPE_REGISTERS + ("sp",))
+    body = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from((
+            "take", "take", "arith", "compare", "spill", "reload",
+            "computed-store", "computed-load", "global-store", "call",
+            "branch", "set-fp",
+        )))
+        if kind == "take":
+            base = draw(st.sampled_from(("sp", "fp")))
+            body.append(f"lda {draw(register)}, {draw(slot)}({base})")
+        elif kind == "arith":
+            op = draw(st.sampled_from(("addq", "subq", "sll", "and")))
+            second = draw(st.one_of(register, st.sampled_from(("8", "1"))))
+            body.append(f"{op} {draw(source)}, {second}, {draw(register)}")
+        elif kind == "compare":
+            body.append(f"cmplt {draw(register)}, 100, {draw(register)}")
+        elif kind == "spill":
+            body.append(f"stq {draw(register)}, {draw(slot)}(sp)")
+        elif kind == "reload":
+            body.append(f"ldq {draw(register)}, {draw(slot)}(sp)")
+        elif kind == "computed-store":
+            body.append(f"stq {draw(source)}, 0({draw(register)})")
+        elif kind == "computed-load":
+            body.append(f"ldq {draw(register)}, 8({draw(register)})")
+        elif kind == "global-store":
+            body.append("lda t3, cell")
+            body.append(f"stq {draw(register)}, 0(t3)")
+        elif kind == "call":
+            for arg in draw(st.lists(
+                st.sampled_from(("a0", "a1", "a2")), max_size=2, unique=True
+            )):
+                body.append(f"lda {arg}, {draw(slot)}(sp)")
+            body.append(f"bsr {callee}")
+        elif kind == "set-fp":
+            body.append(f"lda fp, {frame}(sp)")
+        elif labels:
+            op = draw(st.sampled_from(("beq t0,", "bne a0,", "br")))
+            body.append(f"{op} {draw(st.sampled_from(labels))}")
+    for label in labels:
+        body.insert(draw(st.integers(0, len(body))), f"{label}:")
+    return "\n".join([
+        f"{name}:", f"lda sp, -{frame}(sp)", "stq ra, 0(sp)", *body,
+        "ldq ra, 0(sp)", f"lda sp, {frame}(sp)", "ret",
+    ])
+
+
+@st.composite
+def _escape_program(draw):
+    return "\n".join([
+        ".data", "cell: .quad 0", ".text",
+        draw(_escape_function("main", "helper")),
+        draw(_escape_function("helper", "main")),
+    ])
+
+
+class TestEscapeTokens:
+    @given(_escape_program())
+    @settings(max_examples=300, deadline=None)
+    def test_lint_matches_boolean_reference(self, source):
+        expected = []
+        for function in build_cfg(assemble(source)).functions.values():
+            context, _diagnostics = analyze_frames(function)
+            if context.sp_tracked:
+                expected += [
+                    (function.name, *escape)
+                    for escape in _reference_escapes(context)
+                ]
+        report = lint_assembly(source)
+        assert [
+            (d.function, d.severity, d.index, d.message)
+            for d in report.diagnostics if d.pass_name == PASS_ESCAPE
+        ] == expected
