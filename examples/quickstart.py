@@ -13,6 +13,7 @@ This walks the whole pipeline in ~30 lines:
 Run:  python examples/quickstart.py
 """
 
+from repro.trace.columnar import FLAG_LOAD, FLAG_STORE
 from repro.uarch import simulate, table2_config
 from repro.workloads import workload
 
@@ -22,8 +23,11 @@ def main() -> None:
     print(f"workload: {work.name} ({work.description})")
 
     trace = work.trace(max_instructions=60_000)
+    references = sum(
+        1 for flags in trace.flags if flags & (FLAG_LOAD | FLAG_STORE)
+    )
     print(f"trace: {len(trace):,} instructions, "
-          f"{sum(1 for r in trace if r.is_mem):,} memory references")
+          f"{references:,} memory references")
 
     baseline_config = table2_config(16, dl1_ports=2)
     svf_config = baseline_config.with_svf(

@@ -8,7 +8,7 @@ Layers, bottom-up:
 * :mod:`repro.analysis` — static CFG/dataflow analysis and the
   stack-discipline linter guarding the toolchain's output;
 * :mod:`repro.emulator` — functional emulator producing dynamic traces;
-* :mod:`repro.trace` — trace records, region classification, analyses;
+* :mod:`repro.trace` — columnar traces, region classification, analyses;
 * :mod:`repro.uarch` — out-of-order timing model (Table 2 machines);
 * :mod:`repro.core` — the Stack Value File, the decoupled stack-cache
   baseline, and the traffic/context-switch models;

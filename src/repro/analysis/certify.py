@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.cfg import build_cfg
+from repro.analysis.cfg import FATAL_ANOMALIES, build_cfg
 from repro.analysis.summaries import (
     FunctionSummary,
     ProgramSummary,
@@ -47,11 +47,6 @@ from repro.isa.instructions import Program
 
 #: Flag kinds that break certification (exit code 1).
 HARD_FLAGS = frozenset({"lifo-violation", "structural", "unclean-escape"})
-
-#: CFG anomaly kinds that make a function structurally uncertifiable.
-_STRUCTURAL_ANOMALIES = frozenset({
-    "escaping-branch", "fallthrough-exit", "indirect-jump",
-})
 
 
 @dataclass(frozen=True)
@@ -312,7 +307,7 @@ def certify_program(program: Program, name: str = "program"
     for anomaly in pcfg.anomalies:
         if anomaly.kind == "indirect-call":
             continue  # handled as unknown-callee below
-        if anomaly.kind in _STRUCTURAL_ANOMALIES and anomaly.function in live:
+        if anomaly.kind in FATAL_ANOMALIES and anomaly.function in live:
             flags.append(SafetyFlag(
                 "structural", anomaly.function, anomaly.index,
                 anomaly.message, path_to(anomaly.function),

@@ -46,6 +46,13 @@ class CFGAnomaly:
     message: str
 
 
+#: Anomaly kinds that leave a function's edges unreconstructed, so its
+#: graph (and every fact derived from it) is incomplete.
+FATAL_ANOMALIES = frozenset({
+    "escaping-branch", "indirect-jump", "fallthrough-exit",
+})
+
+
 @dataclass
 class BasicBlock:
     """A maximal straight-line run of instructions.

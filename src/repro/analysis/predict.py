@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.analysis.cfg import ProgramCFG, build_cfg
+from repro.analysis.cfg import FATAL_ANOMALIES, ProgramCFG, build_cfg
 from repro.analysis.report import Severity
 from repro.analysis.stackcheck import (
     analyze_frames,
@@ -41,11 +41,6 @@ from repro.analysis.stackcheck import (
     first_read_pass,
 )
 from repro.isa.instructions import Program
-
-#: CFG anomalies that leave the graph (and so the facts) incomplete.
-_FATAL_ANOMALIES = frozenset({
-    "escaping-branch", "indirect-jump", "fallthrough-exit",
-})
 
 _GRANULE = 8
 
@@ -111,7 +106,7 @@ def predict_program(
         pcfg = build_cfg(program)
     prediction = TrafficPrediction()
     for anomaly in pcfg.anomalies:
-        if anomaly.kind in _FATAL_ANOMALIES:
+        if anomaly.kind in FATAL_ANOMALIES:
             prediction.analyzable = False
             prediction.reasons.append(
                 f"{anomaly.function}: {anomaly.message}"

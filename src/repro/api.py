@@ -53,6 +53,7 @@ from repro.lang.codegen import (
     compile_program,
     compile_to_assembly,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.uarch.config import MachineConfig, SVFConfig, table2_config
 from repro.uarch.pipeline import (
     SimStats,
@@ -369,8 +370,29 @@ def characterize(
     )
 
 
+def _resolve_trace(
+    trace: Union[str, ColumnarTrace],
+    input_name: Optional[str],
+    max_instructions: int,
+    options: Optional[Union[CompileOptions, CodegenOptions]],
+) -> ColumnarTrace:
+    """The trace ``simulate``/``simulate_batch`` time: ``trace`` itself,
+    or the trace of the workload it names."""
+    if isinstance(trace, str):
+        return _workload(trace, input_name).trace(
+            max_instructions=max_instructions,
+            options=_codegen_options(options),
+        )
+    if not isinstance(trace, ColumnarTrace):
+        raise TypeError(
+            "trace must be a workload name or a ColumnarTrace, not "
+            f"{type(trace).__name__}"
+        )
+    return trace
+
+
 def simulate(
-    trace: Union[str, Sequence],
+    trace: Union[str, ColumnarTrace],
     machine: Optional[Union[MachineSpec, MachineConfig]] = None,
     input_name: Optional[str] = None,
     max_instructions: int = 60_000,
@@ -378,17 +400,14 @@ def simulate(
 ) -> SimStats:
     """Time a trace (or a workload named by string) on a machine.
 
-    ``trace`` is either a finished record sequence or a workload name
-    to compile, execute and trace first; ``machine`` is a
-    :class:`MachineSpec`, a raw :class:`MachineConfig` (so the
-    long-standing ``simulate(trace, table2_config(16))`` idiom keeps
-    working), or ``None`` for the default 16-wide baseline.
+    ``trace`` is either a finished :class:`ColumnarTrace` or a
+    workload name to compile, execute and trace first; anything else
+    raises :class:`TypeError`.  ``machine`` is a :class:`MachineSpec`,
+    a raw :class:`MachineConfig` (so the long-standing
+    ``simulate(trace, table2_config(16))`` idiom keeps working), or
+    ``None`` for the default 16-wide baseline.
     """
-    if isinstance(trace, str):
-        trace = _workload(trace, input_name).trace(
-            max_instructions=max_instructions,
-            options=_codegen_options(options),
-        )
+    trace = _resolve_trace(trace, input_name, max_instructions, options)
     if machine is None:
         machine = MachineSpec()
     if isinstance(machine, MachineSpec):
@@ -397,7 +416,7 @@ def simulate(
 
 
 def simulate_batch(
-    trace: Union[str, Sequence],
+    trace: Union[str, ColumnarTrace],
     machines: Sequence[Union[MachineSpec, MachineConfig]],
     input_name: Optional[str] = None,
     max_instructions: int = 60_000,
@@ -405,17 +424,15 @@ def simulate_batch(
 ) -> List[SimStats]:
     """Time one trace on many machines, sharing one trace precompute.
 
-    Accepts the same trace/machine forms as :func:`simulate` and
-    returns one :class:`SimStats` per machine, in order — bit-for-bit
-    identical to sequential :func:`simulate` calls.  The column
-    precompute is built once for the whole batch, and each distinct
-    configuration is walked once (duplicates get independent copies).
+    Accepts the same trace/machine forms as :func:`simulate` (a
+    :class:`ColumnarTrace` or a workload name; anything else raises
+    :class:`TypeError`) and returns one :class:`SimStats` per machine,
+    in order — bit-for-bit identical to sequential :func:`simulate`
+    calls.  The column precompute is built once for the whole batch,
+    and each distinct configuration is walked once (duplicates get
+    independent copies).
     """
-    if isinstance(trace, str):
-        trace = _workload(trace, input_name).trace(
-            max_instructions=max_instructions,
-            options=_codegen_options(options),
-        )
+    trace = _resolve_trace(trace, input_name, max_instructions, options)
     configs = [
         machine.config() if isinstance(machine, MachineSpec) else machine
         for machine in machines
@@ -495,7 +512,6 @@ def certify(
         validate_certificate,
         validate_workload,
     )
-    from repro.trace.columnar import ColumnarTrace
     from repro.workloads import ALL_BENCHMARKS
     from repro.workloads.adversarial import ADVERSARIAL
 

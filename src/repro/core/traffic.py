@@ -24,7 +24,7 @@ from repro import profiling
 from repro.core.stack_cache import StackCache
 from repro.core.svf import StackValueFile
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.regions import STACK_REGION_FLOOR, is_stack_address
+from repro.trace.regions import STACK_REGION_FLOOR
 
 
 @dataclass
@@ -66,9 +66,7 @@ class TrafficSimulator:
     """Traffic model fed one trace window at a time.
 
     :meth:`consume_columns` is the protocol every caller uses; windows
-    fed in order compose to one whole-trace pass.  :meth:`append` is the
-    record-at-a-time reference the column walk is held to
-    (``tests/test_analysis_columnar.py``).
+    fed in order compose to one whole-trace pass.
     """
 
     def __init__(
@@ -90,40 +88,16 @@ class TrafficSimulator:
         self._svf_switch_bytes = 0
         self._stack_cache_switch_bytes = 0
 
-    def append(self, record) -> None:
-        """Reference form of :meth:`consume_columns`: one record."""
-        if not self._sp_seen:
-            self.svf.update_sp(record.sp_value)
-            self._sp_seen = True
-        self._instructions += 1
-        if record.is_load or record.is_store:
-            if is_stack_address(record.addr):
-                self._stack_references += 1
-                self.svf.access(record.addr, record.size, record.is_store)
-                self.stack_cache.access(
-                    record.addr, record.size, record.is_store
-                )
-        if record.sp_update:
-            self.svf.update_sp(record.sp_value)
-        period = self.context_switch_period
-        if period and self._instructions % period == 0:
-            self._switches += 1
-            self._svf_switch_bytes += self.svf.context_switch()
-            self._stack_cache_switch_bytes += (
-                self.stack_cache.context_switch()
-            )
-
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Drain ``trace[lo:hi)`` (same semantics as ``append``).
+        """Drain ``trace[lo:hi)`` into both structures.
 
         One vectorized scan over the column views finds the candidate
         indices (stack references, ``$sp`` updates and context-switch
         points), and only those instructions are visited, reading the
-        columns by index instead of materializing records; the
-        model-call sequence is identical to feeding the records one by
-        one.
+        columns by index; the model-call sequence is identical to a
+        visit of every row.
         """
         hi = len(trace) if hi is None else hi
         col_flags = trace.flags
@@ -193,7 +167,7 @@ class TrafficSimulator:
 
 
 def simulate_traffic(
-    trace: Iterable,
+    trace: ColumnarTrace,
     capacity_bytes: int = 8192,
     line_size: int = 32,
     context_switch_period: Optional[int] = None,
@@ -206,10 +180,7 @@ def simulate_traffic(
         line_size=line_size,
         context_switch_period=context_switch_period,
     )
-    # Pack plain record sequences into columns so one batched consumer
-    # covers every caller (the pack cost is paid once per trace and the
-    # column walk more than recovers it).
-    simulator.consume_columns(ColumnarTrace.from_records(trace))
+    simulator.consume_columns(trace)
     result = simulator.result()
     if profiler is not None:
         profiler.note(
@@ -219,7 +190,7 @@ def simulate_traffic(
 
 
 def traffic_size_sweep(
-    trace: List,
+    trace: ColumnarTrace,
     sizes: Iterable[int] = (2048, 4096, 8192),
     line_size: int = 32,
 ) -> List[TrafficResult]:

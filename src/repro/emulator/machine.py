@@ -20,11 +20,10 @@ execution decides: each load's and store's effective address, ``$sp``
 after each instruction that writes it, and each conditional branch's
 outcome.  Every ``_FLUSH_ROWS`` instructions (at the first segment
 boundary past the mark), at the end of a run and on a fault,
-``Machine._flush`` extends the columns in bulk: the eleven static
+``Machine._flush`` extends the columns in bulk: the ten static
 columns are gathered from per-program tables, the addresses are
-scattered into the memory rows, ``$sp`` is forward-filled, the taken
-bit is set on taken conditional rows, and each row's ``next_pc`` is the
-next row's ``pc``.
+scattered into the memory rows, ``$sp`` is forward-filled, and the
+taken bit is set on taken conditional rows.
 
 Columns are the only trace protocol: a consumer that must not hold a
 whole run calls :meth:`Machine.run` repeatedly with a bounded
@@ -78,7 +77,7 @@ _UNLIMITED = 1 << 63
 #: Columns fixed by the static instruction, gathered from the
 #: per-program tables in ``Machine._static_row`` order.
 _STATIC_COLUMNS = ("pc", "opcode", "flags", "size", "base", "dst",
-                   "nsrc", "src0", "src1", "disp", "spimm")
+                   "nsrc", "src0", "src1", "spimm")
 
 _MEMORY = FLAG_LOAD | FLAG_STORE
 #: Static flag bits that make a retired instruction record a value.
@@ -403,7 +402,6 @@ class Machine:
             len(srcs),
             srcs[0] if len(srcs) > 0 else 0,
             srcs[1] if len(srcs) > 1 else 0,
-            imm,
             spimm,
         )
 
@@ -595,10 +593,10 @@ class Machine:
                     pc_index = next_index
             except (EmulatorError, MemoryError_):
                 if columns is not None:
-                    self._flush(columns, record, pc_index)
+                    self._flush(columns, record)
                 raise
             if columns is not None:
-                self._flush(columns, record, pc_index)
+                self._flush(columns, record)
             if halted or count >= limit:
                 break
 
@@ -647,12 +645,8 @@ class Machine:
         segments.extend(range(start, start + retired))
         return start + retired
 
-    def _flush(self, columns, record, stop_index) -> None:
-        """Extend every column by the rows ``record`` holds; clear it.
-
-        ``stop_index`` is the instruction the machine stopped at: the
-        last row's ``next_pc``.
-        """
+    def _flush(self, columns, record) -> None:
+        """Extend every column by the rows ``record`` holds; clear it."""
         if not record.segments:
             return
         rows = self._rows(record.segments)
@@ -685,9 +679,6 @@ class Machine:
         flags[np.flatnonzero(flags & FLAG_CONDITIONAL)] |= (
             np.frombuffer(record.outcomes, np.uint8) * FLAG_TAKEN
         )
-        next_pc = _grow(columns.next_pc, "next_pc", zeros, total)
-        next_pc[:-1] = tails["pc"][1:]
-        next_pc[-1] = TEXT_BASE + 4 * stop_index
         del record.segments[:]
         del record.addresses[:]
         del record.sps[:]

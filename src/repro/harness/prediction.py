@@ -228,7 +228,7 @@ def check_workload(
         program = work.program(options)
         pcfg = build_cfg(program)
         prediction = predict_program(program, pcfg)
-        # Trace records carry byte-addressed pcs.
+        # The trace's pc column holds byte addresses.
         entry_points = {
             TEXT_BASE + 4 * f.start: f.name
             for f in pcfg.functions.values()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.cfg import build_cfg
+from repro.analysis.cfg import FATAL_ANOMALIES, build_cfg
 from repro.analysis.report import Severity
 from repro.analysis.stackcheck import (
     FrameContext,
@@ -52,12 +52,6 @@ from repro.lang.opt.passes import (
 )
 
 __all__ = ["OptStats", "optimize_program"]
-
-#: CFG anomalies that leave edges unreconstructed; a function carrying
-#: one cannot be analyzed and is never optimized.
-_FATAL_ANOMALIES = frozenset({
-    "escaping-branch", "indirect-jump", "fallthrough-exit",
-})
 
 
 @dataclass
@@ -101,7 +95,7 @@ def _eligibility(program: Program) -> Tuple[Dict[str, bool], bool]:
     fatal = {
         anomaly.function
         for anomaly in pcfg.anomalies
-        if anomaly.kind in _FATAL_ANOMALIES
+        if anomaly.kind in FATAL_ANOMALIES
     }
     self_ok = {
         name: (

@@ -1,4 +1,4 @@
-"""Dynamic-trace records, region classification and analyses."""
+"""Columnar dynamic traces, region classification and analyses."""
 
 from repro.trace.analysis import (
     AccessDistribution,
@@ -7,7 +7,6 @@ from repro.trace.analysis import (
     consume_trace,
 )
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TraceRecord
 from repro.trace.serialization import (
     TraceFormatError,
     load_trace,
@@ -32,7 +31,6 @@ __all__ = [
     "STACK_REGION_FLOOR",
     "StackDepthProfile",
     "TraceFormatError",
-    "TraceRecord",
     "classify_access",
     "classify_address",
     "consume_trace",

@@ -3,14 +3,8 @@
 Each analysis consumes a :class:`~repro.trace.columnar.ColumnarTrace`
 window through ``consume_columns(trace, lo, hi)``: region
 classification and histogram accumulation run as vectorized numpy
-reductions over the column views (:meth:`ColumnarTrace.as_arrays`),
-without materializing a :class:`TraceRecord` per instruction.
-
-Each analysis also keeps a record-at-a-time ``append`` method.  It is
-not a trace protocol — the emulator emits only columns — but the
-plain reference the column walks are held to:
-``tests/test_analysis_columnar.py`` gates both paths field-for-field
-on the whole workload suite plus fuzzed traces.
+reductions over the column views (:meth:`ColumnarTrace.as_arrays`).
+Windows fed in order compose to one whole-trace pass.
 
 :func:`consume_trace` is the dispatcher the harness uses: it feeds one
 trace window to many analyses and notes the ``analysis`` phase into
@@ -30,12 +24,7 @@ from repro import profiling
 from repro.emulator.memory import DATA_BASE, HEAP_BASE
 from repro.isa.registers import FP, SP
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TraceRecord
-from repro.trace.regions import (
-    AccessMethod,
-    STACK_REGION_FLOOR,
-    classify_access,
-)
+from repro.trace.regions import AccessMethod, STACK_REGION_FLOOR
 
 
 @dataclass
@@ -53,21 +42,14 @@ class AccessDistribution:
         default_factory=lambda: {method: 0 for method in AccessMethod}
     )
 
-    def append(self, record: TraceRecord) -> None:
-        """Reference form of :meth:`consume_columns`: one record."""
-        self.total_instructions += 1
-        if not (record.is_load or record.is_store):
-            return
-        self.memory_references += 1
-        self.counts[classify_access(record.addr, record.base_reg)] += 1
-
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Batched form of ``append`` over ``trace[lo:hi)``.
+        """Count the references of ``trace[lo:hi)`` by access method.
 
-        The TEXT region folds into OTHER in
-        :func:`repro.trace.regions.classify_access`, so OTHER is every
+        Each reference is classified as
+        :func:`repro.trace.regions.classify_access` would classify it.
+        The TEXT region folds into OTHER there, so OTHER is every
         non-stack reference below ``DATA_BASE``.
         """
         hi = len(trace) if hi is None else hi
@@ -145,22 +127,12 @@ class StackDepthProfile:
     samples: List[Tuple[int, int]] = field(default_factory=list)
     max_depth: int = 0
 
-    def append(self, record: TraceRecord) -> None:
-        """Reference form of :meth:`consume_columns`: one record."""
-        if not record.sp_update:
-            return
-        depth = (self.stack_base - record.sp_value) // 8
-        self.samples.append((record.index, depth))
-        if depth > self.max_depth:
-            self.max_depth = depth
-
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Batched form of ``append`` over ``trace[lo:hi)``.
+        """Sample the depth at every ``$sp`` update of ``trace[lo:hi)``.
 
-        Sample indices stay absolute trace positions, matching the
-        ``record.index`` values of the reference path.
+        Sample indices are absolute trace positions.
         """
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
@@ -216,26 +188,10 @@ class OffsetLocality:
     sum_offsets: int = 0
     beyond_tos: int = 0
 
-    def append(self, record: TraceRecord) -> None:
-        """Reference form of :meth:`consume_columns`: one record."""
-        if not (record.is_load or record.is_store):
-            return
-        from repro.trace.regions import is_stack_address
-
-        if not is_stack_address(record.addr):
-            return
-        offset = record.addr - record.sp_value
-        if offset < 0:
-            self.beyond_tos += 1
-            return
-        self.total += 1
-        self.sum_offsets += offset
-        self.histogram[offset] = self.histogram.get(offset, 0) + 1
-
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Batched form of ``append`` over ``trace[lo:hi)``."""
+        """Histogram the stack references of ``trace[lo:hi)`` by TOS offset."""
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()
         flags = arrays.flags[lo:hi]

@@ -23,8 +23,7 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TraceRecord
-from repro.trace.regions import STACK_REGION_FLOOR, is_stack_address
+from repro.trace.regions import STACK_REGION_FLOOR
 
 
 @dataclass
@@ -43,53 +42,19 @@ class FirstTouchProfile:
     other_first_stores: int = 0
     other_first_loads: int = 0
 
-    def append(self, record: TraceRecord) -> None:
-        """Reference form of :meth:`consume_columns`: one record."""
-        if self._previous_sp == 0:
-            self._previous_sp = record.sp_value
-        if record.is_load or record.is_store:
-            word = record.addr & ~7
-            if is_stack_address(record.addr):
-                if word in self._pending:
-                    self._pending.discard(word)
-                    if record.is_store:
-                        self.stack_first_stores += 1
-                    else:
-                        self.stack_first_loads += 1
-            elif word not in self._seen_other:
-                self._seen_other[word] = True
-                if record.is_store:
-                    self.other_first_stores += 1
-                else:
-                    self.other_first_loads += 1
-        if record.sp_update:
-            new_sp = record.sp_value
-            if new_sp < self._previous_sp:
-                exposed = min(
-                    (self._previous_sp - new_sp) // 8, self.allocation_cap
-                )
-                for index in range(exposed):
-                    self._pending.add(new_sp + 8 * index)
-            else:
-                # Deallocation kills pending-but-untouched words.
-                for word in [
-                    w for w in self._pending if w < new_sp
-                ]:
-                    self._pending.discard(word)
-            self._previous_sp = new_sp
-
     def consume_columns(
         self, trace: ColumnarTrace, lo: int = 0, hi: Optional[int] = None
     ) -> None:
-        """Batched form of ``append`` over ``trace[lo:hi)``.
+        """Classify the first touches of ``trace[lo:hi)``.
 
         This analysis is an inherently sequential state machine (each
         instruction's effect depends on the pending-word set left by
         all earlier ones), but only loads, stores and ``$sp`` updates
         change its state: one vectorized scan finds them, and the walk
-        visits only those rows.  ``append`` seeds the previous ``$sp``
-        from any row while it is 0, so a walk that skips rows seeds it
-        from the first nonzero ``$sp`` since the last update instead.
+        visits only those rows.  The previous ``$sp`` starts at 0 and
+        takes the first nonzero ``$sp`` of any row (again after an
+        update sets it to 0); since the walk skips rows, it finds that
+        value by scanning the rows since the last update.
         """
         hi = len(trace) if hi is None else hi
         arrays = trace.as_arrays()

@@ -9,9 +9,9 @@ just the columns back to back, written in one shot from a finished
 trace (record a run into a ``ColumnarTrace``, then :func:`save_trace`
 it)::
 
-    magic   6 bytes   b"SVFT\\x04\\x00"
+    magic   6 bytes   b"SVFT\\x05\\x00"
     crc32   <I        zlib.crc32 of everything after this field
-    count   <Q        number of records
+    count   <Q        number of rows
     pc      count * 8 bytes, little-endian uint64
     opcode  count bytes (repro.isa.encoding.OPCODE_NUMBERS)
     flags   count bytes (FLAG_* bits from repro.trace.columnar)
@@ -21,18 +21,17 @@ it)::
     nsrc    count bytes
     src0    count bytes
     src1    count bytes
-    disp    count * 8 bytes, little-endian int64
     spimm   count * 8 bytes, little-endian int64
     addr    count * 8 bytes, little-endian uint64
-    next_pc count * 8 bytes, little-endian uint64
     sp      count * 8 bytes, little-endian uint64
 
 One ``tobytes`` per column on save and one ``readinto`` per column on
-load replace one ``struct`` call per record, so saving/loading is
+load replace one ``struct`` call per row, so saving/loading is
 dominated by raw I/O.  The magic header guards against version skew:
 files written by the old formats (``SVFT\\x02`` records, ``SVFT\\x03``
-checksum-less columns) are rejected, not misread.  The CRC covers the
-count and every column, so a bit-flip anywhere in a cached trace is a
+checksum-less columns, ``SVFT\\x04`` with ``disp`` and ``next_pc``
+columns) are rejected, not misread.  The CRC covers the count and
+every column, so a bit-flip anywhere in a cached trace is a
 :class:`TraceFormatError` on load — never a silently wrong simulation
 input (the chaos harness injects exactly that fault to prove it).
 """
@@ -44,20 +43,20 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 from repro.isa.encoding import OPCODE_NAMES
 from repro.trace.columnar import COLUMN_LAYOUT, ColumnarTrace
 
-MAGIC = b"SVFT\x04\x00"
+MAGIC = b"SVFT\x05\x00"
 
 _COUNT = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
-#: Bytes one record takes across all columns.
-_BYTES_PER_RECORD = sum(
+#: Bytes one row takes across all columns.
+_BYTES_PER_ROW = sum(
     1 if typecode is None else array(typecode).itemsize
     for _, typecode in COLUMN_LAYOUT
 )
@@ -81,15 +80,12 @@ def _column_to_bytes(column) -> bytes:
     return column.tobytes()
 
 
-def write_trace(stream: BinaryIO, trace: Iterable) -> int:
-    """Write a trace to an open binary stream; returns the record count.
+def write_trace(stream: BinaryIO, trace: ColumnarTrace) -> int:
+    """Write a trace to an open binary stream; returns the row count.
 
-    Accepts a :class:`ColumnarTrace` (written as-is) or any iterable
-    of :class:`TraceRecord` (packed first).  Used by callers that
-    manage the file themselves (e.g. the trace cache's atomic
-    temp-file-then-rename writes).
+    Used by callers that manage the file themselves (e.g. the trace
+    cache's atomic temp-file-then-rename writes).
     """
-    trace = ColumnarTrace.from_records(trace)
     count = len(trace)
     blobs = [_COUNT.pack(count)]
     blobs += [
@@ -105,12 +101,8 @@ def write_trace(stream: BinaryIO, trace: Iterable) -> int:
     return count
 
 
-def save_trace(trace: Iterable, path: str) -> int:
-    """Write a trace to ``path``; returns the record count.
-
-    Accepts a :class:`ColumnarTrace` (written as-is) or any iterable
-    of :class:`TraceRecord` (packed first).
-    """
+def save_trace(trace: ColumnarTrace, path: str) -> int:
+    """Write a trace to ``path``; returns the row count."""
     with open(path, "wb") as stream:
         return write_trace(stream, trace)
 
@@ -120,7 +112,7 @@ def load_trace(path: str) -> ColumnarTrace:
 
     Each column is read straight into its array, so a load never holds
     a second copy of the file.  The file length is checked against the
-    header's record count before any column is allocated, and the CRC
+    header's row count before any column is allocated, and the CRC
     before the trace is returned.
     """
     header_size = len(MAGIC) + _CRC.size + _COUNT.size
@@ -131,7 +123,7 @@ def load_trace(path: str) -> ColumnarTrace:
         (crc,) = _CRC.unpack_from(header, len(MAGIC))
         (count,) = _COUNT.unpack_from(header, len(MAGIC) + _CRC.size)
         size = os.fstat(stream.fileno()).st_size
-        if size != header_size + count * _BYTES_PER_RECORD:
+        if size != header_size + count * _BYTES_PER_ROW:
             raise TraceFormatError(f"checksum mismatch in {path!r}")
         running = zlib.crc32(header[len(MAGIC) + _CRC.size :])
         trace = ColumnarTrace()

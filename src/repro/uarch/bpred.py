@@ -13,12 +13,8 @@ from __future__ import annotations
 class PerfectPredictor:
     """Never mispredicts."""
 
-    def predict(self, record) -> bool:
-        """Return True if the branch is predicted correctly."""
-        return True
-
     def predict_bits(self, pc: int, is_conditional, taken) -> bool:
-        """Unpacked-field twin of :meth:`predict` (columnar hot loop)."""
+        """Return True: every branch is predicted correctly."""
         return True
 
 
@@ -35,15 +31,11 @@ class GSharePredictor:
         self.lookups = 0
         self.mispredictions = 0
 
-    def predict(self, record) -> bool:
-        """Predict one branch record; updates state; True if correct."""
-        return self.predict_bits(record.pc, record.is_conditional, record.taken)
-
     def predict_bits(self, pc: int, is_conditional, taken) -> bool:
-        """Predict one branch from unpacked fields; True if correct.
+        """Predict one branch and update the state; True if correct.
 
         ``is_conditional``/``taken`` accept any truthy value (the
-        columnar loop passes raw flag bits).
+        timing walk passes raw flag bits).
         """
         if not is_conditional:
             return True

@@ -35,12 +35,12 @@ The stack unit is pluggable (``config.svf.mode``):
     and refill from the L2; every miss moves whole lines.
 
 One dense-window walk (:func:`_walk`) implements the model.  It
-reads the trace column-wise (:class:`ColumnarTrace`; other iterables
-are packed on entry): :class:`_Columns` turns the columns the walk
-reads per instruction into flat python lists once per trace, points
-missing source registers at a sentinel slot that is always ready (a
-missing destination writes a second, never-read slot), and folds the
-FU latency and the memory test into one column.  Fetch has no stage
+reads the trace column-wise (:class:`ColumnarTrace`):
+:class:`_Columns` turns the columns the walk reads per instruction
+into flat python lists once per trace, points missing source
+registers at a sentinel slot that is always ready (a missing
+destination writes a second, never-read slot), and folds the FU
+latency and the memory test into one column.  Fetch has no stage
 of its own: fetch and dispatch share ``decode_width``, and at equal
 widths an in-order allocator applied to fetch and then to dispatch
 yields the cycles of one application to ``max(redirect, IFQ head) +
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import copy
 from time import perf_counter
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro import profiling
 from repro.core.stack_cache import StackCache
@@ -98,9 +98,8 @@ _R_SVF = 4
 _READY = NUM_REGISTERS
 
 
-def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
+def simulate(trace: ColumnarTrace, config: MachineConfig) -> SimStats:
     """Run the timing model over a trace; returns :class:`SimStats`."""
-    trace = ColumnarTrace.from_records(trace)
     profiler = profiling.active()
     profile_started = perf_counter() if profiler is not None else 0.0
     stats = _walk(config, _Columns(trace))
@@ -111,7 +110,7 @@ def simulate(trace: Iterable, config: MachineConfig) -> SimStats:
     return stats
 
 
-def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
+def simulate_batch(trace: ColumnarTrace, configs) -> List[SimStats]:
     """Evaluate many configs over one trace.
 
     Returns one :class:`SimStats` per config, in input order, each
@@ -125,7 +124,6 @@ def simulate_batch(trace: Iterable, configs) -> List[SimStats]:
     emits no batch counters.
     """
     configs = list(configs)
-    trace = ColumnarTrace.from_records(trace)
     if not configs:
         return []
     if len(configs) == 1:

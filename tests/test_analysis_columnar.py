@@ -1,13 +1,13 @@
 """Differential gate for the batched (columnar) analysis protocol.
 
-Every characterization analysis and the traffic model have two
-consumption paths: the record-at-a-time ``append`` method (the
-reference) and the column walk (``consume_columns``), vectorized over
-numpy views everywhere but in the sequential first-touch profile.
-These tests prove the two observationally identical — field for
-field, on every registry workload plus hypothesis-fuzzed traces — and
-that chunked ``lo``/``hi`` consumption composes to the same state as
-one whole-trace pass.
+Every characterization analysis and the traffic model consume a trace
+through one column walk (``consume_columns``), vectorized over numpy
+views everywhere but in the sequential first-touch profile.  These
+tests hold each walk to its row-at-a-time reference
+(:func:`tests.trace_records.feed`) — field for field, on every
+registry workload plus hypothesis-fuzzed traces — and prove that
+chunked ``lo``/``hi`` consumption composes to the same state as one
+whole-trace pass.
 """
 
 import numpy as np
@@ -29,6 +29,7 @@ from repro.trace.first_touch import FirstTouchProfile
 from repro.workloads import ALL_BENCHMARKS, workload
 
 from tests.test_trace_columnar import _fuzz_source, _step
+from tests.trace_records import feed, records
 
 WINDOW = 2_000
 
@@ -71,9 +72,9 @@ def _sink_state(sinks):
 
 def _append_state(trace):
     sinks = _new_sinks()
-    for record in trace.records():
+    for record in records(trace):
         for sink in sinks:
-            sink.append(record)
+            feed(sink, record)
     return _sink_state(sinks)
 
 
@@ -120,16 +121,10 @@ class TestTrafficDifferential:
     def test_matches_append(self, period):
         trace = _trace("crafty")
         reference = TrafficSimulator(context_switch_period=period)
-        for record in trace.records():
-            reference.append(record)
+        for record in records(trace):
+            feed(reference, record)
         batched = simulate_traffic(trace, context_switch_period=period)
         assert batched == reference.result()
-
-    def test_record_list_input_still_works(self):
-        trace = _trace("mcf")
-        assert simulate_traffic(list(trace.records())) == simulate_traffic(
-            trace
-        )
 
     def test_chunked_consumption_composes(self):
         trace = _trace("gzip")

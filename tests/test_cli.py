@@ -7,10 +7,32 @@ one-line stderr message, never a traceback.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
 from repro.cli import main
+from repro.trace.serialization import load_trace
+
+#: Column order of the ``SVFT\x04\x00`` trace files, which also held
+#: each row's displacement and next pc.
+PREVIOUS_FORMAT_COLUMNS = (
+    "pc", "opcode", "flags", "size", "base", "dst", "nsrc", "src0",
+    "src1", "disp", "spimm", "addr", "next_pc", "sp",
+)
+
+
+def previous_format(trace) -> bytes:
+    """``trace`` as a valid ``SVFT\x04\x00`` file (CRC included), with
+    zero ``disp`` and ``next_pc`` columns."""
+    rows = len(trace)
+    body = struct.pack("<Q", rows) + b"".join(
+        bytes(8 * rows) if name in ("disp", "next_pc")
+        else bytes(getattr(trace, name))
+        for name in PREVIOUS_FORMAT_COLUMNS
+    )
+    return b"SVFT\x04\x00" + struct.pack("<I", zlib.crc32(body)) + body
 
 
 class TestList:
@@ -172,8 +194,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("damage,fragment", [
         ("truncated", "checksum mismatch in '{path}'"),
         ("bit-flipped", "checksum mismatch in '{path}'"),
+        ("previous-format", "bad trace header in '{path}'"),
         ("not-a-trace", "bad trace header in '{path}'"),
-    ], ids=["truncated", "bit-flipped", "not-a-trace"])
+    ], ids=["truncated", "bit-flipped", "previous-format", "not-a-trace"])
     def test_replay_unreadable_trace(self, damage, fragment, capsys,
                                      tmp_path):
         path = tmp_path / "t.svft"
@@ -185,6 +208,8 @@ class TestUsageErrors:
         elif damage == "bit-flipped":
             blob[len(blob) // 2] ^= 1
             path.write_bytes(blob)
+        elif damage == "previous-format":
+            path.write_bytes(previous_format(load_trace(str(path))))
         else:
             path.write_text("int main() { return 0; }\n")
         capsys.readouterr()

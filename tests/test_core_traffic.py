@@ -6,6 +6,8 @@ from repro.core.traffic import (
     traffic_size_sweep,
 )
 
+from tests.trace_records import records
+
 
 class TestOnRealTraces:
     def test_svf_traffic_below_stack_cache(self, crafty_trace):
@@ -31,7 +33,7 @@ class TestOnRealTraces:
         result = simulate_traffic(gzip_trace)
         assert result.instructions == len(gzip_trace)
         mem_stack = sum(
-            1 for r in gzip_trace
+            1 for r in records(gzip_trace)
             if (r.is_load or r.is_store) and r.addr >= 0x40000000
         )
         assert result.stack_references == mem_stack
@@ -67,8 +69,9 @@ class TestContextSwitchAccounting:
 class TestStreamingProtocol:
     def test_incremental_equals_batch(self, gzip_trace):
         simulator = TrafficSimulator(capacity_bytes=4096)
-        for record in gzip_trace:
-            simulator.append(record)
+        total = len(gzip_trace)
+        for lo in range(0, total, 999):
+            simulator.consume_columns(gzip_trace, lo, min(lo + 999, total))
         incremental = simulator.result()
         batch = simulate_traffic(gzip_trace, capacity_bytes=4096)
         assert incremental.svf_qw_in == batch.svf_qw_in

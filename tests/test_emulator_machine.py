@@ -6,6 +6,8 @@ from repro.emulator import EmulatorError, Machine, STACK_BASE, run_program
 from repro.isa import assemble
 from repro.isa.registers import SP
 
+from tests.trace_records import record_at, records
+
 
 def run_source(source, max_instructions=None):
     program = assemble(source)
@@ -240,18 +242,18 @@ class TestTraceRecords:
                 halt
             """
         )
-        store = trace[1]
+        store = record_at(trace, 1)
         assert store.is_store and store.size == 8
-        assert store.base_reg == SP and store.displacement == 8
+        assert store.base_reg == SP
         assert store.addr == STACK_BASE - 16 + 8
-        load = trace[2]
+        load = record_at(trace, 2)
         assert load.is_load and load.addr == store.addr
 
     def test_sp_update_records(self):
         _, trace = run_source(
             "main:\n lda sp, -32(sp)\n lda sp, 32(sp)\n halt"
         )
-        updates = [r for r in trace if r.sp_update]
+        updates = [r for r in records(trace) if r.sp_update]
         assert [r.sp_update_immediate for r in updates] == [-32, 32]
         assert updates[0].sp_value == STACK_BASE - 32
         assert updates[1].sp_value == STACK_BASE
@@ -267,15 +269,16 @@ class TestTraceRecords:
                 halt
             """
         )
-        beq, bne = trace[1], trace[2]
+        beq, bne, halt = (record_at(trace, i) for i in (1, 2, 3))
         assert beq.is_conditional and not beq.taken
         assert bne.is_conditional and bne.taken
-        assert bne.next_pc != beq.next_pc or True  # both recorded
-        assert beq.next_pc == beq.pc + 4
+        # Fall-through, then the taken branch lands on its target.
+        assert bne.pc == beq.pc + 4
+        assert halt.op == "halt" and halt.pc == bne.pc + 4
 
     def test_indices_are_sequential(self, recursive_run):
         _, trace = recursive_run
-        assert [r.index for r in trace[:100]] == list(range(100))
+        assert [r.index for r in records(trace[:100])] == list(range(100))
 
     def test_only_columnar_sinks_are_accepted(self):
         program = assemble("main:\n    halt\n")

@@ -109,7 +109,7 @@ class TestTraceCache:
             cache.store(self.KEY, trace)
             loaded = cache.load(self.KEY)
         assert len(loaded) == len(trace)
-        assert loaded[7].pc == trace[7].pc
+        assert loaded.pc[7] == trace.pc[7]
         assert profiler.counters == {
             "trace_cache_hits": 1, "trace_cache_misses": 1,
         }

@@ -35,8 +35,7 @@ class TestSection2Claims:
         fractions = []
         for trace in traces.values():
             dist = AccessDistribution()
-            for record in trace:
-                dist.append(record)
+            dist.consume_columns(trace)
             fractions.append(dist.stack_fraction)
         assert sum(fractions) / len(fractions) > 0.5
 
@@ -44,8 +43,7 @@ class TestSection2Claims:
         fractions = []
         for trace in traces.values():
             dist = AccessDistribution()
-            for record in trace:
-                dist.append(record)
+            dist.consume_columns(trace)
             fractions.append(dist.sp_fraction_of_stack)
         assert sum(fractions) / len(fractions) > 0.6
 
@@ -54,8 +52,7 @@ class TestSection2Claims:
         within = 0
         for trace in traces.values():
             profile = StackDepthProfile(stack_base=STACK_BASE)
-            for record in trace:
-                profile.append(record)
+            profile.consume_columns(trace)
             if profile.max_depth <= 1100:
                 within += 1
         assert within >= len(traces) - 1
@@ -64,8 +61,7 @@ class TestSection2Claims:
         """Paper Figure 3: >99% of references within 8KB of TOS."""
         for name, trace in traces.items():
             locality = OffsetLocality()
-            for record in trace:
-                locality.append(record)
+            locality.consume_columns(trace)
             assert locality.fraction_within(8192) > 0.95, name
             assert locality.beyond_tos == 0, name
 

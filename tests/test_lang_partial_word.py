@@ -9,6 +9,8 @@ from repro.lang.parser import parse
 from repro.lang.semantics import SemanticError, analyze
 from repro.workloads import workload
 
+from tests.trace_records import records
+
 
 def outputs(source):
     machine, _ = run_program(
@@ -115,7 +117,7 @@ class TestX86MixWorkload:
 
     def test_partial_word_references_dominate_stores(self):
         trace = workload("x86mix").trace(max_instructions=40_000)
-        stores = [r for r in trace if r.is_store]
+        stores = [r for r in records(trace) if r.is_store]
         partial = [r for r in stores if r.size == 4]
         assert len(partial) / len(stores) > 0.3
 

@@ -6,9 +6,9 @@ deterministic count (instructions per phase, superblock coverage,
 batch counters, traced allocation peaks) or, where the margin is
 wide, a same-process ratio against a reference the repo keeps: the
 column walks of the analyses and the traffic model beat their
-record-at-a-time ``append`` methods ~20× at this window, and the
-checks ask for ``MIN_COLUMN_SPEEDUP``.  Measurements live in
-``perfbench/`` and ``docs/performance.md``.
+row-at-a-time references (:func:`tests.trace_records.feed`) 17-42×
+at this window, and the checks ask for ``MIN_COLUMN_SPEEDUP``.
+Measurements live in ``perfbench/`` and ``docs/performance.md``.
 """
 
 import tracemalloc
@@ -33,8 +33,10 @@ from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate, simulate_batch
 from repro.workloads import workload
 
+from tests.trace_records import feed, records
+
 WINDOW = 40_000
-#: Column walk over ``append`` reference, min of ``RATIO_RUNS`` each.
+#: Column walk over row reference, min of ``RATIO_RUNS`` each.
 MIN_COLUMN_SPEEDUP = 3.0
 RATIO_RUNS = 3
 #: Share of the window superblock replay must retire on the
@@ -49,7 +51,7 @@ MID_BLOCK_WINDOWS = (("crafty", 0), ("eon", 1))
 #: measured; 62.8 MB while frame-byte facts were sets of offsets).
 MAX_OPTIMIZER_PEAK_MB = 4.0
 #: A full run's traced allocation peak beyond its columns' own bytes
-#: (crafty: 327,952 instructions, 17.5 MB of columns, ~3.8 MB over).
+#: (crafty: 327,952 instructions, 13.1 MB of columns, ~2.8 MB over).
 MAX_EMULATION_OVERHEAD_MB = 5.0
 
 
@@ -96,14 +98,14 @@ def test_cold_single_workload_end_to_end_budget():
 
 def test_batched_analysis_budget():
     # The Fig 1-3 characterization pass: the column walk against the
-    # analyses' own append reference over the same packed trace.
+    # analyses' row-at-a-time reference over the same trace.
     trace = workload("gzip").trace(max_instructions=WINDOW)
 
     def append_reference():
         sinks = _analyses()
-        for record in trace.records():
+        for record in records(trace):
             for sink in sinks:
-                sink.append(record)
+                feed(sink, record)
 
     with profiled() as profiler:
         column_walk = _best_seconds(
@@ -112,7 +114,7 @@ def test_batched_analysis_budget():
     reference = _best_seconds(append_reference)
     assert profiler.phases["analysis"].items == RATIO_RUNS * WINDOW
     assert reference / column_walk > MIN_COLUMN_SPEEDUP, (
-        f"column walk {column_walk:.4f}s vs append {reference:.4f}s"
+        f"column walk {column_walk:.4f}s vs rows {reference:.4f}s"
     )
 
 
@@ -122,8 +124,8 @@ def test_batched_traffic_budget():
 
     def append_reference():
         simulator = TrafficSimulator()
-        for record in trace.records():
-            simulator.append(record)
+        for record in records(trace):
+            feed(simulator, record)
         return simulator.result()
 
     with profiled() as profiler:
@@ -131,7 +133,7 @@ def test_batched_traffic_budget():
     reference = _best_seconds(append_reference)
     assert profiler.phases["traffic"].items == RATIO_RUNS * WINDOW
     assert reference / column_walk > MIN_COLUMN_SPEEDUP, (
-        f"column walk {column_walk:.4f}s vs append {reference:.4f}s"
+        f"column walk {column_walk:.4f}s vs rows {reference:.4f}s"
     )
 
 

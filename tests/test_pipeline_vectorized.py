@@ -241,15 +241,6 @@ def test_empty_trace_is_identical():
     )
 
 
-def test_record_list_routes_through_reference():
-    # Non-columnar input (a plain record list) is packed on entry and
-    # times exactly like the emulator's own columns.
-    trace = workload("gzip").trace(max_instructions=1_000)
-    records = list(trace.records())
-    config = CONFIGS["svf"]
-    assert simulate(records, config) == simulate(trace, config)
-
-
 def _format(value, depth=0) -> str:
     """JSON with one stats row per line, so a re-recording diffs by row."""
     pad = " " * (depth + 1)

@@ -189,6 +189,23 @@ def test_simulate_accepts_spec_config_and_workload_name():
     assert by_name.cycles == by_spec.cycles
 
 
+def test_simulate_takes_only_a_trace_or_a_workload_name():
+    # A record list is neither: it is a TypeError naming the type, not
+    # an AttributeError from deep inside the timing walk.
+    import repro
+    from repro import api
+
+    from tests.trace_records import records
+
+    trace = repro.workload("gzip").trace(max_instructions=200)
+    rows = list(records(trace))
+    expected = "a workload name or a ColumnarTrace, not list"
+    with pytest.raises(TypeError, match=expected):
+        api.simulate(rows)
+    with pytest.raises(TypeError, match=expected):
+        api.simulate_batch(rows, [api.MachineSpec()])
+
+
 def test_lint_facade_and_versioned_json():
     from repro import api
 

@@ -8,17 +8,22 @@ checks hold it to the record fields a trace must carry:
   for each registry workload at a 2,000-instruction window and for a
   full mcf run (halt included).  It was recorded at commit 1cca2e0,
   where a record-object emit path still ran beside the column path and
-  the two matched field for field on these traces.  Its ``faults``
-  section holds the rows, ``instruction_count``, ``pc`` and error of
-  seven programs that fault: four in the middle of a straight-line
-  block, one on a bad jump target, one on a bad call target and one
-  on a pc out of range.  Both
-  the step path and superblock replay must reproduce them.
+  the two matched field for field on these traces.  When the trace
+  dropped its ``disp`` and ``next_pc`` columns, which no consumer
+  read, their keys were deleted from every entry of the fixture (the
+  ``faults`` section's included); every other value is as recorded.
+  Its ``faults`` section holds the rows, ``instruction_count``,
+  ``pc`` and error of seven programs that fault: four in the middle
+  of a straight-line block, one on a bad jump target, one on a bad
+  call target and one on a pc out of range.  Both the step path and
+  superblock replay must reproduce them.
 * Hypothesis-fuzzed programs: every entry's static fields must equal
   what the :class:`~repro.isa.instructions.Instruction` at its pc
-  implies, and its dynamic fields (``next_pc``, ``taken``, ``addr``,
-  ``$sp``) must agree with a plain replay of the program's control
-  flow and ``$sp`` arithmetic.
+  implies, and its dynamic fields (``taken``, ``addr``, ``$sp``) and
+  the pc that follows it (the next row's ``pc``; after the last row,
+  the machine's pc) must agree with a plain replay of the program's
+  control flow and ``$sp`` arithmetic, which takes each displacement
+  from the instruction at the row's pc.
 * Chunked runs: any split of a run into ``run(max_instructions=k)``
   calls, into one trace or into a fresh trace per call, concatenates
   to the one-shot trace, at windows that cross the emulator's
@@ -46,8 +51,10 @@ from repro.emulator.memory import MemoryError_
 from repro.emulator.superblock import set_superblock_enabled
 from repro.isa import assemble
 from repro.isa.registers import SP
-from repro.trace.columnar import ColumnarTrace, record_fields
+from repro.trace.columnar import ColumnarTrace
 from repro.workloads import ALL_BENCHMARKS, workload
+
+from tests.trace_records import next_pcs, pack, record_at, records
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "trace_columns_golden.json"
@@ -139,12 +146,16 @@ FAULT_PROGRAMS = {
 }
 
 
-def emit(program, max_instructions=None):
+def traced_run(program, max_instructions=None):
+    """The trace of one run and the pc the machine stopped at."""
+    machine = Machine(program)
     trace = ColumnarTrace()
-    Machine(program).run(
-        max_instructions=max_instructions, trace_sink=trace
-    )
-    return trace
+    machine.run(max_instructions=max_instructions, trace_sink=trace)
+    return trace, machine.pc
+
+
+def emit(program, max_instructions=None):
+    return traced_run(program, max_instructions)[0]
 
 
 def column_digests(trace):
@@ -311,7 +322,6 @@ def assert_static_fields(record, instr):
     assert record.is_store == instr.is_store
     assert record.size == instr.spec.mem_size
     assert record.base_reg == (instr.rb if instr.is_mem else None)
-    assert record.displacement == imm
     assert record.is_branch == instr.is_branch
     assert record.is_conditional == instr.is_conditional
     assert record.sp_update == sp_update
@@ -320,46 +330,47 @@ def assert_static_fields(record, instr):
     )
 
 
-def assert_trace_consistent(trace, program):
+def assert_trace_consistent(trace, program, stop_pc):
     """Static fields per pc, plus control flow and ``$sp`` replayed.
 
     The fuzzed programs address memory only through ``$sp`` and set
     ``$sp`` only by ``lda``, from ``$sp`` or from a register an earlier
     ``lda`` derived from ``$sp``.  So the expected ``$sp`` value and
     effective address of every entry follow from the entries before
-    it.
+    it.  ``stop_pc`` is the pc the machine stopped at: what follows
+    the last entry.
     """
     sp = STACK_BASE
     derived = {}  # register -> value an ``lda reg, imm(sp)`` gave it
     pc = TEXT_BASE + 4 * program.label_index(program.entry)
-    for index, record in enumerate(trace):
-        assert record.index == index
+    for record, next_pc in zip(records(trace), next_pcs(trace, stop_pc)):
         assert record.pc == pc
         instr = program.instructions[(pc - TEXT_BASE) // 4]
         assert_static_fields(record, instr)
+        displacement = instr.imm if instr.imm is not None else 0
         if instr.op == "lda":
             base = sp if instr.rb == SP else derived[instr.rb]
             if record.dst == SP:
-                sp = base + record.displacement
+                sp = base + displacement
             else:
-                derived[record.dst] = base + record.displacement
+                derived[record.dst] = base + displacement
         elif record.dst is not None:
             derived.pop(record.dst, None)
         assert record.sp_value == sp
         if record.is_load or record.is_store:
-            assert record.addr == sp + record.displacement
+            assert record.addr == sp + displacement
         else:
             assert record.addr == 0
         if instr.op == "halt":
-            assert record.next_pc == pc
+            assert next_pc == pc
         elif record.is_conditional:
             target = TEXT_BASE + 4 * instr.target_index
-            assert record.taken == (record.next_pc == target)
-            assert record.next_pc in (target, pc + 4)
+            assert record.taken == (next_pc == target)
+            assert next_pc in (target, pc + 4)
         else:
             assert not record.taken
-            assert record.next_pc == pc + 4
-        pc = record.next_pc
+            assert next_pc == pc + 4
+        pc = next_pc
 
 
 class TestFuzzedDifferential:
@@ -367,10 +378,10 @@ class TestFuzzedDifferential:
     @given(st.lists(_step, min_size=1, max_size=30))
     def test_columnar_matches_legacy(self, steps):
         program = assemble(_fuzz_source(steps))
-        trace = emit(program)
+        trace, stop_pc = traced_run(program)
         assert len(trace) > 0
-        assert trace[-1].op == "halt"
-        assert_trace_consistent(trace, program)
+        assert record_at(trace, -1).op == "halt"
+        assert_trace_consistent(trace, program, stop_pc)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(_step, min_size=5, max_size=30),
@@ -378,10 +389,10 @@ class TestFuzzedDifferential:
     def test_truncated_window_matches(self, steps, window):
         program = assemble(_fuzz_source(steps))
         full = emit(program)
-        truncated = emit(program, max_instructions=window)
+        truncated, stop_pc = traced_run(program, max_instructions=window)
         assert len(truncated) == min(window, len(full))
         assert truncated == full[:window]
-        assert_trace_consistent(truncated, program)
+        assert_trace_consistent(truncated, program, stop_pc)
 
 
 # --- chunked runs: every split concatenates to the one-shot trace ----
@@ -456,55 +467,37 @@ class TestChunkedRuns:
 
 
 class TestColumnarContainer:
-    """Sequence protocol details the read views rely on."""
+    """The container protocol: length, slices and equality."""
 
     @pytest.fixture(scope="class")
     def trace(self):
         return workload("gzip").trace(max_instructions=1_000)
 
-    def test_len_iter_getitem_agree(self, trace):
-        assert len(trace) == 1_000
-        records = list(trace)
-        assert len(records) == 1_000
-        assert record_fields(trace[0]) == record_fields(records[0])
-        assert record_fields(trace[-1]) == record_fields(records[-1])
-
-    def test_getitem_out_of_range(self, trace):
-        with pytest.raises(IndexError):
-            trace[1_000]
-        with pytest.raises(IndexError):
-            trace[-1_001]
-
     def test_slice_returns_columnar(self, trace):
         head = trace[:100]
         assert isinstance(head, ColumnarTrace)
         assert len(head) == 100
-        for i in range(100):
-            assert record_fields(head[i]) == record_fields(trace[i])
+        for name in ColumnarTrace.__slots__:
+            assert getattr(head, name) == getattr(trace, name)[:100]
 
-    def test_record_index_is_position(self, trace):
-        # Slices re-index from zero: index is positional, not global.
-        tail = trace[900:]
-        assert tail[0].index == 0
-        assert trace[900].index == 900
-        assert record_fields(tail[0])[1:] == record_fields(trace[900])[1:]
+    def test_record_view_round_trips(self, trace):
+        # The tests' record view holds every column of a row.
+        assert pack(records(trace)) == trace
 
-    def test_from_records_passthrough_and_pack(self, trace):
-        assert ColumnarTrace.from_records(trace) is trace
-        packed = ColumnarTrace.from_records(list(trace))
-        assert packed == trace
-
-    def test_eq_against_record_list(self, trace):
-        records = list(trace)
-        assert trace == records
-        records[3] = records[4]
-        assert not (trace[:10] == records[:10])
+    def test_only_slices_index(self, trace):
+        # An int must not fall through to the column loop.
+        for index in (0, -1, "pc"):
+            with pytest.raises(TypeError, match="must be slices"):
+                trace[index]
+        with pytest.raises(TypeError):
+            list(trace)
 
     def test_empty_trace(self):
         empty = ColumnarTrace()
         assert len(empty) == 0
-        assert list(empty) == []
-        assert empty == []
+        assert list(records(empty)) == []
+        assert empty == ColumnarTrace()
+        assert empty != []
 
 
 def record(path: str = GOLDEN_PATH) -> None:

@@ -1,13 +1,17 @@
-"""Tests for the first-touch analysis."""
+"""Tests for the first-touch analysis.
+
+Hand-built rows are packed into a trace and fed to
+``consume_columns``, the walk every run executes.
+"""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator.memory import STACK_BASE
 from repro.isa.instructions import OpClass
 from repro.isa.registers import SP
-from repro.trace.columnar import ColumnarTrace
 from repro.trace.first_touch import FirstTouchProfile
-from repro.trace.records import TraceRecord
+
+from tests.trace_records import TraceRecord, feed, pack
 
 
 def rec(index, *, sp, load_at=None, store_at=None, sp_update=False):
@@ -26,14 +30,22 @@ def rec(index, *, sp, load_at=None, store_at=None, sp_update=False):
     )
 
 
+def consume(profile, *records):
+    """Feed ``records``, packed into one trace, to ``profile``."""
+    profile.consume_columns(pack(records))
+
+
 class TestSyntheticSequences:
     def test_store_first_after_allocation(self):
         profile = FirstTouchProfile()
         base = STACK_BASE
-        profile.append(rec(0, sp=base))
-        profile.append(rec(1, sp=base - 64, sp_update=True))
-        profile.append(rec(2, sp=base - 64, store_at=base - 64))
-        profile.append(rec(3, sp=base - 64, load_at=base - 64))
+        consume(
+            profile,
+            rec(0, sp=base),
+            rec(1, sp=base - 64, sp_update=True),
+            rec(2, sp=base - 64, store_at=base - 64),
+            rec(3, sp=base - 64, load_at=base - 64),
+        )
         assert profile.stack_first_stores == 1
         assert profile.stack_first_loads == 0
         assert profile.stack_first_store_fraction == 1.0
@@ -41,30 +53,35 @@ class TestSyntheticSequences:
     def test_load_first_counted(self):
         profile = FirstTouchProfile()
         base = STACK_BASE
-        profile.append(rec(0, sp=base))
-        profile.append(rec(1, sp=base - 64, sp_update=True))
-        profile.append(rec(2, sp=base - 64, load_at=base - 56))
+        consume(
+            profile,
+            rec(0, sp=base),
+            rec(1, sp=base - 64, sp_update=True),
+            rec(2, sp=base - 64, load_at=base - 56),
+        )
         assert profile.stack_first_loads == 1
         assert profile.stack_first_store_fraction == 0.0
 
     def test_deallocation_kills_untouched_words(self):
         profile = FirstTouchProfile()
         base = STACK_BASE
-        profile.append(rec(0, sp=base))
-        profile.append(rec(1, sp=base - 64, sp_update=True))
-        profile.append(rec(2, sp=base, sp_update=True))
-        # Reallocate and touch: still counted as a fresh first touch.
-        profile.append(rec(3, sp=base - 64, sp_update=True))
-        profile.append(rec(4, sp=base - 64, store_at=base - 32))
+        consume(
+            profile,
+            rec(0, sp=base),
+            rec(1, sp=base - 64, sp_update=True),
+            rec(2, sp=base, sp_update=True),
+            # Reallocate and touch: still counted as a fresh first touch.
+            rec(3, sp=base - 64, sp_update=True),
+            rec(4, sp=base - 64, store_at=base - 32),
+        )
         assert profile.stack_first_stores == 1
 
     def test_non_stack_words_counted_separately(self):
         profile = FirstTouchProfile()
         base = STACK_BASE
-        profile.append(rec(0, sp=base))
         record = rec(1, sp=base, load_at=0x10000000)
         record.base_reg = 3
-        profile.append(record)
+        consume(profile, rec(0, sp=base), record)
         assert profile.other_first_loads == 1
         assert profile.stack_first_loads == 0
 
@@ -73,16 +90,14 @@ class TestOnRealTraces:
     def test_stack_words_are_written_first(self, crafty_trace):
         """The paper's claim: stack first-touches are mostly stores."""
         profile = FirstTouchProfile()
-        for record in crafty_trace:
-            profile.append(record)
+        profile.consume_columns(crafty_trace)
         total = profile.stack_first_stores + profile.stack_first_loads
         assert total > 100
         assert profile.stack_first_store_fraction > 0.8
 
     def test_stack_beats_other_regions(self, eon_trace):
         profile = FirstTouchProfile()
-        for record in eon_trace:
-            profile.append(record)
+        profile.consume_columns(eon_trace)
         assert (
             profile.stack_first_store_fraction
             >= profile.other_first_store_fraction
@@ -102,7 +117,8 @@ def _profile_state(profile):
 
 
 #: One synthetic row: (kind, $sp, address).  ``$sp`` includes 0, which
-#: makes ``append`` re-seed its previous ``$sp`` from the next row.
+#: makes the row-by-row reference re-seed its previous ``$sp`` from
+#: the next row.
 _row = st.tuples(
     st.sampled_from(["alu", "load", "store", "sp"]),
     st.sampled_from([0, STACK_BASE, STACK_BASE - 32, STACK_BASE - 64]),
@@ -130,8 +146,8 @@ class TestColumnWalk:
         ]
         reference = FirstTouchProfile()
         for record in records:
-            reference.append(record)
-        trace = ColumnarTrace.from_records(records)
+            feed(reference, record)
+        trace = pack(records)
         whole = FirstTouchProfile()
         whole.consume_columns(trace)
         chunked = FirstTouchProfile()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.encoding import OPCODE_NAMES
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.serialization import (
     MAGIC,
     TraceFormatError,
@@ -19,11 +20,10 @@ from repro.uarch.pipeline import simulate
 from repro.workloads import workload
 
 
-FIELDS = (
-    "pc", "op", "srcs", "dst", "is_load", "is_store", "addr", "size",
-    "base_reg", "displacement", "is_branch", "is_conditional", "taken",
-    "next_pc", "sp_value", "sp_update", "sp_update_immediate",
-)
+#: Header bytes (magic, CRC32, row count) and bytes per row: 8 each
+#: for pc, spimm, addr and sp, 1 each for the other eight columns.
+HEADER_BYTES = 6 + 4 + 8
+ROW_BYTES = 40
 
 
 class TestRoundTrip:
@@ -33,12 +33,18 @@ class TestRoundTrip:
         assert count == len(gzip_trace)
         restored = load_trace(path)
         assert len(restored) == len(gzip_trace)
-        for original, copy in zip(gzip_trace, restored):
-            for field in FIELDS:
-                assert getattr(copy, field) == getattr(original, field), (
-                    field
-                )
-            assert copy.op_class is original.op_class
+        for name in ColumnarTrace.__slots__:
+            assert getattr(restored, name) == getattr(gzip_trace, name), (
+                name
+            )
+
+    def test_file_holds_twelve_columns(self, tmp_path):
+        path = tmp_path / "gzip.svft"
+        for rows in (0, 1, 777):
+            save_trace(workload("gzip").trace(max_instructions=rows),
+                       str(path))
+            assert path.stat().st_size == HEADER_BYTES + ROW_BYTES * rows
+        assert path.read_bytes()[:6] == MAGIC == b"SVFT\x05\x00"
 
     def test_timing_simulation_identical(self, crafty_trace, tmp_path):
         """A reloaded trace must time exactly like the original."""
@@ -69,8 +75,8 @@ class TestErrors:
 
     def test_empty_trace_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.svft")
-        assert save_trace([], path) == 0
-        assert load_trace(path) == []
+        assert save_trace(ColumnarTrace(), path) == 0
+        assert load_trace(path) == ColumnarTrace()
 
     def test_huge_count_fails_before_allocating(self, tmp_path):
         # A header whose CRC is valid but whose count promises 2**40

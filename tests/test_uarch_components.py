@@ -3,8 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import OpClass
-from repro.trace.records import TraceRecord
 from repro.uarch.bpred import GSharePredictor, PerfectPredictor, make_predictor
 from repro.uarch.cache import Cache, build_hierarchy
 from repro.uarch.config import (
@@ -15,47 +13,40 @@ from repro.uarch.config import (
 )
 
 
-def branch_record(pc, taken):
-    return TraceRecord(
-        index=0, pc=pc, op="bne", op_class=OpClass.BRANCH, srcs=(1,),
-        dst=None, is_branch=True, is_conditional=True, taken=taken,
-    )
+def predict(predictor, pc, taken, is_conditional=True):
+    """One branch through the timing walk's predictor entry point."""
+    return predictor.predict_bits(pc, is_conditional, taken)
 
 
 class TestPredictors:
     def test_perfect_never_mispredicts(self):
         predictor = PerfectPredictor()
-        assert predictor.predict(branch_record(0x1000, True))
-        assert predictor.predict(branch_record(0x1000, False))
+        assert predict(predictor, 0x1000, True)
+        assert predict(predictor, 0x1000, False)
 
     def test_gshare_learns_a_bias(self):
         predictor = GSharePredictor()
-        record = branch_record(0x1000, True)
         for _ in range(100):
-            predictor.predict(record)
-        assert predictor.predict(record)  # saturated taken
+            predict(predictor, 0x1000, True)
+        assert predict(predictor, 0x1000, True)  # saturated taken
 
     def test_gshare_mispredicts_on_flip(self):
         predictor = GSharePredictor(history_bits=4, table_bits=6)
         for _ in range(10):
-            predictor.predict(branch_record(0x1000, True))
+            predict(predictor, 0x1000, True)
         misses_before = predictor.mispredictions
-        predictor.predict(branch_record(0x1000, False))
+        predict(predictor, 0x1000, False)
         assert predictor.mispredictions == misses_before + 1
 
     def test_gshare_ignores_unconditional(self):
         predictor = GSharePredictor()
-        record = TraceRecord(
-            index=0, pc=0x1000, op="br", op_class=OpClass.BRANCH, srcs=(),
-            dst=None, is_branch=True, is_conditional=False, taken=True,
-        )
-        assert predictor.predict(record)
+        assert predict(predictor, 0x1000, True, is_conditional=False)
         assert predictor.lookups == 0
 
     def test_gshare_rate_on_alternating_pattern(self):
         predictor = GSharePredictor()
         for i in range(2000):
-            predictor.predict(branch_record(0x1000, i % 2 == 0))
+            predict(predictor, 0x1000, i % 2 == 0)
         # Alternation is perfectly history-predictable after warmup.
         assert predictor.misprediction_rate < 0.1
 

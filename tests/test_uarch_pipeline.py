@@ -5,6 +5,8 @@ import pytest
 from repro.uarch.config import table2_config
 from repro.uarch.pipeline import simulate
 
+from tests.trace_records import records
+
 
 @pytest.fixture(scope="module")
 def crafty(crafty_trace):
@@ -38,9 +40,11 @@ class TestBasicSanity:
 
     def test_counts_loads_stores_branches(self, crafty):
         stats = simulate(crafty, table2_config(16))
-        assert stats.loads == sum(1 for r in crafty if r.is_load)
-        assert stats.stores == sum(1 for r in crafty if r.is_store)
-        assert stats.branches == sum(1 for r in crafty if r.is_branch)
+        assert stats.loads == sum(1 for r in records(crafty) if r.is_load)
+        assert stats.stores == sum(1 for r in records(crafty) if r.is_store)
+        assert stats.branches == sum(
+            1 for r in records(crafty) if r.is_branch
+        )
 
 
 class TestStructuralHazards:

@@ -15,8 +15,11 @@ from repro.trace.analysis import (
     StackDepthProfile,
     consume_trace,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.regions import AccessMethod
 from repro.workloads import workload
+
+from tests.trace_records import next_pcs, records
 
 WINDOW = 40_000
 
@@ -100,17 +103,20 @@ class TestCallReturnBalance:
 
     @pytest.mark.parametrize("name", ["crafty", "gcc", "parser"])
     def test_sp_restored_across_calls(self, name):
-        trace = workload(name).trace(max_instructions=WINDOW)
+        trace = ColumnarTrace()
+        machine = workload(name).run(max_instructions=WINDOW,
+                                     trace_sink=trace)
         # Pair each call with its return via the return address and
         # check $sp is identical at both points.
         call_stack = []
         violations = 0
-        for record in trace:
+        for record, next_pc in zip(records(trace),
+                                   next_pcs(trace, machine.pc)):
             if record.op in ("bsr", "jsr"):
                 call_stack.append((record.pc + 4, record.sp_value))
             elif record.op == "ret" and call_stack:
                 return_to, sp_at_call = call_stack[-1]
-                if record.next_pc == return_to:
+                if next_pc == return_to:
                     call_stack.pop()
                     # $sp before the epilogue already restored it.
                     if record.sp_value != sp_at_call:
@@ -121,7 +127,7 @@ class TestCallReturnBalance:
         """Every frame allocation has a matching deallocation size."""
         trace = workload("crafty").trace(max_instructions=WINDOW)
         open_frames = []
-        for record in trace:
+        for record in records(trace):
             if record.sp_update and record.sp_update_immediate:
                 change = record.sp_update_immediate
                 if change < 0:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.trace.columnar import FLAG_LOAD, FLAG_SP_UPDATE, FLAG_STORE
 from repro.workloads import (
     BENCHMARK_ORDER,
     TABLE1_INPUTS,
@@ -54,19 +55,19 @@ class TestExecution:
     def test_compiles_and_runs(self, name):
         trace = workload(name).trace(max_instructions=5_000)
         assert len(trace) == 5_000
-        assert any(r.is_mem for r in trace)
-        assert any(r.sp_update for r in trace)
+        assert any(flags & (FLAG_LOAD | FLAG_STORE) for flags in trace.flags)
+        assert any(flags & FLAG_SP_UPDATE for flags in trace.flags)
 
     def test_deterministic_across_runs(self):
         work = workload("twolf")
         first = work.trace(max_instructions=3_000)
         second = work.trace(max_instructions=3_000)
-        assert [r.pc for r in first] == [r.pc for r in second]
+        assert first == second
 
     def test_inputs_differ(self):
         graphic = workload("bzip2", "graphic").trace(max_instructions=5_000)
         program = workload("bzip2", "program").trace(max_instructions=5_000)
-        assert [r.pc for r in graphic] != [r.pc for r in program]
+        assert graphic.pc != program.pc
 
     def test_parameter_overrides(self):
         machine = workload("crafty").run(positions=1, depth=3)
